@@ -24,7 +24,6 @@ from .dynamics import (
     acceleration,
     check_assumptions,
     engine_power,
-    equilibrium_speeds,
     freeze,
     integrate,
 )

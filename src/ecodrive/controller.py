@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .dynamics import (
-    FrozenDynamics,
     PowerModel,
     RaceState,
     TrackProfile,
@@ -24,7 +23,14 @@ from .dynamics import (
     freeze,
 )
 from .errors import EcodriveError, InfeasibleSliceError, ScenarioError
-from .optimizer import GridSpec, OscillationBand, band_from_limits, coast_band, optimal_band
+# band_from_limits stays importable from here: perfbench/spans.py wraps it
+from .optimizer import (  # noqa: F401
+    GridSpec,
+    OscillationBand,
+    band_from_limits,
+    optimal_band,
+    safety_band,
+)
 
 FLAG_REPLAN = "replan"
 FLAG_SWITCH_ON = "switch_on"
@@ -45,7 +51,6 @@ class ControllerConfig:
     safety_margin: float = 0.5              # m/s below the safety speed
     grid: GridSpec = GridSpec()
     dt: float = 1e-3                        # s
-    overshoot_slack: float = 0.2            # m/s tolerated above the safety speed
     hard_stop_factor: float = 1.2           # simulation cap at factor * duration
     trace_interval: float = 0.5             # s between dense trace rows
 
@@ -57,7 +62,6 @@ class ControllerConfig:
             "replan_interval",
             "safety_margin",
             "dt",
-            "overshoot_slack",
             "trace_interval",
         ):
             if getattr(self, name) <= 0.0:
@@ -163,38 +167,16 @@ def replan(
             avg_cost=math.nan,
         )
         return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE)
-    flag = ""
-    if target >= frozen.v_high:
-        band = _maximal_band(frozen, v_safe, cfg.safety_margin)
-        flag = FLAG_UNREACHABLE
-    elif target >= v_safe:
-        band = _safety_band(frozen, v_safe, cfg.safety_margin)
+    flag = FLAG_UNREACHABLE if target >= frozen.v_high else ""
+    if flag or target >= v_safe:
+        band = safety_band(frozen, v_safe, cfg.safety_margin)
     else:
         try:
             band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
         except EcodriveError:
-            band = _maximal_band(frozen, v_safe, cfg.safety_margin)
+            band = safety_band(frozen, v_safe, cfg.safety_margin)
             flag = FLAG_UNREACHABLE
     return ReplanRecord(state.t, state.position, target, band, flag)
-
-
-def _maximal_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:
-    v_b = min(frozen.v_high * (1.0 - 1e-6), v_safe)
-    return _band_or_coast(frozen, v_b, delta)
-
-
-def _safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:
-    v_b = min(v_safe, frozen.v_high * (1.0 - 1e-6))
-    return _band_or_coast(frozen, v_b, delta)
-
-
-def _band_or_coast(frozen: FrozenDynamics, v_b: float, delta: float) -> OscillationBand:
-    if v_b <= frozen.v_low + 1e-9:
-        return coast_band(v_b)
-    v_a = max(v_b - delta, frozen.v_low + 1e-3 * (frozen.v_high - frozen.v_low))
-    if v_a >= v_b:
-        v_a = 0.5 * (frozen.v_low + v_b)
-    return band_from_limits(frozen, v_a, v_b)
 
 
 def switch_logic(state: RaceState, band: OscillationBand, switch_cost: float) -> RaceState:

@@ -28,7 +28,6 @@ from .errors import (
 
 SPEED_ROOT_TOL = 1e-9
 SPEED_BRACKET_MAX = 100.0
-DEFAULT_DT = 1e-3
 
 WHEEL_POWER = "wheel_power"
 CONSTANT_ELECTRICAL = "constant_electrical"
@@ -160,7 +159,7 @@ class TrackProfile:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> TrackProfile:
-        rows = _read_csv_rows(path, ("s_m", "slope_rad", "vsafe_mps"))
+        rows = read_csv_rows(path, ("s_m", "slope_rad", "vsafe_mps"))
         return cls.from_rows((r[0], r[1], r[2]) for r in rows)
 
     def to_csv(self, path: str | Path) -> None:
@@ -214,7 +213,7 @@ class WindField:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> WindField:
-        rows = _read_csv_rows(path, ("s_m", "t_s", "v_mps"))
+        rows = read_csv_rows(path, ("s_m", "t_s", "v_mps"))
         arcs = sorted({r[0] for r in rows})
         times = sorted({r[1] for r in rows})
         if len(rows) != len(arcs) * len(times):
@@ -238,7 +237,8 @@ class WindField:
                     writer.writerow((repr(float(s)), repr(float(t)), repr(float(self.speed[i][j]))))
 
 
-def _read_csv_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[float, ...]]:
+def read_csv_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[float, ...]]:
+    """Float rows of a headed CSV file; blank lines are skipped."""
     path = Path(path)
     try:
         fh = open(path, newline="")
@@ -315,10 +315,10 @@ def acceleration(
 class FrozenDynamics:
     """Autonomous slice of the dynamics at fixed slope and wind.
 
-    ``v_high`` is the engine-on equilibrium (unique positive root of the
-    engine-on acceleration).  ``v_low`` is the engine-off rest speed: the
-    root of the engine-off acceleration when one exists in [0, inf), else the
-    sticking point 0; ``v_low_is_root`` records which case applies.
+    ``v_high`` is the engine-on equilibrium (last down-crossing of the
+    engine-on acceleration on v > 0).  ``v_low`` is the engine-off rest speed:
+    the last down-crossing of the engine-off acceleration when there is one,
+    else the sticking point 0; ``v_low_is_root`` records which case applies.
     """
 
     params: VehicleParams
@@ -358,9 +358,6 @@ class FrozenDynamics:
             return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
         return np.full_like(x2, self.power.constant_watts)
 
-    def equilibrium_speeds(self) -> tuple[float, float]:
-        return self.v_low, self.v_high
-
     @classmethod
     def from_conditions(
         cls,
@@ -369,16 +366,36 @@ class FrozenDynamics:
         slope: float = 0.0,
         wind_speed: float = 0.0,
     ) -> FrozenDynamics:
+        """Slice at fixed slope and wind, with both rest speeds in closed form.
+
+        On v > 0 each mode's acceleration is ``b - a D(v - w)``: ``b_on = f1 -
+        c - g sin(theta)``, ``b_off = -c - g sin(theta)``.  Each rest speed is
+        the last down-crossing of that acceleration.  Coasting falls back to
+        the sticking point 0 when it has no down-crossing on v > 0.
+        """
         gravity_component = params.gravity * math.sin(slope)
-
-        def f_on(x: float) -> float:
-            return _accel_scalar(x, True, wind_speed, gravity_component, params)
-
-        def f_off(x: float) -> float:
-            return _accel_scalar(x, False, wind_speed, gravity_component, params)
-
-        v_high = _engine_on_equilibrium(f_on)
-        v_low, is_root = _engine_off_rest_speed(f_off)
+        b_off = -params.solid_friction - gravity_component
+        v_high = _last_downcrossing(params.traction + b_off, wind_speed, params)
+        if v_high is None or v_high <= 0.0:
+            raise InfeasibleSliceError(
+                "engine-on acceleration is nonpositive for all speeds: the "
+                "vehicle cannot move forward on this slice"
+            )
+        if v_high >= SPEED_BRACKET_MAX:
+            raise InfeasibleSliceError(
+                f"engine-on acceleration has no root below {SPEED_BRACKET_MAX} m/s"
+            )
+        # evaluate the 0+ side of the friction sign
+        f_zero = _accel_scalar(1e-12, False, wind_speed, gravity_component, params)
+        v_rest = _last_downcrossing(b_off, wind_speed, params)
+        if abs(f_zero) <= 1e-12:
+            v_low, is_root = 0.0, True
+        elif v_rest is not None and v_rest > 0.0:
+            # also when friction wins at 0+ but a tailwind pushes coasting
+            # up to a second rest speed above the sticking point
+            v_low, is_root = v_rest, True
+        else:
+            v_low, is_root = 0.0, False
         if v_low >= v_high - SPEED_ROOT_TOL:
             raise InfeasibleSliceError(
                 f"engine-off rest speed {v_low:.6g} does not lie below the "
@@ -387,60 +404,17 @@ class FrozenDynamics:
         return cls(params, power, slope, wind_speed, v_low, v_high, is_root)
 
 
-def _scan_last_downcrossing(fn, lo: float, hi: float, n: int = 2000) -> tuple[float, float] | None:
-    """Bracket of the last +/- sign change of ``fn`` on (lo, hi]."""
-    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    vals = [fn(x) for x in xs]
-    bracket = None
-    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-        if fa > 0.0 >= fb:
-            bracket = (a, b)
-    return bracket
+def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float | None:
+    """Largest speed where ``b - a D(v - w)`` falls through zero, if any.
 
-
-def _bisect_down(fn, lo: float, hi: float, tol: float = SPEED_ROOT_TOL) -> float:
-    """Root of ``fn`` in [lo, hi] given fn(lo) > 0 >= fn(hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _engine_on_equilibrium(f_on) -> float:
-    eps = 1e-12  # evaluate the 0+ side of the friction sign
-    if f_on(eps) <= 0.0 and _scan_last_downcrossing(f_on, eps, SPEED_BRACKET_MAX) is None:
-        raise InfeasibleSliceError(
-            "engine-on acceleration is nonpositive for all speeds: the "
-            "vehicle cannot move forward on this slice"
-        )
-    if f_on(SPEED_BRACKET_MAX) > 0.0:
-        raise InfeasibleSliceError(
-            f"engine-on acceleration has no root below {SPEED_BRACKET_MAX} m/s"
-        )
-    bracket = _scan_last_downcrossing(f_on, eps, SPEED_BRACKET_MAX)
-    if bracket is None:
-        raise InfeasibleSliceError("no engine-on equilibrium found on (0, 100] m/s")
-    return _bisect_down(f_on, *bracket)
-
-
-def _engine_off_rest_speed(f_off) -> tuple[float, bool]:
-    eps = 1e-12
-    f0 = f_off(eps)
-    if f0 < -1e-12:
-        return 0.0, False  # sticking point: friction wins at 0+
-    if abs(f0) <= 1e-12:
-        return 0.0, True
-    if f_off(SPEED_BRACKET_MAX) > 0.0:
-        raise InfeasibleSliceError(
-            f"engine-off acceleration has no rest speed below {SPEED_BRACKET_MAX} m/s"
-        )
-    bracket = _scan_last_downcrossing(f_off, eps, SPEED_BRACKET_MAX)
-    if bracket is None:
-        raise InfeasibleSliceError("no engine-off rest speed found on (0, 100] m/s")
-    return _bisect_down(f_off, *bracket), True
+    Signed drag ``D(r) = r|r|`` is increasing, so its single root always is
+    one; ``D(r) = r^2`` has the down-crossing ``w + sqrt(b/a)`` only for b > 0.
+    """
+    if p.signed_drag:
+        return wind_speed + math.copysign(math.sqrt(abs(b) / p.drag_coeff), b)
+    if b > 0.0:
+        return wind_speed + math.sqrt(b / p.drag_coeff)
+    return None
 
 
 def freeze(
@@ -455,11 +429,6 @@ def freeze(
     theta = track.slope_at(x1)  # raises DomainError outside the track
     v = wind.at(x1, t)
     return FrozenDynamics.from_conditions(params, power, theta, v)
-
-
-def equilibrium_speeds(frozen: FrozenDynamics) -> tuple[float, float]:
-    """Rest speed of each mode, cached on the frozen slice."""
-    return frozen.equilibrium_speeds()
 
 
 @dataclass(frozen=True)
@@ -729,35 +698,9 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
 
     # -- switching cost small enough that oscillating beats full speed
     h_star = frozen.engine_power_at(v_hi)
-    eps = 1e-6 * width
     try:
-        lhs_integral = quadrature.integrate_with_vanishing_endpoint(
-            lambda s: (h_star - frozen.power_grid(s)) / frozen.accel_grid(s, True),
-            v_lo,
-            v_hi,
-            singular_at=v_hi,
-            eps=eps,
-        )
-        up_moment = quadrature.integrate_with_vanishing_endpoint(
-            lambda s: (s - v_hi) / frozen.accel_grid(s, True),
-            v_lo,
-            v_hi,
-            singular_at=v_hi,
-            eps=eps,
-        )
-        if frozen.v_low_is_root:
-            down_moment = -quadrature.integrate_with_vanishing_endpoint(
-                lambda s: (s - v_lo) / frozen.accel_grid(s, False),
-                v_lo,
-                v_hi,
-                singular_at=v_lo,
-                eps=eps,
-            )
-        else:
-            down_moment = -quadrature.adaptive_quadrature(
-                lambda s: (s - v_lo) / frozen.accel_grid(s, False), v_lo, v_hi
-            )
-        lhs = lhs_integral + frozen.params.switch_cost
+        excess_energy, up_moment, down_moment = quadrature.moment_integrals(frozen)
+        lhs = frozen.params.switch_cost - excess_energy
         rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             items.append(

@@ -7,7 +7,6 @@ subcommand exits nonzero on any error and zero otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures as fixtures_mod
 from .controller import run_race
-from .dynamics import FrozenDynamics, check_assumptions
+from .dynamics import FrozenDynamics, check_assumptions, read_csv_rows
 from .errors import EcodriveError, ScenarioError
 from .optimizer import GridSpec, optimal_band
 from .robustness import (
@@ -29,6 +28,7 @@ from .scenario import (
     Scenario,
     default_out_dir,
     emit_report,
+    load_params,
     load_scenario,
     read_summary,
     recompute_summary_from_telemetry,
@@ -49,15 +49,8 @@ def _print_kv(key: str, value) -> None:
         print(f"{key} {value}")
 
 
-def _load_params_file(path: str):
-    from .scenario import PARAM_KEYS, _load_json, _params_from_mapping
-
-    data = _load_json(Path(path), PARAM_KEYS, {"a", "c", "g", "f1", "m", "alpha"})
-    return _params_from_mapping(data, path)
-
-
 def cmd_optimize(args) -> int:
-    params, power = _load_params_file(args.params)
+    params, power = load_params(args.params)
     frozen = FrozenDynamics.from_conditions(params, power, args.slope, args.wind)
     grid = GridSpec(fine_step=0.01 if args.fine else None)
     band = optimal_band(
@@ -77,7 +70,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_check_assumptions(args) -> int:
-    params, power = _load_params_file(args.params)
+    params, power = load_params(args.params)
     frozen = FrozenDynamics.from_conditions(params, power, args.slope, args.wind)
     report = check_assumptions(frozen)
     for item in report.items:
@@ -120,31 +113,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_profile_table(path: str) -> tuple[list[float], list[float]]:
-    speeds: list[float] = []
-    values: list[float] = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != ("s_mps", "value"):
-            raise ScenarioError(f"{path} line 1: expected header s_mps,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise ScenarioError(f"{path} line {lineno}: expected 2 fields")
-            try:
-                speeds.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ScenarioError(f"{path} line {lineno}: {exc}") from exc
-    return speeds, values
+    rows = read_csv_rows(path, ("s_mps", "value"))
+    return [r[0] for r in rows], [r[1] for r in rows]
 
 
 def cmd_robustness(args) -> int:

@@ -22,11 +22,10 @@ from .errors import (
 )
 from .quadrature import (
     SpeedSegment,
-    adaptive_quadrature,
     covered_length,
     elapsed_time,
-    integrate_with_vanishing_endpoint,
     leg_time_distance,
+    moment_integrals,
     period_stats,
 )
 
@@ -253,20 +252,23 @@ def optimal_band(
             consider(float(cand))
 
     if best.upper > v_safe:
-        return _clamp_to_safety(frozen, v_safe, delta)
+        return safety_band(frozen, v_safe, delta)
     return best
 
 
-def _clamp_to_safety(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:
-    v_b = min(v_safe, frozen.v_high)
+def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:
+    """Band of width ``delta`` topping out at the safety speed.
+
+    The top is held strictly below the engine-on equilibrium; a top at or
+    below the engine-off rest speed leaves nothing to oscillate over, so the
+    vehicle coasts.
+    """
+    v_b = min(v_safe, frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN))
     if v_b <= frozen.v_low + 1e-9:
-        # cannot oscillate below the engine-off rest speed: coast
         return coast_band(v_b)
-    v_a = max(v_safe - delta, frozen.v_low + 1e-3 * (frozen.v_high - frozen.v_low))
+    v_a = max(v_b - delta, frozen.v_low + 1e-3 * (frozen.v_high - frozen.v_low))
     if v_a >= v_b:
         v_a = 0.5 * (frozen.v_low + v_b)
-    if abs(v_b - frozen.v_high) <= 1e-12:
-        v_b = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     return band_from_limits(frozen, v_a, v_b)
 
 
@@ -286,35 +288,7 @@ def asymptotic_average_cost(frozen: FrozenDynamics, v_target: float, t2: float) 
         raise ValueError("t2 must be strictly positive")
     v_lo, v_hi = frozen.v_low, frozen.v_high
     h_star = frozen.engine_power_at(v_hi)
-    eps = 1e-6 * (v_hi - v_lo)
-
-    excess_energy = integrate_with_vanishing_endpoint(
-        lambda s: (frozen.power_grid(s) - h_star) / frozen.accel_grid(s, True),
-        v_lo,
-        v_hi,
-        singular_at=v_hi,
-        eps=eps,
-    )
-    up_moment = integrate_with_vanishing_endpoint(
-        lambda s: (s - v_hi) / frozen.accel_grid(s, True),
-        v_lo,
-        v_hi,
-        singular_at=v_hi,
-        eps=eps,
-    )
-    # the engine-off moment runs from the top down to the rest speed
-    if frozen.v_low_is_root:
-        down_moment = -integrate_with_vanishing_endpoint(
-            lambda s: (s - v_lo) / frozen.accel_grid(s, False),
-            v_lo,
-            v_hi,
-            singular_at=v_lo,
-            eps=eps,
-        )
-    else:
-        down_moment = -adaptive_quadrature(
-            lambda s: (s - v_lo) / frozen.accel_grid(s, False), v_lo, v_hi
-        )
+    excess_energy, up_moment, down_moment = moment_integrals(frozen)
     pieces = (excess_energy, up_moment, down_moment)
     if not all(math.isfinite(p) for p in pieces):
         raise ExpansionInapplicableError(

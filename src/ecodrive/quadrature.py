@@ -168,6 +168,47 @@ def integrate_with_vanishing_endpoint(
     return body + d1 + d2 + tail
 
 
+def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
+    """Whole-band integrals of the switching-cost inequality and cost expansion.
+
+    Returns ``(excess_energy, up_moment, down_moment)`` over (v_low, v_high):
+    the integrals of (h - h*)/f_on and (s - v_high)/f_on, and minus the
+    integral of (s - v_low)/f_off, the engine-off leg running from the top
+    down to the rest speed.  ``h*`` is the engine-on draw at v_high.
+    Divergent integrals come back infinite.
+    """
+    v_lo, v_hi = frozen.v_low, frozen.v_high
+    h_star = frozen.engine_power_at(v_hi)
+    eps = ENDPOINT_EPS_FRACTION * (v_hi - v_lo)
+    excess_energy = integrate_with_vanishing_endpoint(
+        lambda s: (frozen.power_grid(s) - h_star) / frozen.accel_grid(s, True),
+        v_lo,
+        v_hi,
+        singular_at=v_hi,
+        eps=eps,
+    )
+    up_moment = integrate_with_vanishing_endpoint(
+        lambda s: (s - v_hi) / frozen.accel_grid(s, True),
+        v_lo,
+        v_hi,
+        singular_at=v_hi,
+        eps=eps,
+    )
+    if frozen.v_low_is_root:
+        down_moment = -integrate_with_vanishing_endpoint(
+            lambda s: (s - v_lo) / frozen.accel_grid(s, False),
+            v_lo,
+            v_hi,
+            singular_at=v_lo,
+            eps=eps,
+        )
+    else:
+        down_moment = -adaptive_quadrature(
+            lambda s: (s - v_lo) / frozen.accel_grid(s, False), v_lo, v_hi
+        )
+    return excess_energy, up_moment, down_moment
+
+
 # per-slice memo of the whole-band sign-uniformity scan, keyed by mode;
 # a valid whole band makes every sub-segment check O(1)
 _slice_sign_cache: "weakref.WeakKeyDictionary[FrozenDynamics, dict[bool, bool]]" = None  # type: ignore[assignment]

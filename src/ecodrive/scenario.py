@@ -35,12 +35,12 @@ PARAM_KEYS = {
     "constant_watts",
     "signed_drag",
 }
+REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
 CONTROLLER_KEYS = {
     "duration_s",
     "replan_interval_s",
     "safety_margin_mps",
     "dt_s",
-    "overshoot_slack_mps",
     "hard_stop_factor",
     "trace_interval_s",
     "grid_offsets_mps",
@@ -113,6 +113,12 @@ def _params_from_mapping(data: dict, source: str) -> tuple[VehicleParams, PowerM
     return params, power
 
 
+def load_params(path: str | Path) -> tuple[VehicleParams, PowerModel]:
+    """Vehicle and power model from a ``params.json`` file."""
+    data = _load_json(Path(path), PARAM_KEYS, REQUIRED_PARAM_KEYS)
+    return _params_from_mapping(data, str(path))
+
+
 def _params_to_mapping(params: VehicleParams, power: PowerModel) -> dict:
     return {
         "a": params.drag_coeff,
@@ -146,7 +152,6 @@ def _controller_from_mapping(data: dict, race_length: float, source: str) -> Con
             safety_margin=float(data.get("safety_margin_mps", 0.5)),
             grid=grid,
             dt=float(data.get("dt_s", 1e-3)),
-            overshoot_slack=float(data.get("overshoot_slack_mps", 0.2)),
             hard_stop_factor=float(data.get("hard_stop_factor", 1.2)),
             trace_interval=float(data.get("trace_interval_s", 0.5)),
         )
@@ -160,7 +165,6 @@ def _controller_to_mapping(cfg: ControllerConfig) -> dict:
         "replan_interval_s": cfg.replan_interval,
         "safety_margin_mps": cfg.safety_margin,
         "dt_s": cfg.dt,
-        "overshoot_slack_mps": cfg.overshoot_slack,
         "hard_stop_factor": cfg.hard_stop_factor,
         "trace_interval_s": cfg.trace_interval,
         "grid_offsets_mps": list(cfg.grid.lower_offsets),
@@ -198,11 +202,7 @@ def load_scenario(
     scenario_dir = Path(scenario_dir)
     if not scenario_dir.is_dir():
         raise ScenarioError(f"{scenario_dir}: not a directory")
-    params_map = _load_json(
-        scenario_dir / "params.json",
-        PARAM_KEYS,
-        {"a", "c", "g", "f1", "m", "alpha"},
-    )
+    params_map = _load_json(scenario_dir / "params.json", PARAM_KEYS, REQUIRED_PARAM_KEYS)
     controller_map = _load_json(
         scenario_dir / "controller.json", CONTROLLER_KEYS, {"duration_s"}
     )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,10 +20,11 @@ from ecodrive import (
     acceleration,
     check_assumptions,
     engine_power,
-    equilibrium_speeds,
     freeze,
     integrate,
+    optimal_band,
 )
+from ecodrive.dynamics import SPEED_BRACKET_MAX, SPEED_ROOT_TOL
 
 
 class TestVehicleParams:
@@ -143,12 +144,70 @@ class TestTrackAndWind:
             WindField((0.0, 0.0), (0.0,), ((1.0,), (2.0,)))
 
 
+# -- numeric reference for the closed-form rest speeds: a sign scan for the
+# last down-crossing of each mode's acceleration, refined by bisection
+
+
+def _scan_last_downcrossing(fn, lo: float, hi: float, n: int = 2000):
+    """Bracket of the last +/- sign change of ``fn`` on (lo, hi]."""
+    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
+    vals = [fn(x) for x in xs]
+    bracket = None
+    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+        if fa > 0.0 >= fb:
+            bracket = (a, b)
+    return bracket
+
+
+def _bisect_down(fn, lo: float, hi: float, tol: float = SPEED_ROOT_TOL) -> float:
+    """Root of ``fn`` in [lo, hi] given fn(lo) > 0 >= fn(hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_rest_speeds(params, slope: float, wind_speed: float) -> tuple[float, float, bool]:
+    """``(v_low, v_high, v_low_is_root)`` of a slice by scan and bisection.
+
+    Raises InfeasibleSliceError on the same rules as the slice freezer.
+    """
+    probe = FrozenDynamics(params, PowerModel(), slope, wind_speed, 0.0, 0.0, False)
+    eps = 1e-12  # evaluate the 0+ side of the friction sign
+
+    def f_on(x: float) -> float:
+        return probe.accel(x, True)
+
+    def f_off(x: float) -> float:
+        return probe.accel(x, False)
+
+    if f_on(SPEED_BRACKET_MAX) > 0.0:
+        raise InfeasibleSliceError("engine-on acceleration has no root below the bracket")
+    bracket = _scan_last_downcrossing(f_on, eps, SPEED_BRACKET_MAX)
+    if bracket is None:
+        raise InfeasibleSliceError("no engine-on equilibrium")
+    v_high = _bisect_down(f_on, *bracket)
+    if abs(f_off(eps)) <= 1e-12:
+        v_low, is_root = 0.0, True
+    else:
+        bracket = _scan_last_downcrossing(f_off, eps, SPEED_BRACKET_MAX)
+        if bracket is None:
+            v_low, is_root = 0.0, False
+        else:
+            v_low, is_root = _bisect_down(f_off, *bracket), True
+    if v_low >= v_high - SPEED_ROOT_TOL:
+        raise InfeasibleSliceError("engine-off rest speed not below the equilibrium")
+    return v_low, v_high, is_root
+
+
 class TestFreeze:
     def test_flat_equilibria(self, flat_slice):
-        v_low, v_high = equilibrium_speeds(flat_slice)
-        assert v_low == 0.0
+        assert flat_slice.v_low == 0.0
         assert not flat_slice.v_low_is_root
-        assert v_high == pytest.approx(oracles.V_TOP, abs=1e-8)
+        assert flat_slice.v_high == pytest.approx(oracles.V_TOP, abs=1e-8)
 
     def test_freeze_samples_track_and_wind(self, params, const_power):
         track = TrackProfile((0.0, 100.0, 200.0), (0.0, 0.005, 0.005), (12.0, 12.0, 12.0))
@@ -177,8 +236,49 @@ class TestFreeze:
     def test_freeze_is_deterministic(self, params, const_power, long_flat_track, zero_wind):
         a = freeze(long_flat_track, zero_wind, params, const_power, 10.0, 5.0)
         b = freeze(long_flat_track, zero_wind, params, const_power, 10.0, 5.0)
-        assert a.equilibrium_speeds() == b.equilibrium_speeds()
+        assert (a.v_low, a.v_high) == (b.v_low, b.v_high)
 
+    def test_tailwind_descent_has_a_second_rest_speed(self, params, const_power):
+        # unsigned drag: friction wins at 0+ because a w^2 > b_off, yet coasting
+        # from the top settles where a (v - w)^2 = b_off, above the wind speed
+        slope = -math.asin(0.035 / params.gravity)  # g sin(theta) = -0.035
+        frozen = FrozenDynamics.from_conditions(params, const_power, slope=slope, wind_speed=4.0)
+        assert frozen.accel(1e-12, False) < 0.0
+        assert frozen.v_low_is_root
+        assert frozen.v_low == pytest.approx(4.0 + math.sqrt(0.005 / 6e-4), abs=1e-9)
+        report = check_assumptions(frozen)
+        assert math.isfinite(report.inequality_lhs)
+        assert math.isfinite(report.inequality_rhs)
+        # two engine-off sign changes, positive acceleration below v_low
+        assert report.item("forward_uniqueness").passed is False
+        assert report.item("engine_off_equilibrium").passed is False
+        # a target below the rest speed is reached by coasting
+        band = optimal_band(frozen, 5.0)
+        assert band.is_coast
+        assert band.upper == 5.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-12.0, max_value=12.0),
+        slope=st.floats(min_value=-0.04, max_value=0.04),
+        traction=st.floats(min_value=0.05, max_value=0.5),
+    )
+    # rare under random draws: a second engine-off rest speed above the wind
+    @example(signed=False, wind=4.0, slope=-0.0036, traction=0.2)
+    @example(signed=False, wind=12.0, slope=-0.01, traction=0.3)
+    def test_closed_form_matches_scan_reference(self, signed, wind, slope, traction):
+        params = VehicleParams(traction=traction, signed_drag=signed)
+        try:
+            v_low, v_high, is_root = reference_rest_speeds(params, slope, wind)
+        except InfeasibleSliceError:
+            with pytest.raises(InfeasibleSliceError):
+                FrozenDynamics.from_conditions(params, PowerModel(), slope, wind)
+            return
+        frozen = FrozenDynamics.from_conditions(params, PowerModel(), slope, wind)
+        assert frozen.v_low_is_root == is_root
+        assert abs(frozen.v_low - v_low) <= 1e-9
+        assert abs(frozen.v_high - v_high) <= 1e-9
 
 class TestCheckAssumptions:
     def test_reference_slice_passes_everything(self, flat_slice):

@@ -16,6 +16,7 @@ from ecodrive import (
     upper_limit,
 )
 from ecodrive.errors import ExpansionInapplicableError
+from ecodrive.optimizer import safety_band
 
 
 class TestUpperLimit:
@@ -104,6 +105,14 @@ class TestOptimalBand:
         for v_safe in (6.0, 7.5, 9.0, 12.0):
             band = optimal_band(flat_slice, 7.0, v_safe=v_safe)
             assert band.upper <= v_safe + 1e-9
+
+    def test_safety_band_tops_out_below_the_equilibrium(self, flat_slice):
+        # a safety speed just under v_high is still clamped strictly below it
+        v_top = flat_slice.v_high * (1.0 - 1e-6)
+        band = safety_band(flat_slice, flat_slice.v_high * (1.0 - 1e-7), 0.5)
+        assert band.upper == v_top
+        assert band.lower == v_top - 0.5
+        assert math.isfinite(band.period)
 
     def test_coast_band_below_rest_speed(self, params, const_power):
         slope = -math.asin(0.05 / params.gravity)
