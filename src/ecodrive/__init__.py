@@ -21,7 +21,6 @@ from .dynamics import (
     TrackProfile,
     VehicleParams,
     WindField,
-    acceleration,
     check_assumptions,
     engine_power,
     freeze,

@@ -11,7 +11,7 @@ safety limit, since discrete-time switching can overshoot slightly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dynamics import (
     PowerModel,
@@ -179,26 +179,17 @@ def replan(
     return ReplanRecord(state.t, state.position, target, band, flag)
 
 
-def switch_logic(state: RaceState, band: OscillationBand, switch_cost: float) -> RaceState:
-    """Hysteresis switching at the band edges.
+def switch_logic(engine_on: bool, speed: float, band: OscillationBand) -> bool:
+    """Hysteresis switching at the band edges: the new engine state.
 
     Engine on and speed at or above the top: switch off.  Engine off and
-    speed at or below the bottom: switch on, which increments the switch
-    count and charges the switching cost.  Anything else leaves the state
-    untouched, including speeds outside the band after a safety clamp.
+    speed at or below the bottom: switch on.  Anything else keeps the engine
+    state, including speeds outside the band after a safety clamp.  Counting
+    switches and charging their cost is the caller's job.
     """
-    if state.engine_on:
-        if state.speed >= band.upper:
-            return replace(state, engine_on=False)
-        return state
-    if state.speed <= band.lower:
-        return replace(
-            state,
-            engine_on=True,
-            switches=state.switches + 1,
-            energy=state.energy + switch_cost,
-        )
-    return state
+    if engine_on:
+        return speed < band.upper
+    return speed <= band.lower
 
 
 def run_race(
@@ -293,16 +284,12 @@ def run_race(
                 s_stop = min(track.next_boundary(x1), wind.next_boundary_s(x1), race_len)
                 t_stop = wind.next_boundary_t(t)
                 vs_base, vs_slope, vs_s0 = _safe_speed_line(track, x1)
-            if engine_on:
-                if x2 >= band.upper:
-                    engine_on = False
-                    switch_times.append(t)
-                    take_sample(FLAG_SWITCH_OFF, samples)
-            elif x2 <= band.lower:
-                engine_on = True
-                switches += 1
+            if switch_logic(engine_on, x2, band) != engine_on:
+                engine_on = not engine_on
+                if engine_on:
+                    switches += 1
                 switch_times.append(t)
-                take_sample(FLAG_SWITCH_ON, samples)
+                take_sample(FLAG_SWITCH_ON if engine_on else FLAG_SWITCH_OFF, samples)
             if engine_on and x2 > vs_base + vs_slope * (x1 - vs_s0):
                 engine_on = False
                 switch_times.append(t)

@@ -291,26 +291,6 @@ def _accel_scalar(
     return f
 
 
-def acceleration(
-    x1: float,
-    x2: float,
-    t: float,
-    engine_on: bool,
-    params: VehicleParams,
-    track: TrackProfile,
-    wind: WindField,
-) -> float:
-    """Longitudinal acceleration at position x1, speed x2 and time t.
-
-    The friction term uses sign(0) = 0, so exactly at rest the formula drops
-    solid friction; the sticking convention in :func:`integrate` is what keeps
-    a stopped vehicle at rest.
-    """
-    theta = track.slope_at(x1)  # raises DomainError outside the track
-    v = wind.at(x1, t)
-    return _accel_scalar(x2, engine_on, v, params.gravity * math.sin(theta), params)
-
-
 @dataclass(frozen=True)
 class FrozenDynamics:
     """Autonomous slice of the dynamics at fixed slope and wind.
@@ -357,6 +337,16 @@ class FrozenDynamics:
         if self.power.kind == WHEEL_POWER:
             return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
         return np.full_like(x2, self.power.constant_watts)
+
+    def leg_energy(self, duration: float, distance: float) -> float:
+        """Energy drawn by an engine-on leg at speeds >= 0.
+
+        The draw is constant or proportional to speed, so its integral over
+        the leg is P t or m f1 d: exactly the power-weighted speed integral.
+        """
+        if self.power.kind == WHEEL_POWER:
+            return self.params.mass * self.params.traction * distance
+        return self.power.constant_watts * duration
 
     @classmethod
     def from_conditions(

@@ -22,9 +22,8 @@ from .errors import (
 )
 from .quadrature import (
     SpeedSegment,
-    covered_length,
-    elapsed_time,
     leg_time_distance,
+    mode_changes_sign,
     moment_integrals,
     period_stats,
 )
@@ -116,12 +115,24 @@ def upper_limit(
     Found by dichotomy on the (monotone) period average.  When even a band
     reaching almost the top equilibrium undershoots the target - possible
     only when the equilibrium is attained in finite time - the band saturates
-    at the equilibrium and the balance is made up by dwelling there.
+    at the equilibrium and the balance is made up by dwelling there.  A
+    candidate whose legs would cross a root of either mode's acceleration
+    is infeasible.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
             f"need v_low < v_a < target < v_high, got "
             f"({frozen.v_low:.6g}, {v_a:.6g}, {v_target:.6g}, {frozen.v_high:.6g})"
+        )
+    v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
+    if v_b_max <= v_target:
+        raise InfeasibleCandidateError(
+            f"target {v_target:.6g} leaves no room below v_high {frozen.v_high:.6g}"
+        )
+    if any(mode_changes_sign(frozen, on, v_a, v_b_max) for on in (True, False)):
+        raise InfeasibleCandidateError(
+            f"a mode acceleration changes sign between v_a={v_a:.6g} "
+            f"and the top {v_b_max:.6g}"
         )
     # split each leg at the target speed: the inner pieces do not depend on
     # the trial upper limit, so the dichotomy only re-integrates short spans
@@ -135,11 +146,6 @@ def upper_limit(
         t_dn, d_dn = leg_time_distance(frozen, False, v_b, v_target)
         return (d_fixed + d_up + d_dn) / (t_fixed + t_up + t_dn)
 
-    v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
-    if v_b_max <= v_target:
-        raise InfeasibleCandidateError(
-            f"target {v_target:.6g} leaves no room below v_high {frozen.v_high:.6g}"
-        )
     if average(v_b_max) < v_target:
         return _saturated_limit(frozen, v_a, v_target)
     lo, hi = v_target, v_b_max
@@ -159,10 +165,10 @@ def upper_limit(
 def _saturated_limit(
     frozen: FrozenDynamics, v_a: float, v_target: float
 ) -> tuple[float, float]:
-    up = SpeedSegment(frozen, True, v_a, frozen.v_high)
-    down = SpeedSegment(frozen, False, frozen.v_high, v_a)
-    t_osc = elapsed_time(up) + elapsed_time(down)
-    d_osc = covered_length(up) + covered_length(down)
+    t_up, d_up = SpeedSegment(frozen, True, v_a, frozen.v_high).time_distance()
+    t_down, d_down = SpeedSegment(frozen, False, frozen.v_high, v_a).time_distance()
+    t_osc = t_up + t_down
+    d_osc = d_up + d_down
     if not (math.isfinite(t_osc) and math.isfinite(d_osc)):
         raise InfeasibleCandidateError(
             f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "

@@ -1,11 +1,13 @@
 """Speed-reparametrized integrals for constant-mode maneuvers.
 
-Between two speeds with the engine held in one mode, elapsed time, covered
-distance and consumed energy are integrals of 1/f, s/f and h/f over the speed
-interval.  Near an equilibrium speed f vanishes, so the integrals become
-improper; they are then evaluated by truncation with geometric tail
-extrapolation, and classified as infinite when the truncation increments do
-not decay.
+Between two speeds with the engine held in one mode, elapsed time and
+covered distance are the integrals of 1/f and s/f over the speed interval,
+the two speed moments of 1/f, found together in one adaptive pass.  Consumed
+energy follows from them through the power model, whose draw is constant or
+proportional to speed.  Near an equilibrium speed f vanishes, so the
+integrals become improper; they are then evaluated by truncation with
+geometric tail extrapolation, and classified as infinite when the truncation
+increments do not decay.
 """
 
 from __future__ import annotations
@@ -73,12 +75,67 @@ _WEIGHTS_G[7] = _GAUSS_W[3]
 _WEIGHTS_G[9:15:2] = _GAUSS_W[2::-1]
 
 
-def _panel(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    half = 0.5 * (hi - lo)
-    vals = fn(0.5 * (hi + lo) + half * _NODES)
-    coarse = half * float(np.dot(_WEIGHTS_G, vals))
-    fine = half * float(np.dot(_WEIGHTS_K, vals))
-    return fine, abs(fine - coarse)
+# one product with the node values gives both rules for both moments
+_WEIGHTS = np.column_stack(
+    [_WEIGHTS_K, _WEIGHTS_G, _WEIGHTS_K * _NODES, _WEIGHTS_G * _NODES]
+)
+
+
+def _panel(
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
+) -> tuple[float, float, float]:
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    k0, g0, k1, g1 = (fn(center + half * _NODES) @ _WEIGHTS).tolist()
+    m0 = half * k0
+    m1 = center * m0 + half * half * k1
+    if not (math.isfinite(m0) and math.isfinite(m1)):
+        raise NumericError(f"integrand is not finite on [{a}, {b}]")
+    err0 = half * abs(k0 - g0)
+    err1 = half * abs(center * (k0 - g0) + half * (k1 - g1))
+    return m0, m1, max(err0, err1 / max(abs(a), abs(b), 1.0))
+
+
+def speed_moments(
+    fn: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    rel_tol: float = REL_TOL,
+    abs_floor: float = ABS_FLOOR,
+    max_panels: int = MAX_PANELS,
+) -> tuple[float, float]:
+    """Integrals of fn(s) and s fn(s) over [lo, hi] by bisection of the worst panel.
+
+    ``fn`` only needs to be continuous and vectorized.  Each panel is scored
+    with the embedded Gauss-7 rule on both moments, the first moment's error
+    scaled down by the panel's speed magnitude, and the worst panel is split
+    until the summed error drops below ``max(rel_tol * |int fn|, abs_floor)``.
+    """
+    if lo == hi:
+        return 0.0, 0.0
+    sign = 1.0
+    if lo > hi:
+        lo, hi, sign = hi, lo, -1.0
+    m0, m1, err = _panel(fn, lo, hi)
+    heap = [(-err, lo, hi, m0, m1)]
+    total_err = err
+    panels = 1
+    while total_err > max(rel_tol * abs(m0), abs_floor):
+        if panels >= max_panels:
+            raise NumericError(
+                f"quadrature exhausted {max_panels} panels on [{lo}, {hi}]"
+            )
+        neg_err, a, b, old0, old1 = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        l0, l1, el = _panel(fn, a, mid)
+        r0, r1, er = _panel(fn, mid, b)
+        m0 += l0 + r0 - old0
+        m1 += l1 + r1 - old1
+        total_err += el + er + neg_err
+        heapq.heappush(heap, (-el, a, mid, l0, l1))
+        heapq.heappush(heap, (-er, mid, b, r0, r1))
+        panels += 1
+    return sign * m0, sign * m1
 
 
 def adaptive_quadrature(
@@ -89,40 +146,8 @@ def adaptive_quadrature(
     abs_floor: float = ABS_FLOOR,
     max_panels: int = MAX_PANELS,
 ) -> float:
-    """Integrate a vectorized integrand by bisection of the worst panel.
-
-    ``fn`` only needs to be continuous; each panel is scored with the
-    embedded Gauss-7 rule and the worst panel is split until the summed
-    error estimate drops below ``max(rel_tol * |integral|, abs_floor)``.
-    """
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-    total, err = _panel(fn, lo, hi)
-    if not math.isfinite(total):
-        raise NumericError(f"integrand is not finite on [{lo}, {hi}]")
-    heap = [(-err, lo, hi, total)]
-    total_err = err
-    panels = 1
-    while total_err > max(rel_tol * abs(total), abs_floor) and heap:
-        if panels >= max_panels:
-            raise NumericError(
-                f"quadrature exhausted {max_panels} panels on [{lo}, {hi}]"
-            )
-        neg_err, a, b, old = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        left, el = _panel(fn, a, mid)
-        right, er = _panel(fn, mid, b)
-        if not (math.isfinite(left) and math.isfinite(right)):
-            raise NumericError(f"integrand is not finite on [{a}, {b}]")
-        total += left + right - old
-        total_err += el + er + neg_err
-        heapq.heappush(heap, (-el, a, mid, left))
-        heapq.heappush(heap, (-er, mid, b, right))
-        panels += 1
-    return sign * total
+    """Integral of a vectorized integrand: the first of its speed moments."""
+    return speed_moments(fn, lo, hi, rel_tol, abs_floor, max_panels)[0]
 
 
 def integrate_with_vanishing_endpoint(
@@ -132,15 +157,15 @@ def integrate_with_vanishing_endpoint(
     singular_at: float,
     eps: float,
     rel_tol: float = REL_TOL,
-) -> float:
-    """Improper integral with the integrand blowing up (or 0/0) at one endpoint.
+) -> tuple[float, float]:
+    """Improper speed moments with the integrand blowing up (or 0/0) at one endpoint.
 
     The domain is truncated ``eps`` short of the singular endpoint and the
-    last stretch is probed at the geometric offsets eps, eps/2, eps/4.  When
-    the successive increments fail to decay by ``DIVERGENCE_RATIO`` the
-    integral is classified divergent and ``math.inf`` is returned with the
-    sign of the tail; otherwise the remaining tail is extrapolated as a
-    geometric series.
+    last stretch is probed at the geometric offsets eps, eps/2, eps/4.  Each
+    moment is classified on its own: when its successive increments fail to
+    decay by ``DIVERGENCE_RATIO`` it is divergent and comes back as
+    ``math.inf`` with the sign of the tail; otherwise the remaining tail is
+    extrapolated as a geometric series.
     """
     if lo >= hi:
         raise ValueError("bounds must satisfy lo < hi")
@@ -150,14 +175,19 @@ def integrate_with_vanishing_endpoint(
     eps = min(eps, 0.25 * (hi - lo))
     if singular_at == hi:
         p1, p2, p3 = hi - eps, hi - eps / 2.0, hi - eps / 4.0
-        body = adaptive_quadrature(fn, lo, p1, rel_tol)
-        d1 = adaptive_quadrature(fn, p1, p2, rel_tol)
-        d2 = adaptive_quadrature(fn, p2, p3, rel_tol)
+        body = speed_moments(fn, lo, p1, rel_tol)
+        d1 = speed_moments(fn, p1, p2, rel_tol)
+        d2 = speed_moments(fn, p2, p3, rel_tol)
     else:
         p1, p2, p3 = lo + eps, lo + eps / 2.0, lo + eps / 4.0
-        body = adaptive_quadrature(fn, p1, hi, rel_tol)
-        d1 = adaptive_quadrature(fn, p2, p1, rel_tol)
-        d2 = adaptive_quadrature(fn, p3, p2, rel_tol)
+        body = speed_moments(fn, p1, hi, rel_tol)
+        d1 = speed_moments(fn, p2, p1, rel_tol)
+        d2 = speed_moments(fn, p3, p2, rel_tol)
+    m0, m1 = (_with_tail(*parts) for parts in zip(body, d1, d2))
+    return m0, m1
+
+
+def _with_tail(body: float, d1: float, d2: float) -> float:
     scale = max(abs(body), abs(d1), 1.0)
     if abs(d1) <= ABS_FLOOR * scale and abs(d2) <= ABS_FLOOR * scale:
         return body + d1 + d2
@@ -178,22 +208,16 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
     Divergent integrals come back infinite.
     """
     v_lo, v_hi = frozen.v_low, frozen.v_high
-    h_star = frozen.engine_power_at(v_hi)
     eps = ENDPOINT_EPS_FRACTION * (v_hi - v_lo)
-    excess_energy = integrate_with_vanishing_endpoint(
-        lambda s: (frozen.power_grid(s) - h_star) / frozen.accel_grid(s, True),
-        v_lo,
-        v_hi,
-        singular_at=v_hi,
-        eps=eps,
-    )
     up_moment = integrate_with_vanishing_endpoint(
         lambda s: (s - v_hi) / frozen.accel_grid(s, True),
         v_lo,
         v_hi,
         singular_at=v_hi,
         eps=eps,
-    )
+    )[0]
+    # h - h* is 0 under constant power and m f1 (s - v_high) under wheel power
+    excess_energy = frozen.leg_energy(0.0, up_moment)
     if frozen.v_low_is_root:
         down_moment = -integrate_with_vanishing_endpoint(
             lambda s: (s - v_lo) / frozen.accel_grid(s, False),
@@ -201,7 +225,7 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
             v_hi,
             singular_at=v_lo,
             eps=eps,
-        )
+        )[0]
     else:
         down_moment = -adaptive_quadrature(
             lambda s: (s - v_lo) / frozen.accel_grid(s, False), v_lo, v_hi
@@ -211,13 +235,12 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
 
 # per-slice memo of the whole-band sign-uniformity scan, keyed by mode;
 # a valid whole band makes every sub-segment check O(1)
-_slice_sign_cache: "weakref.WeakKeyDictionary[FrozenDynamics, dict[bool, bool]]" = None  # type: ignore[assignment]
+_slice_sign_cache: weakref.WeakKeyDictionary[FrozenDynamics, dict[bool, bool]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _mode_sign_uniform(frozen: FrozenDynamics, engine_on: bool) -> bool:
-    global _slice_sign_cache
-    if _slice_sign_cache is None:
-        _slice_sign_cache = weakref.WeakKeyDictionary()
     per_slice = _slice_sign_cache.setdefault(frozen, {})
     if engine_on not in per_slice:
         margin = 1e-6 * (frozen.v_high - frozen.v_low)
@@ -231,6 +254,68 @@ def _mode_sign_uniform(frozen: FrozenDynamics, engine_on: bool) -> bool:
             and not (np.any(vals > 0.0) and np.any(vals < 0.0))
         )
     return per_slice[engine_on]
+
+
+def _rest_speed(frozen: FrozenDynamics, engine_on: bool) -> float | None:
+    if engine_on:
+        return frozen.v_high
+    return frozen.v_low if frozen.v_low_is_root else None
+
+
+def mode_changes_sign(
+    frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
+) -> bool:
+    """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
+
+    Speeds within a small margin of the ends and of the mode's own rest
+    speed are not probed, so a leg may start or end at that rest speed.
+    """
+    if _mode_sign_uniform(frozen, engine_on):
+        return False
+    eq = _rest_speed(frozen, engine_on)
+    margin = max(1e-9, 1e-4 * (hi - lo))
+    xs = np.linspace(lo + margin, hi - margin, 65)
+    if eq is not None:
+        xs = xs[np.abs(xs - eq) > margin]
+    vals = frozen.accel_grid(xs, engine_on)
+    return bool(np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)))
+
+
+def _drag_kink(frozen: FrozenDynamics, lo: float, hi: float) -> float | None:
+    """The wind speed, when signed drag puts a kink strictly inside (lo, hi).
+
+    ``r|r|`` jumps in its second derivative at r = 0, where the embedded
+    Gauss rule underestimates the error; legs are integrated on each side.
+    """
+    if frozen.params.signed_drag and lo < frozen.wind_speed < hi:
+        return frozen.wind_speed
+    return None
+
+
+def leg_time_distance(
+    frozen: FrozenDynamics,
+    engine_on: bool,
+    lo: float,
+    hi: float,
+    rel_tol: float = REL_TOL,
+    max_panels: int = MAX_PANELS,
+) -> tuple[float, float]:
+    """Time and distance of a constant-mode leg from speed ``lo`` to ``hi``.
+
+    The speed moments of 1/f in one adaptive pass per smooth piece.  The
+    mode acceleration must keep one sign from ``lo`` to ``hi``, neither of
+    them a rest speed.
+    """
+
+    def inverse(s: np.ndarray) -> np.ndarray:
+        return 1.0 / frozen.accel_grid(s, engine_on)
+
+    kink = _drag_kink(frozen, min(lo, hi), max(lo, hi))
+    if kink is None:
+        return speed_moments(inverse, lo, hi, rel_tol, max_panels=max_panels)
+    t0, d0 = speed_moments(inverse, lo, kink, rel_tol, max_panels=max_panels)
+    t1, d1 = speed_moments(inverse, kink, hi, rel_tol, max_panels=max_panels)
+    return t0 + t1, d0 + d1
 
 
 @dataclass(frozen=True)
@@ -264,42 +349,17 @@ class SpeedSegment:
                 f"[{self.frozen.v_low}, {self.frozen.v_high}]"
             )
 
-    @property
-    def span(self) -> float:
-        return abs(self.v1 - self.v0)
-
-    def _equilibrium(self) -> float | None:
-        if self.engine_on:
-            return self.frozen.v_high
-        return self.frozen.v_low if self.frozen.v_low_is_root else None
-
-    def _check_interior(self) -> None:
-        if _mode_sign_uniform(self.frozen, self.engine_on):
-            return
-        eq = self._equilibrium()
-        margin = max(1e-9, 1e-4 * self.span)
+    def time_distance(self) -> tuple[float, float]:
+        """Duration and covered distance; infinite for an asymptotic approach."""
+        if self.v0 == self.v1:
+            return 0.0, 0.0
+        frozen, on = self.frozen, self.engine_on
         lo, hi = sorted((self.v0, self.v1))
-        xs = np.linspace(lo + margin, hi - margin, 65)
-        if eq is not None:
-            xs = xs[np.abs(xs - eq) > margin]
-        if xs.size == 0:
-            return
-        vals = self.frozen.accel_grid(xs, self.engine_on)
-        if np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)):
+        if mode_changes_sign(frozen, on, lo, hi):
             raise InvalidSegmentError(
                 "mode acceleration changes sign strictly inside the segment"
             )
-
-    def _integral(self, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-        if self.v0 == self.v1:
-            return 0.0
-        self._check_interior()
-        frozen, on = self.frozen, self.engine_on
-
-        def integrand(s: np.ndarray) -> np.ndarray:
-            return weight(s) / frozen.accel_grid(s, on)
-
-        eq = self._equilibrium()
+        eq = _rest_speed(frozen, on)
         singular = None
         if eq is not None:
             if abs(self.v1 - eq) <= ENDPOINT_MATCH_TOL:
@@ -307,83 +367,35 @@ class SpeedSegment:
             elif abs(self.v0 - eq) <= ENDPOINT_MATCH_TOL:
                 singular = self.v0
         if singular is None:
-            return adaptive_quadrature(integrand, self.v0, self.v1)
+            return leg_time_distance(frozen, on, self.v0, self.v1)
+        kink = _drag_kink(frozen, lo, hi)
+        if kink is not None:
+            t0, d0 = SpeedSegment(frozen, on, self.v0, kink).time_distance()
+            t1, d1 = SpeedSegment(frozen, on, kink, self.v1).time_distance()
+            return t0 + t1, d0 + d1
         eps = ENDPOINT_EPS_FRACTION * (frozen.v_high - frozen.v_low)
-        lo, hi = sorted((self.v0, self.v1))
         sign = 1.0 if self.v1 >= self.v0 else -1.0
-        value = integrate_with_vanishing_endpoint(integrand, lo, hi, singular, eps)
-        return sign * value
+        t, d = integrate_with_vanishing_endpoint(
+            lambda s: 1.0 / frozen.accel_grid(s, on), lo, hi, singular, eps
+        )
+        return sign * t, sign * d
 
 
 def elapsed_time(segment: SpeedSegment) -> float:
     """Duration of the maneuver; ``math.inf`` for an asymptotic approach."""
-    return segment._integral(lambda s: np.ones_like(s))
+    return segment.time_distance()[0]
 
 
 def covered_length(segment: SpeedSegment) -> float:
     """Distance covered during the maneuver."""
-    return segment._integral(lambda s: s)
+    return segment.time_distance()[1]
 
 
 def energy_used(segment: SpeedSegment) -> float:
     """Energy drawn during the maneuver; identically zero with the engine off."""
     if not segment.engine_on:
         return 0.0
-    frozen = segment.frozen
-    return segment._integral(lambda s: frozen.power_grid(s))
-
-
-def leg_time_distance(
-    frozen: FrozenDynamics,
-    engine_on: bool,
-    lo: float,
-    hi: float,
-    rel_tol: float = REL_TOL,
-    max_panels: int = MAX_PANELS,
-) -> tuple[float, float]:
-    """Time and distance of one leg in a single adaptive pass.
-
-    Equivalent to the separate segment integrals but evaluates the mode
-    acceleration once per panel; used by the band dichotomy, whose probes
-    stay strictly inside the reachable band.
-    """
-    if lo == hi:
-        return 0.0, 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-
-    def panel(a: float, b: float) -> tuple[float, float, float]:
-        half = 0.5 * (b - a)
-        xs = 0.5 * (a + b) + half * _NODES
-        inv = 1.0 / frozen.accel_grid(xs, engine_on)
-        t_fine = half * float(np.dot(_WEIGHTS_K, inv))
-        t_coarse = half * float(np.dot(_WEIGHTS_G, inv))
-        d_fine = half * float(np.dot(_WEIGHTS_K, xs * inv))
-        d_coarse = half * float(np.dot(_WEIGHTS_G, xs * inv))
-        err = max(abs(t_fine - t_coarse), abs(d_fine - d_coarse) / max(abs(xs[0]), 1.0))
-        return t_fine, d_fine, err
-
-    t_total, d_total, err = panel(lo, hi)
-    if not (math.isfinite(t_total) and math.isfinite(d_total)):
-        raise NumericError(f"leg integrand not finite on [{lo}, {hi}]")
-    heap = [(-err, lo, hi, t_total, d_total)]
-    total_err = err
-    panels = 1
-    while total_err > max(rel_tol * abs(t_total), ABS_FLOOR) and heap:
-        if panels >= max_panels:
-            raise NumericError(f"leg quadrature exhausted {max_panels} panels")
-        neg_err, a, b, t_old, d_old = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        tl, dl, el = panel(a, mid)
-        tr, dr, er = panel(mid, b)
-        t_total += tl + tr - t_old
-        d_total += dl + dr - d_old
-        total_err += el + er + neg_err
-        heapq.heappush(heap, (-el, a, mid, tl, dl))
-        heapq.heappush(heap, (-er, mid, b, tr, dr))
-        panels += 1
-    return sign * t_total, sign * d_total
+    return segment.frozen.leg_energy(*segment.time_distance())
 
 
 @dataclass(frozen=True)
@@ -421,13 +433,14 @@ def period_stats(
         raise InvalidSegmentError("dwell must be nonnegative")
     if dwell > 0.0 and abs(v_b - frozen.v_high) > ENDPOINT_MATCH_TOL:
         raise InvalidSegmentError("dwell is only possible at the top equilibrium")
-    up = SpeedSegment(frozen, True, v_a, v_b)
-    down = SpeedSegment(frozen, False, v_b, v_a)
-    duration = elapsed_time(up) + dwell + elapsed_time(down)
-    distance = covered_length(up) + v_b * dwell + covered_length(down)
+    t_up, d_up = SpeedSegment(frozen, True, v_a, v_b).time_distance()
+    t_down, d_down = SpeedSegment(frozen, False, v_b, v_a).time_distance()
+    # the dwell holds v_b with the engine on, so it extends the up leg's draw
     energy = (
-        energy_used(up)
-        + frozen.engine_power_at(v_b) * dwell
-        + frozen.params.switch_cost
+        frozen.leg_energy(t_up + dwell, d_up + v_b * dwell) + frozen.params.switch_cost
     )
-    return PeriodStats(duration=duration, distance=distance, energy=energy)
+    return PeriodStats(
+        duration=t_up + dwell + t_down,
+        distance=d_up + v_b * dwell + d_down,
+        energy=energy,
+    )

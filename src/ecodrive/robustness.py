@@ -17,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .dynamics import FrozenDynamics
 from .errors import DivergenceRiskError, InvalidProfileError
-from .quadrature import adaptive_quadrature
+from .quadrature import adaptive_quadrature, speed_moments
 
 DEFAULT_TERMS = 8
 _VALIDATION_GRID = 512
@@ -92,8 +92,7 @@ def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
 def mean_speed(g: SpeedProfile) -> float:
     """Time-weighted average speed of the maneuver driven by profile g."""
     g._validate_nonvanishing()
-    duration = adaptive_quadrature(lambda s: 1.0 / g(s), g.lo, g.hi)
-    distance = adaptive_quadrature(lambda s: s / g(s), g.lo, g.hi)
+    duration, distance = speed_moments(lambda s: 1.0 / g(s), g.lo, g.hi)
     return distance / duration
 
 

@@ -104,34 +104,40 @@ class TestReplan:
 
 class TestSwitchLogic:
     def test_reaching_the_top_switches_off(self):
-        state = RaceState(10.0, 100.0, 7.94, True, 3, 500.0)
-        out = switch_logic(state, _band(6.1, 7.94), 10.0)
-        assert out.engine_on is False
-        assert out.switches == 3
-        assert out.energy == 500.0
+        assert switch_logic(True, 7.94, _band(6.1, 7.94)) is False
 
     def test_coasting_inside_the_band(self):
-        state = RaceState(10.0, 100.0, 7.0, False, 3, 500.0)
-        out = switch_logic(state, _band(6.1, 7.94), 10.0)
-        assert out is state
+        assert switch_logic(False, 7.0, _band(6.1, 7.94)) is False
 
-    def test_reaching_the_bottom_switches_on_and_charges(self):
-        state = RaceState(10.0, 100.0, 6.1, False, 3, 500.0)
-        out = switch_logic(state, _band(6.1, 7.94), 10.0)
-        assert out.engine_on is True
-        assert out.switches == 4
-        assert out.energy == 510.0
+    def test_reaching_the_bottom_switches_on_and_charges(
+        self, params, const_power, zero_wind, short_cfg
+    ):
+        assert switch_logic(False, 6.1, _band(6.1, 7.94)) is True
+        # the race counts each switch-on once and charges its cost at once
+        track = TrackProfile.flat(2_000.0, 12.0)
+        result = run_race(track, zero_wind, params, const_power, short_cfg)
+        assert any(s.flag == "switch_on" for s in result.samples)
+        for before, s in zip(result.samples, result.samples[1:]):
+            if s.flag == "switch_on":
+                assert s.switches == before.switches + 1
+                assert s.energy >= before.energy + params.switch_cost
+            else:
+                assert s.switches == before.switches
 
     @given(
         speed=st.floats(min_value=0.0, max_value=17.0),
         engine_on=st.booleans(),
     )
     def test_total_function(self, speed, engine_on):
-        state = RaceState(0.0, 0.0, speed, engine_on, 1, 10.0)
-        out = switch_logic(state, _band(6.1, 7.94), 10.0)
-        assert out.engine_on in (True, False)
-        assert out.switches >= state.switches
-        assert out.energy >= state.energy
+        band = _band(6.1, 7.94)
+        out = switch_logic(engine_on, speed, band)
+        assert out in (True, False)
+        if speed >= band.upper:
+            assert out is False
+        elif speed <= band.lower:
+            assert out is True
+        else:
+            assert out is engine_on
 
 
 class TestRunRace:

@@ -17,7 +17,6 @@ from ecodrive import (
     TrackProfile,
     VehicleParams,
     WindField,
-    acceleration,
     check_assumptions,
     engine_power,
     freeze,
@@ -48,25 +47,30 @@ class TestVehicleParams:
             VehicleParams(traction=0.02, solid_friction=0.03)
 
 
+def _accel(x1, x2, t, engine_on, params, track, wind):
+    """Acceleration at position x1, speed x2 and time t, through the frozen slice."""
+    return freeze(track, wind, params, PowerModel(), x1, t).accel(x2, engine_on)
+
+
 class TestAcceleration:
     def test_flat_engine_on_from_rest(self, params, long_flat_track, zero_wind):
         # just above zero speed the full friction applies: f1 - c
-        a = acceleration(0.0, 1e-9, 0.0, True, params, long_flat_track, zero_wind)
+        a = _accel(0.0, 1e-9, 0.0, True, params, long_flat_track, zero_wind)
         assert a == pytest.approx(0.17, abs=1e-9)
 
     def test_flat_rest_engine_off_is_sticking_point(self, params, long_flat_track, zero_wind):
         # sign(0) = 0: every term vanishes exactly at rest on a flat track
-        assert acceleration(0.0, 0.0, 0.0, False, params, long_flat_track, zero_wind) == 0.0
+        assert _accel(0.0, 0.0, 0.0, False, params, long_flat_track, zero_wind) == 0.0
 
     def test_flat_coast_at_seven(self, params, long_flat_track, zero_wind):
-        a = acceleration(0.0, 7.0, 0.0, False, params, long_flat_track, zero_wind)
+        a = _accel(0.0, 7.0, 0.0, False, params, long_flat_track, zero_wind)
         assert a == pytest.approx(-(6e-4 * 49.0 + 0.03), rel=1e-12)
 
     def test_position_outside_track_rejected(self, params, long_flat_track, zero_wind):
         with pytest.raises(DomainError):
-            acceleration(-1.0, 5.0, 0.0, True, params, long_flat_track, zero_wind)
+            _accel(-1.0, 5.0, 0.0, True, params, long_flat_track, zero_wind)
         with pytest.raises(DomainError):
-            acceleration(1e9, 5.0, 0.0, True, params, long_flat_track, zero_wind)
+            _accel(1e9, 5.0, 0.0, True, params, long_flat_track, zero_wind)
 
     def test_signed_drag_flips_tailwind_push(self, long_flat_track):
         literal = VehicleParams()
@@ -74,8 +78,8 @@ class TestAcceleration:
         gale = WindField((0.0,), (0.0,), ((10.0,),))
         # overtaking tailwind: the literal quadratic still brakes, the signed
         # form pushes the vehicle forward
-        a_lit = acceleration(0.0, 3.0, 0.0, False, literal, long_flat_track, gale)
-        a_sgn = acceleration(0.0, 3.0, 0.0, False, signed, long_flat_track, gale)
+        a_lit = _accel(0.0, 3.0, 0.0, False, literal, long_flat_track, gale)
+        a_sgn = _accel(0.0, 3.0, 0.0, False, signed, long_flat_track, gale)
         drag_mag = 6e-4 * 49.0
         assert a_lit == pytest.approx(-drag_mag - 0.03, rel=1e-12)
         assert a_sgn == pytest.approx(drag_mag - 0.03, rel=1e-12)

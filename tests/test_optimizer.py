@@ -141,6 +141,20 @@ class TestOptimalBand:
         assert 0 < k < len(costs) - 1
         assert costs[0] > costs[k] and costs[-1] > costs[k]
 
+    def test_candidates_across_an_engine_on_root_are_dropped(self, params, const_power):
+        # climb into a tailwind: the engine-on acceleration is negative below
+        # about 1.83 m/s, so the legs of candidates 0.5, 1.0 and 1.5 cross its
+        # root and only candidate 2.0 is left
+        frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
+        for v_a in (0.5, 1.0, 1.5):
+            with pytest.raises(InfeasibleCandidateError, match="sign"):
+                upper_limit(frozen, v_a, 2.5)
+        band = optimal_band(frozen, 2.5, 12.0)
+        assert band.lower == 2.0
+        assert band.upper == pytest.approx(3.47, abs=0.01)
+        assert band.avg_cost == pytest.approx(157.3, abs=0.1)
+        assert band.avg_speed == pytest.approx(2.5, abs=1e-4)
+
     def test_grid_candidates_respect_window(self):
         grid = GridSpec()
         cands = grid.candidates(7.0, 0.0)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import oracles
 from ecodrive import (
     FrozenDynamics,
+    InfeasibleSliceError,
     InvalidSegmentError,
     PowerModel,
     RaceState,
@@ -50,8 +52,6 @@ class TestAdaptiveQuadrature:
         assert adaptive_quadrature(lambda s: 1.0 / s, 1.0, 1.0) == 0.0
 
     def test_against_scipy_reference(self):
-        from scipy.integrate import quad
-
         fn = lambda s: np.exp(-s) * np.sin(3.0 * s)
         ours = adaptive_quadrature(fn, 0.0, 5.0)
         ref, _ = quad(lambda s: math.exp(-s) * math.sin(3.0 * s), 0.0, 5.0, epsabs=1e-12)
@@ -158,6 +158,63 @@ class TestSegments:
         t, d = leg_time_distance(flat_slice, False, 7.94, 6.1)
         assert t == pytest.approx(T_DOWN_BAND, rel=1e-8)
         assert d == pytest.approx(D_DOWN_BAND, rel=1e-8)
+
+
+class TestLegsAgainstScipy:
+    """One adaptive pass per leg against scipy's quad on random feasible slices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-6.0, max_value=6.0),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wheel=st.booleans(),
+        engine_on=st.booleans(),
+        u0=st.floats(min_value=0.02, max_value=0.98),
+        u1=st.floats(min_value=0.02, max_value=0.98),
+    )
+    # legs across the wind speed under signed drag, where r|r| has a kink
+    @example(True, 4.6, 0.014, True, True, 0.62, 0.03)
+    @example(True, 2.9, 0.007, False, False, 0.18, 0.82)
+    def test_time_distance_energy_match_quad(
+        self, signed, wind, slope, wheel, engine_on, u0, u1
+    ):
+        power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
+        try:
+            frozen = FrozenDynamics.from_conditions(
+                VehicleParams(signed_drag=signed), power, slope, wind
+            )
+        except InfeasibleSliceError:
+            assume(False)
+        width = frozen.v_high - frozen.v_low
+        lo, hi = sorted((frozen.v_low + u0 * width, frozen.v_low + u1 * width))
+        assume(hi - lo > 1e-3 * width)
+        # the leg's mode acceleration must keep its sign: a tailwind can make
+        # the engine-on acceleration negative at low speed
+        grid = frozen.accel_grid(np.linspace(lo, hi, 257), engine_on)
+        assume(np.all(grid > 0.0) if engine_on else np.all(grid < 0.0))
+        v0, v1 = (lo, hi) if engine_on else (hi, lo)
+
+        def ref(weight):
+            value, _ = quad(
+                lambda s: weight(s) / frozen.accel(s, engine_on),
+                v0, v1, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            return value
+
+        t_ref = ref(lambda s: 1.0)
+        d_ref = ref(lambda s: s)
+        t, d = leg_time_distance(frozen, engine_on, v0, v1)
+        seg = SpeedSegment(frozen, engine_on, v0, v1)
+        for value in (t, elapsed_time(seg)):
+            assert value == pytest.approx(t_ref, rel=1e-8)
+        for value in (d, covered_length(seg)):
+            assert value == pytest.approx(d_ref, rel=1e-8)
+        if engine_on:
+            e_ref = ref(lambda s: frozen.power_grid(np.array([s]))[0])
+            assert energy_used(seg) == pytest.approx(e_ref, rel=1e-8)
+        else:
+            assert energy_used(seg) == 0.0
 
 
 class TestQuadratureVsIntegration:
