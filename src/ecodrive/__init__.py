@@ -16,6 +16,7 @@ from .dynamics import (
     WHEEL_POWER,
     AssumptionReport,
     FrozenDynamics,
+    Leg,
     PowerModel,
     RaceState,
     TrackProfile,
@@ -24,7 +25,6 @@ from .dynamics import (
     check_assumptions,
     engine_power,
     freeze,
-    integrate,
 )
 from .errors import (
     DivergenceRiskError,

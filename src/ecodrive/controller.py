@@ -5,7 +5,8 @@ remaining distance and time, freezes the dynamics at the current position,
 and recomputes the oscillation band.  Between replans a hysteresis machine
 switches the engine off at the band top and on at the band bottom.  A hard
 safety override forces the engine off whenever the speed exceeds the local
-safety limit, since discrete-time switching can overshoot slightly.
+safety limit.  Between decisions the state jumps from event to event along
+closed-form legs, so every switch lands exactly on its threshold.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import brentq
+
 from .dynamics import (
+    Leg,
     PowerModel,
     RaceState,
     TrackProfile,
     VehicleParams,
     WindField,
-    _midpoint_step,
+    engine_energy,
     freeze,
 )
 from .errors import EcodriveError, InfeasibleSliceError, ScenarioError
@@ -50,7 +54,6 @@ class ControllerConfig:
     replan_interval: float = 3.0            # s
     safety_margin: float = 0.5              # m/s below the safety speed
     grid: GridSpec = GridSpec()
-    dt: float = 1e-3                        # s
     hard_stop_factor: float = 1.2           # simulation cap at factor * duration
     trace_interval: float = 0.5             # s between dense trace rows
 
@@ -61,26 +64,24 @@ class ControllerConfig:
             "race_duration",
             "replan_interval",
             "safety_margin",
-            "dt",
             "trace_interval",
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.dt >= self.replan_interval:
-            raise ValueError("dt must be smaller than the replan interval")
         if self.hard_stop_factor < 1.0:
             raise ValueError("hard_stop_factor must be at least 1")
 
 
 @dataclass(frozen=True)
 class ReplanRecord:
-    """Outcome of one replanning instant."""
+    """Outcome of one replanning instant; ``reason`` says why a flagged one fell back."""
 
     t: float
     position: float
     target: float
     band: OscillationBand
     flag: str
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def replan(
     v_safe = track.safe_speed_at(state.position)
     try:
         frozen = freeze(track, wind, params, power, state.position, state.t)
-    except InfeasibleSliceError:
+    except InfeasibleSliceError as exc:
         band = OscillationBand(
             lower=0.0,
             upper=v_safe,
@@ -166,17 +167,21 @@ def replan(
             energy=math.nan,
             avg_cost=math.nan,
         )
-        return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE)
-    flag = FLAG_UNREACHABLE if target >= frozen.v_high else ""
+        reason = f"{type(exc).__name__}: {exc}"
+        return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE, reason)
+    flag, reason = "", ""
+    if target >= frozen.v_high:
+        flag = FLAG_UNREACHABLE
+        reason = f"target {target:.6g} m/s at or above the top equilibrium {frozen.v_high:.6g} m/s"
     if flag or target >= v_safe:
         band = safety_band(frozen, v_safe, cfg.safety_margin)
     else:
         try:
             band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
-        except EcodriveError:
+        except EcodriveError as exc:
             band = safety_band(frozen, v_safe, cfg.safety_margin)
-            flag = FLAG_UNREACHABLE
-    return ReplanRecord(state.t, state.position, target, band, flag)
+            flag, reason = FLAG_UNREACHABLE, f"{type(exc).__name__}: {exc}"
+    return ReplanRecord(state.t, state.position, target, band, flag, reason)
 
 
 def switch_logic(engine_on: bool, speed: float, band: OscillationBand) -> bool:
@@ -202,10 +207,10 @@ def run_race(
     """Simulate a full race under the receding-horizon hysteresis strategy.
 
     Starts from rest with the engine just switched on (one switch counted,
-    one switching cost charged).  Alternates replanning every replan interval
-    with fixed-step integration; telemetry is sampled at every replan and
-    switch event, the dense trace on a fixed time grid.  Stops at the finish
-    line or at the hard time cap.
+    one switching cost charged).  Replans every replan interval and, in
+    between, jumps from event to event along exact constant-mode legs;
+    telemetry is sampled at every replan and switch event, the dense trace
+    on a fixed time grid.  Stops at the finish line or at the hard time cap.
     """
     if cfg.race_length > track.length + 1e-9:
         raise ScenarioError(
@@ -213,9 +218,7 @@ def run_race(
         )
     race_len = cfg.race_length
     t_hard = cfg.hard_stop_factor * cfg.race_duration
-    dt = cfg.dt
     alpha = params.switch_cost
-    g = params.gravity
 
     t = 0.0
     x1 = 0.0
@@ -273,24 +276,14 @@ def run_race(
         n_replan += 1
         window_end = min(n_replan * cfg.replan_interval, t_hard)
 
-        # cell-local constants, refreshed only when a boundary is crossed
-        s_stop = -math.inf
-        t_stop = -math.inf
-        g_comp = w = vs_base = vs_slope = vs_s0 = 0.0
         while t < window_end - 1e-12 and x1 < race_len - 1e-9:
-            if x1 >= s_stop - 1e-12 or t >= t_stop - 1e-12:
-                g_comp = g * math.sin(track.slope_at(x1))
-                w = wind.at(x1, t)
-                s_stop = min(track.next_boundary(x1), wind.next_boundary_s(x1), race_len)
-                t_stop = wind.next_boundary_t(t)
-                vs_base, vs_slope, vs_s0 = _safe_speed_line(track, x1)
             if switch_logic(engine_on, x2, band) != engine_on:
                 engine_on = not engine_on
                 if engine_on:
                     switches += 1
                 switch_times.append(t)
                 take_sample(FLAG_SWITCH_ON if engine_on else FLAG_SWITCH_OFF, samples)
-            if engine_on and x2 > vs_base + vs_slope * (x1 - vs_s0):
+            if engine_on and x2 >= track.safe_speed_at(x1):
                 engine_on = False
                 switch_times.append(t)
                 note_flag(FLAG_SAFETY)
@@ -303,11 +296,15 @@ def run_race(
                     take_sample(FLAG_STALLED, samples)
             else:
                 stall_since = None
-            h = min(dt, window_end - t, max(t_stop - t, 1e-12))
-            t, x1, x2, de = _midpoint_step(
-                t, x1, x2, engine_on, h, w, g_comp, s_stop, params, power
+            leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
+            t_new, x_new, x2 = _next_event(
+                leg, t, x1, band.upper if engine_on else band.lower,
+                min(window_end, next_trace, wind.next_boundary_t(t)),
+                min(track.next_boundary(x1), wind.next_boundary_s(x1), race_len),
+                track if engine_on else None,
             )
-            e_power += de
+            e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
+            t, x1 = t_new, x_new
             if t >= next_trace - 1e-12:
                 take_sample("", trace)
                 next_trace += cfg.trace_interval
@@ -331,11 +328,33 @@ def run_race(
     )
 
 
-def _safe_speed_line(track: TrackProfile, s: float) -> tuple[float, float, float]:
-    """Local linear segment (base, slope, origin) of the safety speed."""
-    i = track._index(s)
-    if i >= len(track.arclength) - 1:
-        return track.safe_speed[-1], 0.0, track.arclength[-1]
-    s0, s1 = track.arclength[i], track.arclength[i + 1]
-    vs0, vs1 = track.safe_speed[i], track.safe_speed[i + 1]
-    return vs0, (vs1 - vs0) / (s1 - s0), s0
+def _next_event(
+    leg: Leg, t: float, x1: float, edge: float, t_stop: float, s_stop: float,
+    safety: TrackProfile | None,
+) -> tuple[float, float, float]:
+    """Time, position and speed at the first event along ``leg``.
+
+    The events are the time ``t_stop``, the end of the leg's branch, the
+    band edge speed ``edge``, the position ``s_stop`` and, when a ``safety``
+    track is given, its safety speed.  Speed and position events land
+    exactly on their value, so the switching tests at the new state see them.
+    """
+    tau, t_new, speed = t_stop - t, t_stop, None
+    for v_event, tau_event in ((leg.end_speed, leg.end_time), (edge, leg.time_to(edge))):
+        if tau_event <= tau:
+            tau, t_new, speed = tau_event, t + tau_event, v_event
+    x_new = x1 + leg.distance(tau)
+    if x_new >= s_stop:
+        tau = brentq(lambda h: x1 + leg.distance(h) - s_stop, 0.0, tau)
+        t_new, x_new, speed = t + tau, s_stop, None
+    if safety is not None:
+
+        def above(h: float) -> float:
+            return leg.speed(h) - safety.safe_speed_at(min(x1 + leg.distance(h), s_stop))
+
+        if above(tau) >= 0.0:
+            # a start within rounding of the safety speed crosses it at once
+            tau = brentq(above, 0.0, tau) if above(0.0) < 0.0 else 0.0
+            t_new, x_new = t + tau, min(x1 + leg.distance(tau), s_stop)
+            speed = safety.safe_speed_at(x_new)
+    return t_new, x_new, leg.speed(tau) if speed is None else speed

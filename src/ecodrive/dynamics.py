@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -94,6 +93,17 @@ def engine_power(
     return model.constant_watts
 
 
+def engine_energy(
+    duration: float, distance: float, engine_on: bool, model: PowerModel, params: VehicleParams
+) -> float:
+    """Energy of a leg at speeds >= 0: P t, or m f1 d for the speed-proportional draw."""
+    if not engine_on:
+        return 0.0
+    if model.kind == WHEEL_POWER:
+        return params.mass * params.traction * distance
+    return model.constant_watts * duration
+
+
 @dataclass(frozen=True)
 class TrackProfile:
     """Piecewise track description over arclength.
@@ -149,18 +159,9 @@ class TrackProfile:
         return cls((0.0, length), (0.0, 0.0), (safe_speed, safe_speed))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[tuple[float, float, float]]) -> TrackProfile:
-        arcs, slopes, safes = [], [], []
-        for s, theta, vs in rows:
-            arcs.append(s)
-            slopes.append(theta)
-            safes.append(vs)
-        return cls(tuple(arcs), tuple(slopes), tuple(safes))
-
-    @classmethod
     def from_csv(cls, path: str | Path) -> TrackProfile:
         rows = read_csv_rows(path, ("s_m", "slope_rad", "vsafe_mps"))
-        return cls.from_rows((r[0], r[1], r[2]) for r in rows)
+        return cls(*(tuple(r[i] for r in rows) for i in range(3)))
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -338,16 +339,6 @@ class FrozenDynamics:
             return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
         return np.full_like(x2, self.power.constant_watts)
 
-    def leg_energy(self, duration: float, distance: float) -> float:
-        """Energy drawn by an engine-on leg at speeds >= 0.
-
-        The draw is constant or proportional to speed, so its integral over
-        the leg is P t or m f1 d: exactly the power-weighted speed integral.
-        """
-        if self.power.kind == WHEEL_POWER:
-            return self.params.mass * self.params.traction * distance
-        return self.power.constant_watts * duration
-
     @classmethod
     def from_conditions(
         cls,
@@ -407,6 +398,104 @@ def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float |
     return None
 
 
+@dataclass(frozen=True)
+class Leg:
+    """One constant-mode leg inside a slope/wind cell, in closed form.
+
+    With ``r = v - w`` the law ``b - a D(v - w)`` reads ``r' = b - A r^2`` on
+    one drag branch: ``A = a``, and ``A = -a`` on the signed-drag branch
+    r < 0.  With ``k = sqrt|b/A|`` the solution is a tanh (``sigma = 1``),
+    tan (``sigma = -1``) or, for b = 0, rational function of time.  The leg
+    ends at ``end_time`` when the speed reaches ``end_speed``: 0, where it
+    sticks, or, under signed drag, the wind speed, where A flips sign.  A
+    leg that only approaches a rest speed never ends (``end_time`` is inf).
+    A vehicle that cannot leave rest, ``f(0+) <= 0``, gets the leg of a
+    driftless windless cell.
+    """
+
+    b: float
+    A: float
+    wind_speed: float
+    v0: float
+    k: float = 0.0
+    sigma: float = 0.0
+    end_speed: float = math.nan
+    end_time: float = math.inf
+
+    @classmethod
+    def start(
+        cls, params: VehicleParams, slope: float, wind_speed: float, engine_on: bool, v0: float
+    ) -> Leg:
+        """The leg from speed ``v0 >= 0`` at fixed slope and wind."""
+        if not math.isfinite(v0):
+            raise NumericError(f"leg cannot start from speed {v0}")
+        # b_on or b_off, as in from_conditions
+        b = params.traction * engine_on - params.solid_friction - params.gravity * math.sin(slope)
+        r0 = max(v0, 0.0) - wind_speed
+        v0 = r0 + wind_speed  # a speed below the resolution of r is rest
+        A = params.drag_coeff
+        if params.signed_drag and (r0 < 0.0 or (r0 == 0.0 and b < 0.0)):
+            A = -A
+        rate = b - A * r0 * r0
+        if v0 == 0.0 and rate <= 0.0:
+            return cls(0.0, params.drag_coeff, 0.0, 0.0)
+        leg = cls(b, A, wind_speed, v0, math.sqrt(abs(b / A)), _sgn(b * A))
+        if rate < 0.0:
+            r_end = max(-wind_speed, 0.0) if params.signed_drag and r0 > 0.0 else -wind_speed
+        elif rate > 0.0 and params.signed_drag and r0 < 0.0:
+            r_end = 0.0
+        else:
+            return leg
+        return replace(leg, end_speed=wind_speed + r_end, end_time=leg._time(r0, r_end))
+
+    def _time(self, r0: float, r1: float) -> float:
+        """Time from r0 to r1 on this branch; inf when r1 is behind or past a root."""
+        A, k = self.A, self.k
+        rate = self.b - A * r0 * r0
+        if rate == 0.0 or r1 == r0 or (r1 > r0) != (rate > 0.0):
+            return math.inf
+        if self.sigma < 0.0:
+            return math.atan2(k * (r0 - r1), k * k + r0 * r1) / (A * k)
+        lo, hi = min(r0, r1), max(r0, r1)
+        if lo <= k <= hi or lo <= -k <= hi:  # k = 0 for b = 0
+            return math.inf
+        if self.sigma == 0.0:
+            return (1.0 / r1 - 1.0 / r0) / A
+        z = k * (r1 - r0) / (k * k - r0 * r1)
+        return math.atanh(z) / (A * k) if abs(z) < 1.0 else math.inf
+
+    def time_to(self, v1: float) -> float:
+        """Time until the speed reaches ``v1`` on this leg, inf if it never does."""
+        if (v1 - self.end_speed) * (self.end_speed - self.v0) > 0.0:
+            return math.inf
+        return self._time(self.v0 - self.wind_speed, v1 - self.wind_speed)
+
+    def _trig(self, tau: float) -> tuple[float, float]:
+        """(cosh, sinh) or (cos, sin) of ``A k tau``."""
+        x = self.A * self.k * tau
+        if self.sigma > 0.0:
+            return math.cosh(x), math.sinh(x)
+        return math.cos(x), math.sin(x)
+
+    def speed(self, tau: float) -> float:
+        """Speed ``tau`` seconds into the leg."""
+        r0, k = self.v0 - self.wind_speed, self.k
+        if self.sigma == 0.0:
+            return max(self.wind_speed + r0 / (1.0 + self.A * r0 * tau), 0.0)
+        c, s = self._trig(tau)
+        return max(self.wind_speed + k * (r0 * c + self.sigma * k * s) / (k * c + r0 * s), 0.0)
+
+    def distance(self, tau: float) -> float:
+        """Distance ``w tau + ln(cosh + (r0/k) sinh)/A`` covered in ``tau`` seconds."""
+        r0 = self.v0 - self.wind_speed
+        if self.sigma == 0.0:
+            return self.wind_speed * tau + math.log1p(self.A * r0 * tau) / self.A
+        # cosh - 1 = 2 sinh^2(x/2) keeps the logarithm exact for short legs
+        c, s = self._trig(0.5 * tau)
+        inner = 2.0 * s * (self.sigma * s + r0 / self.k * c)
+        return self.wind_speed * tau + math.log1p(inner) / self.A
+
+
 def freeze(
     track: TrackProfile,
     wind: WindField,
@@ -435,107 +524,6 @@ class RaceState:
     engine_on: bool
     switches: int
     energy: float
-
-
-def integrate(
-    state: RaceState,
-    engine_on: bool,
-    dt: float,
-    track: TrackProfile,
-    wind: WindField,
-    params: VehicleParams,
-    power: PowerModel,
-) -> RaceState:
-    """Advance the state by ``dt`` holding the engine mode fixed.
-
-    One explicit midpoint step, split exactly at track breakpoints, wind-grid
-    cell boundaries, and the sticking event where the speed reaches zero.
-    Energy accumulates trapezoidally from the power model while the engine is
-    on.  Switch accounting is the caller's job: ``switches`` and the
-    switching cost are not touched here.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t, x1, x2 = state.t, state.position, state.speed
-    energy = state.energy
-    remaining = dt
-    guard = 0
-    while remaining > 1e-15:
-        guard += 1
-        if guard > 10_000:
-            raise NumericError("integration step split too many times")
-        theta = track.slope_at(x1)
-        w = wind.at(x1, t)
-        g_comp = params.gravity * math.sin(theta)
-        s_stop = min(track.next_boundary(x1), wind.next_boundary_s(x1))
-        h = min(remaining, max(wind.next_boundary_t(t) - t, 1e-12))
-        t, x1, x2, de = _midpoint_step(t, x1, x2, engine_on, h, w, g_comp, s_stop, params, power)
-        energy += de
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise NumericError(f"state became non-finite at t={t}")
-        remaining = state.t + dt - t
-    return RaceState(t, x1, x2, engine_on, state.switches, energy)
-
-
-def _midpoint_step(
-    t: float,
-    x1: float,
-    x2: float,
-    engine_on: bool,
-    h: float,
-    wind_speed: float,
-    gravity_component: float,
-    s_stop: float,
-    params: VehicleParams,
-    power: PowerModel,
-) -> tuple[float, float, float, float]:
-    """One midpoint step of at most ``h``, stopping exactly at ``s_stop``.
-
-    Returns the advanced (t, x1, x2, energy increment).  Implements the
-    sticking convention: from zero speed the state only moves if the
-    one-sided forward acceleration is positive, and a downward zero crossing
-    clamps speed to zero for the rest of the step.
-    """
-    if x2 <= 0.0:
-        f_plus = _accel_scalar(1e-12, engine_on, wind_speed, gravity_component, params)
-        if f_plus <= 0.0:
-            # stuck: time passes, nothing moves, engine-on draw still counts
-            de = engine_power(0.0, engine_on, power, params) * h if engine_on else 0.0
-            return t + h, x1, 0.0, de
-        a1 = f_plus
-    else:
-        a1 = _accel_scalar(x2, engine_on, wind_speed, gravity_component, params)
-    xm = x2 + 0.5 * h * a1
-    a2 = _accel_scalar(xm, engine_on, wind_speed, gravity_component, params)
-    x2_new = x2 + h * a2
-    h_eff = h
-    if x2_new < 0.0:
-        # split at the downward zero crossing, then stick
-        frac = x2 / (x2 - x2_new) if x2 > 0.0 else 0.0
-        h_eff = h * frac
-        x1_new = x1 + h_eff * 0.5 * x2
-        x2_new = 0.0
-        # sticking consumes the whole step: position holds afterwards
-        de = 0.0
-        if engine_on:
-            de = 0.5 * (
-                engine_power(x2, True, power, params) + engine_power(0.0, True, power, params)
-            ) * h_eff + engine_power(0.0, True, power, params) * (h - h_eff)
-        return t + h, x1_new, x2_new, de
-    x1_new = x1 + h * xm
-    if x1_new > s_stop:
-        frac = (s_stop - x1) / (x1_new - x1)
-        h_eff = h * frac
-        xm = x2 + 0.5 * h_eff * a1
-        a2 = _accel_scalar(xm, engine_on, wind_speed, gravity_component, params)
-        x2_new = x2 + h_eff * a2
-        x1_new = s_stop
-    de = 0.0
-    if engine_on:
-        de = 0.5 * (
-            engine_power(x2, True, power, params) + engine_power(x2_new, True, power, params)
-        ) * h_eff
-    return t + h_eff, x1_new, x2_new, de
 
 
 @dataclass(frozen=True)

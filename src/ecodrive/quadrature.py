@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import FrozenDynamics
+from .dynamics import FrozenDynamics, engine_energy
 from .errors import InvalidSegmentError, NumericError
 
 REL_TOL = 1e-8
@@ -217,7 +217,7 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
         eps=eps,
     )[0]
     # h - h* is 0 under constant power and m f1 (s - v_high) under wheel power
-    excess_energy = frozen.leg_energy(0.0, up_moment)
+    excess_energy = engine_energy(0.0, up_moment, True, frozen.power, frozen.params)
     if frozen.v_low_is_root:
         down_moment = -integrate_with_vanishing_endpoint(
             lambda s: (s - v_lo) / frozen.accel_grid(s, False),
@@ -395,7 +395,8 @@ def energy_used(segment: SpeedSegment) -> float:
     """Energy drawn during the maneuver; identically zero with the engine off."""
     if not segment.engine_on:
         return 0.0
-    return segment.frozen.leg_energy(*segment.time_distance())
+    frozen = segment.frozen
+    return engine_energy(*segment.time_distance(), True, frozen.power, frozen.params)
 
 
 @dataclass(frozen=True)
@@ -436,9 +437,8 @@ def period_stats(
     t_up, d_up = SpeedSegment(frozen, True, v_a, v_b).time_distance()
     t_down, d_down = SpeedSegment(frozen, False, v_b, v_a).time_distance()
     # the dwell holds v_b with the engine on, so it extends the up leg's draw
-    energy = (
-        frozen.leg_energy(t_up + dwell, d_up + v_b * dwell) + frozen.params.switch_cost
-    )
+    on_energy = engine_energy(t_up + dwell, d_up + v_b * dwell, True, frozen.power, frozen.params)
+    energy = on_energy + frozen.params.switch_cost
     return PeriodStats(
         duration=t_up + dwell + t_down,
         distance=d_up + v_b * dwell + d_down,

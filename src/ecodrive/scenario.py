@@ -40,7 +40,6 @@ CONTROLLER_KEYS = {
     "duration_s",
     "replan_interval_s",
     "safety_margin_mps",
-    "dt_s",
     "hard_stop_factor",
     "trace_interval_s",
     "grid_offsets_mps",
@@ -151,7 +150,6 @@ def _controller_from_mapping(data: dict, race_length: float, source: str) -> Con
             replan_interval=float(data.get("replan_interval_s", 3.0)),
             safety_margin=float(data.get("safety_margin_mps", 0.5)),
             grid=grid,
-            dt=float(data.get("dt_s", 1e-3)),
             hard_stop_factor=float(data.get("hard_stop_factor", 1.2)),
             trace_interval=float(data.get("trace_interval_s", 0.5)),
         )
@@ -164,7 +162,6 @@ def _controller_to_mapping(cfg: ControllerConfig) -> dict:
         "duration_s": cfg.race_duration,
         "replan_interval_s": cfg.replan_interval,
         "safety_margin_mps": cfg.safety_margin,
-        "dt_s": cfg.dt,
         "hard_stop_factor": cfg.hard_stop_factor,
         "trace_interval_s": cfg.trace_interval,
         "grid_offsets_mps": list(cfg.grid.lower_offsets),

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import oracles
+import stepper
 from ecodrive import (
     GridSpec,
     RaceState,
@@ -22,7 +23,6 @@ from ecodrive import (
     covered_length,
     elapsed_time,
     energy_used,
-    integrate,
     mean_speed,
     min_switch_interval,
     optimal_band,
@@ -95,7 +95,7 @@ def test_criterion_04_quadrature_vs_ode(params, const_power, flat_slice):
         prev = state
         while (state.speed < v1) if engine_on else (state.speed > v1):
             prev = state
-            state = integrate(state, engine_on, 1e-3, track, wind, params, const_power)
+            state = stepper.integrate(state, engine_on, 1e-3, track, wind, params, const_power)
         frac = (v1 - prev.speed) / (state.speed - prev.speed)
         t_sim = prev.t + frac * (state.t - prev.t)
         d_sim = prev.position + frac * (state.position - prev.position)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from ecodrive import (
     ControllerConfig,
+    InfeasibleTargetError,
     OscillationBand,
     RaceState,
     ScenarioError,
@@ -17,9 +18,11 @@ from ecodrive import (
     run_race,
     switch_logic,
 )
+from ecodrive import controller, errors
 from ecodrive import fixtures as fixture_lib
 from ecodrive.controller import (
     FLAG_INFEASIBLE,
+    FLAG_SAFETY,
     FLAG_STALLED,
     FLAG_UNREACHABLE,
 )
@@ -37,7 +40,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ControllerConfig(race_length=-1.0, race_duration=100.0)
         with pytest.raises(ValueError):
-            ControllerConfig(race_length=100.0, race_duration=100.0, dt=5.0)
+            ControllerConfig(race_length=100.0, race_duration=100.0, trace_interval=0.0)
+        with pytest.raises(TypeError):  # legs are exact: there is no time step
+            ControllerConfig(race_length=100.0, race_duration=100.0, dt=1e-3)
         with pytest.raises(ValueError):
             ControllerConfig(race_length=100.0, race_duration=100.0, hard_stop_factor=0.5)
 
@@ -90,6 +95,21 @@ class TestReplan:
         record = replan(state, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_INFEASIBLE
         assert record.band.lower == 0.0
+        assert record.reason.startswith("InfeasibleSliceError: ")
+
+    def test_band_search_error_is_recorded(
+        self, params, const_power, zero_wind, monkeypatch
+    ):
+        def failing_search(*args, **kwargs):
+            raise InfeasibleTargetError("no band meets the target")
+
+        monkeypatch.setattr(controller, "optimal_band", failing_search)
+        track = TrackProfile.flat(16_500.0, 12.0)
+        cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
+        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
+        record = replan(state, track, zero_wind, params, const_power, cfg)
+        assert record.flag == FLAG_UNREACHABLE
+        assert record.reason == "InfeasibleTargetError: no band meets the target"
 
     def test_safety_band_when_target_exceeds_safe_speed(
         self, params, const_power, zero_wind
@@ -166,12 +186,26 @@ class TestRunRace:
     def test_hysteresis_thresholds_respected(self, params, const_power, zero_wind, short_cfg):
         track = TrackProfile.flat(2_000.0, 12.0)
         result = run_race(track, zero_wind, params, const_power, short_cfg)
-        eps = 0.2 * short_cfg.dt  # max |f| dt
+        eps = 1e-9  # switches land exactly on the band edges
         for s in result.samples:
             if s.flag == "switch_on":
                 assert s.speed <= s.band_lower + eps
             elif s.flag == "switch_off":
                 assert s.speed >= s.band_upper - eps
+
+    def test_safety_override_lands_on_a_falling_safety_speed(
+        self, params, const_power, zero_wind, short_cfg
+    ):
+        # the safety speed falls through the band top between 800 and 1200 m
+        track = TrackProfile((0.0, 800.0, 1200.0, 2000.0), (0.0,) * 4, (12.0, 12.0, 6.5, 6.5))
+        result = run_race(track, zero_wind, params, const_power, short_cfg)
+        assert FLAG_SAFETY in result.flags
+        for s in result.samples + result.trace:
+            v_safe = track.safe_speed_at(s.position)
+            if s.flag == FLAG_SAFETY:
+                assert s.speed == pytest.approx(v_safe, abs=1e-9)
+            elif s.engine_on:
+                assert s.speed <= v_safe + 1e-9
 
     def test_energy_bookkeeping_identity(self, params, const_power, zero_wind, short_cfg):
         # constant power model: consumption minus switching charges must be
@@ -244,6 +278,18 @@ class TestFullRaces:
     def test_hill_race_flags_unreachable_sections(self, hill_race):
         assert hill_race.finished
         assert FLAG_UNREACHABLE in hill_race.flags
+
+    def test_every_fallback_carries_a_reason(self, hill_race):
+        fallbacks = [r for r in hill_race.replans if r.flag]
+        assert fallbacks
+        for record in hill_race.replans:
+            assert bool(record.reason) == bool(record.flag)
+        for record in fallbacks:
+            name = record.reason.split(":")[0]
+            if hasattr(errors, name):
+                assert issubclass(getattr(errors, name), errors.EcodriveError)
+            else:
+                assert record.reason.startswith(f"target {record.target:.6g} m/s")
 
     def test_no_zeno_on_all_fixtures(self, flat_race, hill_race, gust_race):
         for result in (flat_race, hill_race, gust_race):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import oracles
+import stepper
 from ecodrive import (
     DomainError,
     FrozenDynamics,
     InfeasibleSliceError,
+    Leg,
     NumericError,
     PowerModel,
     RaceState,
@@ -20,10 +23,10 @@ from ecodrive import (
     check_assumptions,
     engine_power,
     freeze,
-    integrate,
     optimal_band,
 )
-from ecodrive.dynamics import SPEED_BRACKET_MAX, SPEED_ROOT_TOL
+from ecodrive.dynamics import SPEED_BRACKET_MAX, SPEED_ROOT_TOL, engine_energy
+from ecodrive.quadrature import leg_time_distance
 
 
 class TestVehicleParams:
@@ -322,66 +325,151 @@ class TestCheckAssumptions:
 
 
 class TestIntegrate:
-    def test_sticking_is_a_fixed_point(self, params, const_power, long_flat_track, zero_wind):
-        state = RaceState(0.0, 10.0, 0.0, False, 0, 0.0)
-        out = integrate(state, False, 1.0, long_flat_track, zero_wind, params, const_power)
-        assert out.speed == 0.0
-        assert out.position == 10.0
-        assert out.energy == 0.0
+    """The exact leg primitive on the flat windless slice, against the oracle."""
 
-    def test_acceleration_time_matches_closed_form(
-        self, params, const_power, long_flat_track, zero_wind
-    ):
-        state = RaceState(0.0, 0.0, 0.0, True, 0, 0.0)
-        prev = state
-        while state.speed < 7.0:
-            prev = state
-            state = integrate(state, True, 1e-3, long_flat_track, zero_wind, params, const_power)
-        frac = (7.0 - prev.speed) / (state.speed - prev.speed)
-        t_cross = prev.t + frac * 1e-3
-        assert t_cross == pytest.approx(oracles.time_up(0.0, 7.0), rel=1e-3)
+    def test_sticking_is_a_fixed_point(self, params):
+        rest = Leg.start(params, 0.0, 0.0, False, 0.0)
+        assert rest.speed(1.0) == 0.0
+        assert rest.distance(1.0) == 0.0
+        assert rest.time_to(1.0) == math.inf
+        # coasting reaches zero in finite time and sticks there
+        coast = Leg.start(params, 0.0, 0.0, False, 7.94)
+        assert coast.end_speed == 0.0
+        assert coast.end_time == pytest.approx(oracles.time_down(7.94, 0.0), rel=1e-9)
+        assert coast.speed(coast.end_time) == pytest.approx(0.0, abs=1e-9)
+        assert _stuck(Leg.start(params, 0.0, 0.0, False, coast.end_speed))
 
-    def test_coast_time_matches_closed_form(
-        self, params, const_power, long_flat_track, zero_wind
-    ):
-        state = RaceState(0.0, 0.0, 7.94, False, 0, 0.0)
-        prev = state
-        while state.speed > 6.1:
-            prev = state
-            state = integrate(state, False, 1e-3, long_flat_track, zero_wind, params, const_power)
-        frac = (6.1 - prev.speed) / (state.speed - prev.speed)
-        assert prev.t + frac * 1e-3 == pytest.approx(oracles.time_down(7.94, 6.1), rel=1e-3)
-        x_cross = prev.position + frac * (state.position - prev.position)
-        assert x_cross == pytest.approx(oracles.dist_down(7.94, 6.1), rel=1e-3)
+    def test_acceleration_time_matches_closed_form(self, params):
+        leg = Leg.start(params, 0.0, 0.0, True, 0.0)
+        tau = leg.time_to(7.0)
+        assert tau == pytest.approx(oracles.time_up(0.0, 7.0), rel=1e-9)
+        assert leg.speed(tau) == pytest.approx(7.0, rel=1e-9)
+        assert leg.distance(tau) == pytest.approx(oracles.dist_up(0.0, 7.0), rel=1e-9)
+        assert leg.speed(10.0) == pytest.approx(oracles.speed_up_after_time(0.0, 10.0), rel=1e-9)
+        # the equilibrium is only approached
+        assert leg.time_to(oracles.V_TOP) == math.inf
+        assert leg.end_time == math.inf
 
-    def test_energy_accumulates_constant_power(
-        self, params, const_power, long_flat_track, zero_wind
-    ):
-        state = RaceState(0.0, 0.0, 2.0, True, 0, 0.0)
-        out = integrate(state, True, 5.0, long_flat_track, zero_wind, params, const_power)
-        assert out.energy == pytest.approx(161.0 * 5.0, rel=1e-9)
+    def test_coast_time_matches_closed_form(self, params):
+        leg = Leg.start(params, 0.0, 0.0, False, 7.94)
+        tau = leg.time_to(6.1)
+        assert tau == pytest.approx(oracles.time_down(7.94, 6.1), rel=1e-9)
+        assert leg.distance(tau) == pytest.approx(oracles.dist_down(7.94, 6.1), rel=1e-9)
+        assert leg.speed(10.0) == pytest.approx(
+            oracles.speed_down_after_time(7.94, 10.0), rel=1e-9
+        )
+        assert leg.time_to(8.0) == math.inf  # behind the motion
 
-    def test_non_finite_state_raises(self, params, const_power, long_flat_track, zero_wind):
-        bad = RaceState(0.0, 0.0, math.nan, True, 0, 0.0)
+    def test_energy_accumulates_constant_power(self, params, const_power, wheel_power):
+        leg = Leg.start(params, 0.0, 0.0, True, 2.0)
+        d = leg.distance(5.0)
+        assert engine_energy(5.0, d, True, const_power, params) == pytest.approx(
+            161.0 * 5.0, rel=1e-12
+        )
+        assert engine_energy(5.0, d, True, wheel_power, params) == pytest.approx(
+            93.0 * 0.20 * d, rel=1e-12
+        )
+        assert engine_energy(5.0, d, False, const_power, params) == 0.0
+
+    def test_non_finite_state_raises(self, params):
         with pytest.raises(NumericError):
-            integrate(bad, True, 1e-3, long_flat_track, zero_wind, params, const_power)
+            Leg.start(params, 0.0, 0.0, True, math.nan)
 
     def test_step_splits_at_slope_change(self, params, const_power, zero_wind):
-        # crossing onto a climb mid-step must apply the new slope after the
-        # breakpoint: compare against a fine-stepped reference
+        # a leg ends at the breakpoint, and the next one carries the climb's
+        # law: compare with the fine-stepped midpoint reference
         track = TrackProfile((0.0, 10.0, 1000.0), (0.0, 0.01, 0.01), (50.0, 50.0, 50.0))
-        state = RaceState(0.0, 9.9995, 7.0, True, 0, 0.0)
-        coarse = integrate(state, True, 0.1, track, zero_wind, params, const_power)
-        fine = state
+        flat = Leg.start(params, 0.0, 0.0, True, 7.0)
+        tau = brentq(lambda h: 9.9995 + flat.distance(h) - 10.0, 0.0, 0.1)
+        climb = Leg.start(params, 0.01, 0.0, True, flat.speed(tau))
+        fine = RaceState(0.0, 9.9995, 7.0, True, 0, 0.0)
         for _ in range(1000):
-            fine = integrate(fine, True, 1e-4, track, zero_wind, params, const_power)
-        assert coarse.speed == pytest.approx(fine.speed, abs=1e-6)
-        assert coarse.position == pytest.approx(fine.position, abs=1e-6)
+            fine = stepper.integrate(fine, True, 1e-4, track, zero_wind, params, const_power)
+        assert climb.speed(0.1 - tau) == pytest.approx(fine.speed, abs=1e-9)
+        assert 10.0 + climb.distance(0.1 - tau) == pytest.approx(fine.position, abs=1e-9)
 
-    def test_dt_must_be_positive(self, params, const_power, long_flat_track, zero_wind):
-        state = RaceState(0.0, 0.0, 1.0, True, 0, 0.0)
-        with pytest.raises(ValueError):
-            integrate(state, True, 0.0, long_flat_track, zero_wind, params, const_power)
+    def test_start_below_the_resolution_of_the_wind_is_rest(self, params):
+        assert _stuck(Leg.start(params, 0.0, 1.0, False, 1e-300))
+        # a subnormal speed still reaches rest instead of running backwards
+        leg = Leg.start(params, 0.0, 0.0, False, 5e-324)
+        assert leg.end_speed == 0.0 and leg.end_time < 1e-300
+
+    def test_event_times_are_strictly_positive(self, params):
+        leg = Leg.start(params, 0.0, 0.0, True, 3.0)
+        assert leg.time_to(3.0) == math.inf  # an edge at the start is not ahead
+        assert leg.time_to(2.0) == math.inf
+        assert leg.time_to(3.0 + 1e-9) > 0.0
+
+
+def _stuck(leg):
+    """Whether the leg rests at zero speed for good."""
+    return leg.v0 == 0.0 and leg.speed(1e3) == 0.0 and leg.time_to(1e-6) == math.inf
+
+
+def _leg_conditions():
+    return st.tuples(
+        st.booleans(),  # signed drag
+        st.sampled_from(["constant_electrical", "wheel_power"]),
+        st.floats(min_value=-0.02, max_value=0.02),  # slope
+        st.floats(min_value=-6.0, max_value=6.0),  # wind
+        st.booleans(),  # engine on
+        st.floats(min_value=0.0, max_value=16.0),  # start speed
+        st.floats(min_value=0.5, max_value=8.0),  # duration
+    )
+
+
+def _chain(params, slope, wind, engine_on, v0, duration):
+    """Legs in sequence across the v = w and sticking ends: (speed, distance, moving time)."""
+    v, d, t = v0, 0.0, 0.0
+    while t < duration:
+        leg = Leg.start(params, slope, wind, engine_on, v)
+        if _stuck(leg):
+            return 0.0, d, t
+        h = min(duration - t, leg.end_time)
+        v = leg.end_speed if h == leg.end_time else leg.speed(h)
+        d += leg.distance(h)
+        t += h
+    return v, d, t
+
+
+class TestLegAgainstReferences:
+    """Chained exact legs against the midpoint stepper and the leg quadrature."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_leg_conditions())
+    @example((True, "wheel_power", 0.0, 6.0, True, 0.0, 8.0))  # crosses v = w upward
+    @example((True, "constant_electrical", 0.01, 5.0, False, 9.0, 8.0))  # down through v = w
+    @example((False, "constant_electrical", 0.0, 0.0, False, 1.0, 8.0))  # ends stuck
+    @example((True, "wheel_power", -0.02, 6.0, False, 0.5, 8.0))  # tailwind lifts from rest
+    def test_chain_matches_references(self, conditions):
+        signed, kind, slope, wind, engine_on, v0, duration = conditions
+        steps = round(duration / 1e-3)
+        duration = steps * 1e-3
+        params = VehicleParams(signed_drag=signed)
+        power = PowerModel(kind=kind)
+        v, d, moving = _chain(params, slope, wind, engine_on, v0, duration)
+        assert v >= 0.0 and d >= 0.0
+
+        track = TrackProfile((0.0, 1e6), (slope, slope), (50.0, 50.0))
+        steady = WindField((0.0,), (0.0,), ((wind,),))
+        state = RaceState(0.0, 1.0, v0, engine_on, 0, 0.0)
+        for _ in range(steps):
+            state = stepper.integrate(state, engine_on, 1e-3, track, steady, params, power)
+        # the reference chatters within about dt * c of rest instead of sticking
+        stuck = moving < duration
+        tol_v, tol_d = (1e-4, 1e-4) if stuck else (1e-6, 1e-5)
+        assert v == pytest.approx(state.speed, abs=tol_v)
+        assert d == pytest.approx(state.position - 1.0, abs=tol_d)
+        energy = engine_energy(duration, d, engine_on, power, params)
+        assert energy == pytest.approx(
+            state.energy, rel=1e-6, abs=params.mass * params.traction * tol_d
+        )
+
+        if abs(v - v0) > 1e-3:
+            frozen = FrozenDynamics(params, power, slope, wind, 0.0, 1.0, False)
+            t_ref, d_ref = leg_time_distance(frozen, engine_on, v0, v)
+            assert moving == pytest.approx(t_ref, rel=1e-8)
+            assert d == pytest.approx(d_ref, rel=1e-8)
 
 
 class TestModeStructure:
@@ -399,32 +487,24 @@ class TestModeStructure:
     @given(start=st.floats(min_value=0.5, max_value=16.0))
     def test_monotone_approach_to_equilibria(self, start):
         params = VehicleParams()
-        power = PowerModel()
-        track = TrackProfile.flat(1e6, 50.0)
-        wind = WindField.zero()
-        frozen = FrozenDynamics.from_conditions(params, power)
-        state = RaceState(0.0, 0.0, start, True, 0, 0.0)
-        speeds = [start]
-        for _ in range(200):
-            state = integrate(state, True, 0.05, track, wind, params, power)
-            speeds.append(state.speed)
+        frozen = FrozenDynamics.from_conditions(params, PowerModel())
+        on = Leg.start(params, 0.0, 0.0, True, start)
+        speeds = [on.speed(0.05 * k) for k in range(201)]
         assert all(b > a for a, b in zip(speeds, speeds[1:]))
         assert speeds[-1] < frozen.v_high
-        state = RaceState(0.0, 0.0, start, False, 0, 0.0)
-        speeds = [start]
-        for _ in range(200):
-            state = integrate(state, False, 0.05, track, wind, params, power)
-            speeds.append(state.speed)
+        off = Leg.start(params, 0.0, 0.0, False, start)
+        speeds = [off.speed(min(0.05 * k, off.end_time)) for k in range(201)]
         assert all(b <= a for a, b in zip(speeds, speeds[1:]))
         assert speeds[-1] >= frozen.v_low
 
-    def test_energy_is_nondecreasing_along_mixed_trajectory(
-        self, params, const_power, long_flat_track, zero_wind
-    ):
-        state = RaceState(0.0, 0.0, 0.0, True, 0, 0.0)
+    def test_energy_is_nondecreasing_along_mixed_trajectory(self, params, const_power):
+        speed, energy = 0.0, 0.0
         energies = [0.0]
-        for k in range(300):
-            on = (k // 50) % 2 == 0
-            state = integrate(state, on, 0.1, long_flat_track, zero_wind, params, const_power)
-            energies.append(state.energy)
+        for k in range(6):
+            on = k % 2 == 0
+            leg = Leg.start(params, 0.0, 0.0, on, speed)
+            energy += engine_energy(5.0, leg.distance(5.0), on, const_power, params)
+            speed = leg.speed(5.0)
+            energies.append(energy)
         assert all(b >= a for a, b in zip(energies, energies[1:]))
+        assert energies[-1] == pytest.approx(3 * 161.0 * 5.0, rel=1e-12)

@@ -89,6 +89,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="unknown keys"):
             load_scenario(scenario_dir)
 
+    def test_time_step_key_refused(self, short_scenario):
+        # legs are exact, so a controller file may no longer set dt_s
+        _, scenario_dir = short_scenario
+        data = json.loads((scenario_dir / "controller.json").read_text())
+        data["dt_s"] = 1e-3
+        (scenario_dir / "controller.json").write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="unknown keys"):
+            load_scenario(scenario_dir)
+
     def test_non_rectangular_wind(self, short_scenario):
         _, scenario_dir = short_scenario
         (scenario_dir / "wind.csv").write_text(

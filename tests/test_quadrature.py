@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+import stepper
 from ecodrive import (
     FrozenDynamics,
     InfeasibleSliceError,
@@ -20,7 +21,6 @@ from ecodrive import (
     covered_length,
     elapsed_time,
     energy_used,
-    integrate,
     period_stats,
 )
 from ecodrive.quadrature import adaptive_quadrature, leg_time_distance
@@ -234,7 +234,7 @@ class TestQuadratureVsIntegration:
         prev = state
         while (state.speed < v1) if rising else (state.speed > v1):
             prev = state
-            state = integrate(state, engine_on, 1e-3, track, wind, params, const_power)
+            state = stepper.integrate(state, engine_on, 1e-3, track, wind, params, const_power)
         frac = (v1 - prev.speed) / (state.speed - prev.speed)
         t_sim = prev.t + frac * (state.t - prev.t)
         d_sim = prev.position + frac * (state.position - prev.position)
