@@ -27,6 +27,8 @@ from .errors import (
 
 SPEED_ROOT_TOL = 1e-9
 SPEED_BRACKET_MAX = 100.0
+# a leg ending this close to its mode's rest speed only approaches it
+ENDPOINT_MATCH_TOL = 1e-9
 
 WHEEL_POWER = "wheel_power"
 CONSTANT_ELECTRICAL = "constant_electrical"
@@ -339,6 +341,39 @@ class FrozenDynamics:
             return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
         return np.full_like(x2, self.power.constant_watts)
 
+    def rest_speed(self, engine_on: bool) -> float | None:
+        """Root the mode's acceleration settles at: v_high, or v_low when it is a root."""
+        if engine_on:
+            return self.v_high
+        return self.v_low if self.v_low_is_root else None
+
+    def leg_time_distance(self, engine_on: bool, v0: float, v1: float) -> tuple[float, float]:
+        """Time and distance of the constant-mode leg from speed ``v0`` to ``v1``.
+
+        In closed form on each drag branch (see ``Leg``): under signed drag a
+        leg across the wind speed is split there.  The distance is ``w tau -
+        ln((b - A r1^2) / (b - A r0^2)) / (2A)``.  Both are inf when ``v1`` is
+        the mode's rest speed, which is only approached, or is never reached.
+        """
+        if v0 == v1:
+            return 0.0, 0.0
+        rest = self.rest_speed(engine_on)
+        if rest is not None and abs(v1 - rest) <= ENDPOINT_MATCH_TOL:
+            return math.inf, math.inf
+        p, w = self.params, self.wind_speed
+        if p.signed_drag and (v0 - w) * (v1 - w) < 0.0:
+            t0, d0 = self.leg_time_distance(engine_on, v0, w)
+            t1, d1 = self.leg_time_distance(engine_on, w, v1)
+            return t0 + t1, d0 + d1
+        # b_on or b_off, as in from_conditions
+        b = p.traction * engine_on - p.solid_friction - self.gravity_component
+        r0, r1 = v0 - w, v1 - w
+        A = -p.drag_coeff if p.signed_drag and r0 + r1 < 0.0 else p.drag_coeff
+        tau = _branch_time(b, A, r0, r1)
+        if math.isinf(tau):
+            return tau, tau
+        return tau, w * tau - math.log1p(A * (r0 - r1) * (r0 + r1) / (b - A * r0 * r0)) / (2.0 * A)
+
     @classmethod
     def from_conditions(
         cls,
@@ -398,6 +433,23 @@ def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float |
     return None
 
 
+def _branch_time(b: float, A: float, r0: float, r1: float) -> float:
+    """Time from r0 to r1 under ``r' = b - A r^2``; inf when r1 is behind or past a root."""
+    rate = b - A * r0 * r0
+    if rate == 0.0 or r1 == r0 or (r1 > r0) != (rate > 0.0):
+        return math.inf
+    k, sigma = math.sqrt(abs(b / A)), _sgn(b * A)
+    if sigma < 0.0:
+        return math.atan2(k * (r0 - r1), k * k + r0 * r1) / (A * k)
+    lo, hi = min(r0, r1), max(r0, r1)
+    if lo <= k <= hi or lo <= -k <= hi:  # k = 0 for b = 0
+        return math.inf
+    if sigma == 0.0:
+        return (1.0 / r1 - 1.0 / r0) / A
+    z = k * (r1 - r0) / (k * k - r0 * r1)
+    return math.atanh(z) / (A * k) if abs(z) < 1.0 else math.inf
+
+
 @dataclass(frozen=True)
 class Leg:
     """One constant-mode leg inside a slope/wind cell, in closed form.
@@ -446,29 +498,13 @@ class Leg:
             r_end = 0.0
         else:
             return leg
-        return replace(leg, end_speed=wind_speed + r_end, end_time=leg._time(r0, r_end))
-
-    def _time(self, r0: float, r1: float) -> float:
-        """Time from r0 to r1 on this branch; inf when r1 is behind or past a root."""
-        A, k = self.A, self.k
-        rate = self.b - A * r0 * r0
-        if rate == 0.0 or r1 == r0 or (r1 > r0) != (rate > 0.0):
-            return math.inf
-        if self.sigma < 0.0:
-            return math.atan2(k * (r0 - r1), k * k + r0 * r1) / (A * k)
-        lo, hi = min(r0, r1), max(r0, r1)
-        if lo <= k <= hi or lo <= -k <= hi:  # k = 0 for b = 0
-            return math.inf
-        if self.sigma == 0.0:
-            return (1.0 / r1 - 1.0 / r0) / A
-        z = k * (r1 - r0) / (k * k - r0 * r1)
-        return math.atanh(z) / (A * k) if abs(z) < 1.0 else math.inf
+        return replace(leg, end_speed=wind_speed + r_end, end_time=_branch_time(b, A, r0, r_end))
 
     def time_to(self, v1: float) -> float:
         """Time until the speed reaches ``v1`` on this leg, inf if it never does."""
         if (v1 - self.end_speed) * (self.end_speed - self.v0) > 0.0:
             return math.inf
-        return self._time(self.v0 - self.wind_speed, v1 - self.wind_speed)
+        return _branch_time(self.b, self.A, self.v0 - self.wind_speed, v1 - self.wind_speed)
 
     def _trig(self, tau: float) -> tuple[float, float]:
         """(cosh, sinh) or (cos, sin) of ``A k tau``."""

@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dynamics import FrozenDynamics
 from .errors import (
     ExpansionInapplicableError,
     InfeasibleCandidateError,
     InfeasibleTargetError,
+    NumericError,
 )
 from .quadrature import (
     SpeedSegment,
@@ -28,8 +30,7 @@ from .quadrature import (
     period_stats,
 )
 
-UPPER_LIMIT_MAX_ITER = 60
-# keep the dichotomy bracket strictly below the equilibrium
+# keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
 
 
@@ -78,9 +79,9 @@ class GridSpec:
     """Candidate lower speeds for the band search, as offsets below the target.
 
     The default offsets place four candidates 0.5 m/s apart below the target
-    average speed.  ``tol`` is the dichotomy tolerance on the achieved average
-    speed; ``fine_step`` enables the refinement stage on a +/- fine_halfwidth
-    window around the best coarse candidate.
+    average speed.  A band misses the target average speed by at most
+    ``0.01 tol``; ``fine_step`` enables the refinement stage on a +/-
+    fine_halfwidth window around the best coarse candidate.
     """
 
     lower_offsets: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
@@ -112,12 +113,14 @@ def upper_limit(
 ) -> tuple[float, float]:
     """Upper band limit realizing the target average speed above ``v_a``.
 
-    Found by dichotomy on the (monotone) period average.  When even a band
-    reaching almost the top equilibrium undershoots the target - possible
-    only when the equilibrium is attained in finite time - the band saturates
-    at the equilibrium and the balance is made up by dwelling there.  A
-    candidate whose legs would cross a root of either mode's acceleration
-    is infeasible.
+    Found as the bracketed root of the (monotone) period average minus the
+    target; a root that misses the target by more than ``0.01 tol`` raises.
+    When even a band reaching almost the top equilibrium undershoots the
+    target - possible only when the equilibrium is attained in finite time -
+    the band saturates at the equilibrium and the balance is made up by
+    dwelling there.  A candidate whose legs would cross a root of either
+    mode's acceleration, or that lies within rounding of the target, is
+    infeasible.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
@@ -134,32 +137,25 @@ def upper_limit(
             f"a mode acceleration changes sign between v_a={v_a:.6g} "
             f"and the top {v_b_max:.6g}"
         )
-    # split each leg at the target speed: the inner pieces do not depend on
-    # the trial upper limit, so the dichotomy only re-integrates short spans
-    t_up_fix, d_up_fix = leg_time_distance(frozen, True, v_a, v_target)
-    t_dn_fix, d_dn_fix = leg_time_distance(frozen, False, v_target, v_a)
-    t_fixed = t_up_fix + t_dn_fix
-    d_fixed = d_up_fix + d_dn_fix
 
-    def average(v_b: float) -> float:
-        t_up, d_up = leg_time_distance(frozen, True, v_target, v_b)
-        t_dn, d_dn = leg_time_distance(frozen, False, v_b, v_target)
-        return (d_fixed + d_up + d_dn) / (t_fixed + t_up + t_dn)
+    def miss(v_b: float) -> float:
+        t_up, d_up = leg_time_distance(frozen, True, v_a, v_b)
+        t_dn, d_dn = leg_time_distance(frozen, False, v_b, v_a)
+        return (d_up + d_dn) / (t_up + t_dn) - v_target
 
-    if average(v_b_max) < v_target:
+    if miss(v_b_max) < 0.0:
         return _saturated_limit(frozen, v_a, v_target)
-    lo, hi = v_target, v_b_max
-    mid = 0.5 * (lo + hi)
-    for _ in range(UPPER_LIMIT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        avg = average(mid)
-        if abs(avg - v_target) <= 0.01 * tol:
-            break
-        if avg < v_target:
-            lo = mid
-        else:
-            hi = mid
-    return mid, 0.0
+    if miss(v_target) >= 0.0:
+        # only rounding puts the band (v_a, target) on the target
+        raise InfeasibleCandidateError(
+            f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
+        )
+    v_b = brentq(miss, v_target, v_b_max)
+    if not abs(miss(v_b)) <= 0.01 * tol:
+        raise NumericError(
+            f"upper limit {v_b:.9g} misses the target {v_target:.6g} by more than {0.01 * tol:.3g}"
+        )
+    return v_b, 0.0
 
 
 def _saturated_limit(

@@ -1,13 +1,15 @@
 """Speed-reparametrized integrals for constant-mode maneuvers.
 
 Between two speeds with the engine held in one mode, elapsed time and
-covered distance are the integrals of 1/f and s/f over the speed interval,
-the two speed moments of 1/f, found together in one adaptive pass.  Consumed
-energy follows from them through the power model, whose draw is constant or
-proportional to speed.  Near an equilibrium speed f vanishes, so the
-integrals become improper; they are then evaluated by truncation with
-geometric tail extrapolation, and classified as infinite when the truncation
-increments do not decay.
+covered distance are the integrals of 1/f and s/f over the speed interval.
+On the model's own slice both come in closed form from the slice
+(``FrozenDynamics.leg_time_distance``), and consumed energy follows from them
+through the power model, whose draw is constant or proportional to speed.
+The adaptive Gauss-Kronrod loop here serves the whole-band moment integrals,
+the robustness series and slices with any other acceleration law.  Near an
+equilibrium speed f vanishes, so those integrals become improper; they are
+then evaluated by truncation with geometric tail extrapolation, and
+classified as infinite when the truncation increments do not decay.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import FrozenDynamics, engine_energy
+from .dynamics import ENDPOINT_MATCH_TOL, FrozenDynamics, engine_energy
 from .errors import InvalidSegmentError, NumericError
 
 REL_TOL = 1e-8
 ABS_FLOOR = 1e-12
 MAX_PANELS = 4096
-ENDPOINT_MATCH_TOL = 1e-9
 # truncation offset near a vanishing endpoint, as a fraction of the band width
 ENDPOINT_EPS_FRACTION = 1e-6
 # increment decay threshold separating convergent tails from divergent ones
@@ -256,12 +257,6 @@ def _mode_sign_uniform(frozen: FrozenDynamics, engine_on: bool) -> bool:
     return per_slice[engine_on]
 
 
-def _rest_speed(frozen: FrozenDynamics, engine_on: bool) -> float | None:
-    if engine_on:
-        return frozen.v_high
-    return frozen.v_low if frozen.v_low_is_root else None
-
-
 def mode_changes_sign(
     frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
 ) -> bool:
@@ -272,7 +267,7 @@ def mode_changes_sign(
     """
     if _mode_sign_uniform(frozen, engine_on):
         return False
-    eq = _rest_speed(frozen, engine_on)
+    eq = frozen.rest_speed(engine_on)
     margin = max(1e-9, 1e-4 * (hi - lo))
     xs = np.linspace(lo + margin, hi - margin, 65)
     if eq is not None:
@@ -281,41 +276,15 @@ def mode_changes_sign(
     return bool(np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)))
 
 
-def _drag_kink(frozen: FrozenDynamics, lo: float, hi: float) -> float | None:
-    """The wind speed, when signed drag puts a kink strictly inside (lo, hi).
-
-    ``r|r|`` jumps in its second derivative at r = 0, where the embedded
-    Gauss rule underestimates the error; legs are integrated on each side.
-    """
-    if frozen.params.signed_drag and lo < frozen.wind_speed < hi:
-        return frozen.wind_speed
-    return None
-
-
 def leg_time_distance(
-    frozen: FrozenDynamics,
-    engine_on: bool,
-    lo: float,
-    hi: float,
-    rel_tol: float = REL_TOL,
-    max_panels: int = MAX_PANELS,
+    frozen: FrozenDynamics, engine_on: bool, v0: float, v1: float
 ) -> tuple[float, float]:
-    """Time and distance of a constant-mode leg from speed ``lo`` to ``hi``.
+    """Time and distance of a constant-mode leg from speed ``v0`` to ``v1``.
 
-    The speed moments of 1/f in one adaptive pass per smooth piece.  The
-    mode acceleration must keep one sign from ``lo`` to ``hi``, neither of
-    them a rest speed.
+    The band search's one entry to the slice's own leg; a module function, so
+    that a caller can wrap it to count and time legs.
     """
-
-    def inverse(s: np.ndarray) -> np.ndarray:
-        return 1.0 / frozen.accel_grid(s, engine_on)
-
-    kink = _drag_kink(frozen, min(lo, hi), max(lo, hi))
-    if kink is None:
-        return speed_moments(inverse, lo, hi, rel_tol, max_panels=max_panels)
-    t0, d0 = speed_moments(inverse, lo, kink, rel_tol, max_panels=max_panels)
-    t1, d1 = speed_moments(inverse, kink, hi, rel_tol, max_panels=max_panels)
-    return t0 + t1, d0 + d1
+    return frozen.leg_time_distance(engine_on, v0, v1)
 
 
 @dataclass(frozen=True)
@@ -353,32 +322,12 @@ class SpeedSegment:
         """Duration and covered distance; infinite for an asymptotic approach."""
         if self.v0 == self.v1:
             return 0.0, 0.0
-        frozen, on = self.frozen, self.engine_on
         lo, hi = sorted((self.v0, self.v1))
-        if mode_changes_sign(frozen, on, lo, hi):
+        if mode_changes_sign(self.frozen, self.engine_on, lo, hi):
             raise InvalidSegmentError(
                 "mode acceleration changes sign strictly inside the segment"
             )
-        eq = _rest_speed(frozen, on)
-        singular = None
-        if eq is not None:
-            if abs(self.v1 - eq) <= ENDPOINT_MATCH_TOL:
-                singular = self.v1
-            elif abs(self.v0 - eq) <= ENDPOINT_MATCH_TOL:
-                singular = self.v0
-        if singular is None:
-            return leg_time_distance(frozen, on, self.v0, self.v1)
-        kink = _drag_kink(frozen, lo, hi)
-        if kink is not None:
-            t0, d0 = SpeedSegment(frozen, on, self.v0, kink).time_distance()
-            t1, d1 = SpeedSegment(frozen, on, kink, self.v1).time_distance()
-            return t0 + t1, d0 + d1
-        eps = ENDPOINT_EPS_FRACTION * (frozen.v_high - frozen.v_low)
-        sign = 1.0 if self.v1 >= self.v0 else -1.0
-        t, d = integrate_with_vanishing_endpoint(
-            lambda s: 1.0 / frozen.accel_grid(s, on), lo, hi, singular, eps
-        )
-        return sign * t, sign * d
+        return self.frozen.leg_time_distance(self.engine_on, self.v0, self.v1)
 
 
 def elapsed_time(segment: SpeedSegment) -> float:

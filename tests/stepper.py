@@ -91,8 +91,13 @@ def _midpoint_step(
     else:
         a1 = _accel_scalar(x2, engine_on, wind_speed, gravity_component, params)
     xm = x2 + 0.5 * h * a1
-    a2 = _accel_scalar(xm, engine_on, wind_speed, gravity_component, params)
-    x2_new = x2 + h * a2
+    if xm > 0.0:
+        a2 = _accel_scalar(xm, engine_on, wind_speed, gravity_component, params)
+        x2_new = x2 + h * a2
+    else:
+        # rest comes before the midpoint, where friction would push back:
+        # the crossing is found on the initial slope
+        x2_new = x2 + h * a1
     h_eff = h
     if x2_new < 0.0:
         # split at the downward zero crossing, then stick

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import oracles
+from quadrature_legs import GeneralLawSlice, bisection_upper_limit, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
     GridSpec,
     InfeasibleCandidateError,
+    InfeasibleSliceError,
     InfeasibleTargetError,
+    PowerModel,
     VehicleParams,
     asymptotic_average_cost,
     band_cost,
     optimal_band,
+    period_stats,
     upper_limit,
 )
 from ecodrive.errors import ExpansionInapplicableError
@@ -46,6 +53,58 @@ class TestUpperLimit:
             upper_limit(flat_slice, 7.5, 7.0)
         with pytest.raises(InfeasibleCandidateError):
             upper_limit(flat_slice, -1.0, 7.0)
+
+
+class TestUpperLimitOnRandomSlices:
+    """The bracketed root against the Gauss-Kronrod bisection and scipy's quad."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-6.0, max_value=6.0),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wheel=st.booleans(),
+        u_a=st.floats(min_value=0.02, max_value=0.98),
+        u_t=st.floats(min_value=0.02, max_value=0.98),
+    )
+    # engine off where gravity cancels friction: b_off = 0, the rational branch
+    @example(False, 0.0, -math.asin(0.03 / 9.81), False, 0.3, 0.5)
+    # signed drag: both legs cross the wind speed
+    @example(True, 4.0, 0.0, True, 0.1, 0.4)
+    def test_meets_target_and_matches_bisection(self, signed, wind, slope, wheel, u_a, u_t):
+        power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
+        try:
+            frozen = FrozenDynamics.from_conditions(
+                VehicleParams(signed_drag=signed), power, slope, wind
+            )
+        except InfeasibleSliceError:
+            assume(False)
+        tol = GridSpec().tol
+        v_a = frozen.v_low + u_a * (frozen.v_high - frozen.v_low)
+        v_target = v_a + u_t * (frozen.v_high - v_a)
+        try:
+            v_b, dwell = upper_limit(frozen, v_a, v_target, tol)
+        except InfeasibleCandidateError:
+            with pytest.raises(InfeasibleCandidateError):
+                bisection_upper_limit(frozen, v_a, v_target, tol)
+            return
+        assert dwell == 0.0
+        assert abs(period_stats(frozen, v_a, v_b).avg_speed - v_target) <= 0.01 * tol
+        assert v_b == pytest.approx(bisection_upper_limit(frozen, v_a, v_target, tol)[0], abs=tol)
+        for engine_on, v0, v1 in ((True, v_a, v_b), (False, v_b, v_a)):
+            kink = [frozen.wind_speed] if signed and v_a < frozen.wind_speed < v_b else None
+
+            def ref(weight):
+                value, _ = quad(
+                    lambda s: weight(s) / frozen.accel(s, engine_on),
+                    v_a, v_b, points=kink, epsabs=0.0, epsrel=1e-13, limit=200,
+                )
+                return value if engine_on else -value
+
+            # both lose digits to the blow-up of 1/f when v_b nears the top
+            t, d = frozen.leg_time_distance(engine_on, v0, v1)
+            assert t == pytest.approx(ref(lambda s: 1.0), rel=1e-10)
+            assert d == pytest.approx(ref(lambda s: s), rel=1e-10)
 
 
 class TestBandCost:
@@ -155,6 +214,20 @@ class TestOptimalBand:
         assert band.avg_cost == pytest.approx(157.3, abs=0.1)
         assert band.avg_speed == pytest.approx(2.5, abs=1e-4)
 
+    def test_fine_candidate_within_rounding_of_the_target_is_dropped(self):
+        # the fine window ends at the target, and its last grid point lands
+        # 2e-14 below it: a band of no width, whose average only rounding
+        # puts on either side of the target
+        params = VehicleParams(switch_cost=11.606590079166033, signed_drag=True)
+        frozen = FrozenDynamics.from_conditions(
+            params, PowerModel(kind="wheel_power"), -0.014367145702518992, -2.4915906971634723
+        )
+        target = 16.960964565912867
+        with pytest.raises(InfeasibleCandidateError, match="rounding"):
+            upper_limit(frozen, 16.960964565912846, target)
+        band = optimal_band(frozen, target, 21.587702851415912, GridSpec(fine_step=0.01))
+        assert band.avg_speed == pytest.approx(target, abs=1e-4)
+
     def test_grid_candidates_respect_window(self):
         grid = GridSpec()
         cands = grid.candidates(7.0, 0.0)
@@ -168,20 +241,7 @@ class TestOptimalBand:
 
 class TestSaturatedUpperLimit:
     def test_dwell_at_the_top(self, params, const_power):
-        class SqrtTopSlice(FrozenDynamics):
-            def accel(self, x2, engine_on):
-                if engine_on:
-                    rel = (10.0 - x2) / 10.0
-                    return 0.2 * math.copysign(math.sqrt(abs(rel)), rel)
-                return super().accel(x2, engine_on)
-
-            def accel_grid(self, x2, engine_on):
-                if engine_on:
-                    rel = (10.0 - np.asarray(x2)) / 10.0
-                    return 0.2 * np.sign(rel) * np.sqrt(np.abs(rel))
-                return super().accel_grid(x2, engine_on)
-
-        frozen = SqrtTopSlice(params, const_power, 0.0, 0.0, 0.0, 10.0, False)
+        frozen = sqrt_top_slice(params, const_power)
         v_b, dwell = upper_limit(frozen, 2.0, 9.7)
         assert v_b == pytest.approx(10.0)
         assert dwell > 0.0
@@ -210,7 +270,7 @@ class TestAsymptoticExpansion:
             asymptotic_average_cost(flat_slice, 7.0, -5.0)
 
     def test_divergent_moment_reported(self, params, const_power, flat_slice):
-        class DoubleRootSlice(FrozenDynamics):
+        class DoubleRootSlice(GeneralLawSlice):
             # f(.,1) with a double root at the top: (s - v)/f diverges
             def accel_grid(self, x2, engine_on):
                 if engine_on:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import oracles
 import stepper
+from quadrature_legs import GeneralLawSlice, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
     InfeasibleSliceError,
@@ -106,7 +107,7 @@ class TestSegments:
             SpeedSegment(flat_slice, True, 6.1, flat_slice.v_high + 1.0)
 
     def test_interior_sign_change_rejected(self, params, const_power, flat_slice):
-        class DippedSlice(FrozenDynamics):
+        class DippedSlice(GeneralLawSlice):
             # engine-on acceleration dips through zero in mid-band
             def accel_grid(self, x2, engine_on):
                 base = super().accel_grid(x2, engine_on)
@@ -282,31 +283,14 @@ class TestPeriodStats:
 class TestSaturatingSlice:
     """Dynamics reaching the top equilibrium in finite time (square-root root)."""
 
-    @staticmethod
-    def _slice(params, const_power):
-        class SqrtTopSlice(FrozenDynamics):
-            def accel(self, x2, engine_on):
-                if engine_on:
-                    rel = (10.0 - x2) / 10.0
-                    return 0.2 * math.copysign(math.sqrt(abs(rel)), rel)
-                return super().accel(x2, engine_on)
-
-            def accel_grid(self, x2, engine_on):
-                if engine_on:
-                    rel = (10.0 - np.asarray(x2)) / 10.0
-                    return 0.2 * np.sign(rel) * np.sqrt(np.abs(rel))
-                return super().accel_grid(x2, engine_on)
-
-        return SqrtTopSlice(params, const_power, 0.0, 0.0, 0.0, 10.0, False)
-
     def test_finite_time_to_top(self, params, const_power):
-        frozen = self._slice(params, const_power)
+        frozen = sqrt_top_slice(params, const_power)
         seg = SpeedSegment(frozen, True, 0.0, 10.0)
         # int_0^10 dx / (0.2 sqrt((10-x)/10)) = 2 * 10 / 0.2 = 100 s
         assert elapsed_time(seg) == pytest.approx(100.0, rel=1e-6)
 
     def test_dwell_balances_average(self, params, const_power):
-        frozen = self._slice(params, const_power)
+        frozen = sqrt_top_slice(params, const_power)
         stats = period_stats(frozen, 2.0, 10.0, dwell=30.0)
         up = SpeedSegment(frozen, True, 2.0, 10.0)
         down = SpeedSegment(frozen, False, 10.0, 2.0)
