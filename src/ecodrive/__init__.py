@@ -47,14 +47,7 @@ from .optimizer import (
     optimal_band,
     upper_limit,
 )
-from .quadrature import (
-    PeriodStats,
-    SpeedSegment,
-    covered_length,
-    elapsed_time,
-    energy_used,
-    period_stats,
-)
+from .quadrature import PeriodStats, SpeedSegment, period_stats
 from .robustness import (
     SpeedProfile,
     mean_speed,

@@ -347,6 +347,11 @@ class FrozenDynamics:
             return self.v_high
         return self.v_low if self.v_low_is_root else None
 
+    def _b(self, engine_on: bool) -> float:
+        """``b`` of the mode's law ``b - a D(v - w)`` on v > 0: b_on or b_off."""
+        p = self.params
+        return p.traction * engine_on - p.solid_friction - self.gravity_component
+
     def leg_time_distance(self, engine_on: bool, v0: float, v1: float) -> tuple[float, float]:
         """Time and distance of the constant-mode leg from speed ``v0`` to ``v1``.
 
@@ -365,14 +370,71 @@ class FrozenDynamics:
             t0, d0 = self.leg_time_distance(engine_on, v0, w)
             t1, d1 = self.leg_time_distance(engine_on, w, v1)
             return t0 + t1, d0 + d1
-        # b_on or b_off, as in from_conditions
-        b = p.traction * engine_on - p.solid_friction - self.gravity_component
+        b = self._b(engine_on)
         r0, r1 = v0 - w, v1 - w
         A = -p.drag_coeff if p.signed_drag and r0 + r1 < 0.0 else p.drag_coeff
         tau = _branch_time(b, A, r0, r1)
         if math.isinf(tau):
             return tau, tau
         return tau, w * tau - math.log1p(A * (r0 - r1) * (r0 + r1) / (b - A * r0 * r0)) / (2.0 * A)
+
+    def mode_changes_sign(self, engine_on: bool, lo: float, hi: float) -> bool:
+        """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
+
+        A root of ``b - a D(v - w)`` counts when it lies more than a small
+        margin inside the interval and away from the mode's own rest speed,
+        so a leg may start or end at that rest speed.
+        """
+        margin = max(1e-9, 1e-4 * (hi - lo))
+        rest = self.rest_speed(engine_on)
+        for v in _drag_roots(self._b(engine_on), self.wind_speed, self.params):
+            if lo + margin < v < hi - margin and (rest is None or abs(v - rest) > margin):
+                return True
+        return False
+
+    def moment_integrals(self) -> tuple[float, float, float]:
+        """Whole-band integrals of the switching-cost inequality and cost expansion.
+
+        Returns ``(excess_energy, up_moment, down_moment)`` over (v_low,
+        v_high): the integrals of (h - h*)/f_on and (s - v_high)/f_on, and
+        minus the integral of (s - v_low)/f_off, the engine-off leg running
+        from the top down to the rest speed.  ``h*`` is the engine-on draw at
+        v_high.  On a sticking slice the down moment is the coast leg's
+        distance.  Divergent integrals come back infinite.
+        """
+        up_moment = self._rest_moment(True, self.v_high)
+        # h - h* is 0 under constant power and m f1 (s - v_high) under wheel power
+        excess_energy = engine_energy(0.0, up_moment, True, self.power, self.params)
+        if self.v_low_is_root:
+            down_moment = -self._rest_moment(False, self.v_low)
+        else:
+            down_moment = self.leg_time_distance(False, self.v_high, self.v_low)[1]
+        return excess_energy, up_moment, down_moment
+
+    def _rest_moment(self, engine_on: bool, rest: float) -> float:
+        """Integral of ``(s - rest)/f`` over the band, ``rest`` a root of the mode's f.
+
+        On the drag branch of the rest speed ``v*``, ``f = A (r*^2 - r^2)``, so
+        ``(s - v*)/f = -1/(A (s + v* - 2w))`` integrates to a log; it diverges
+        when the other root, where ``s + v* - 2w`` vanishes, lies in the band.  Under
+        signed drag the band's piece across ``v = w`` is the exact leg's
+        ``d - v* t``, run in the mode's direction.
+        """
+        p, w = self.params, self.wind_speed
+        lo, hi = self.v_low, self.v_high
+        far = 0.0
+        if p.signed_drag and lo < w < hi:
+            if rest > w:
+                t, d = self.leg_time_distance(engine_on, lo, w)
+                far, lo = d - rest * t, w
+            else:
+                t, d = self.leg_time_distance(engine_on, hi, w)
+                far, hi = rest * t - d, w
+        A = -p.drag_coeff if p.signed_drag and rest < w else p.drag_coeff
+        u0, u1 = lo + rest - 2.0 * w, hi + rest - 2.0 * w
+        if u0 * u1 <= 0.0:
+            return math.inf
+        return far - math.log(u1 / u0) / A
 
     @classmethod
     def from_conditions(
@@ -392,7 +454,7 @@ class FrozenDynamics:
         gravity_component = params.gravity * math.sin(slope)
         b_off = -params.solid_friction - gravity_component
         v_high = _last_downcrossing(params.traction + b_off, wind_speed, params)
-        if v_high is None or v_high <= 0.0:
+        if v_high is None:
             raise InfeasibleSliceError(
                 "engine-on acceleration is nonpositive for all speeds: the "
                 "vehicle cannot move forward on this slice"
@@ -401,17 +463,15 @@ class FrozenDynamics:
             raise InfeasibleSliceError(
                 f"engine-on acceleration has no root below {SPEED_BRACKET_MAX} m/s"
             )
-        # evaluate the 0+ side of the friction sign
-        f_zero = _accel_scalar(1e-12, False, wind_speed, gravity_component, params)
         v_rest = _last_downcrossing(b_off, wind_speed, params)
-        if abs(f_zero) <= 1e-12:
-            v_low, is_root = 0.0, True
-        elif v_rest is not None and v_rest > 0.0:
+        if v_rest is not None:
             # also when friction wins at 0+ but a tailwind pushes coasting
             # up to a second rest speed above the sticking point
             v_low, is_root = v_rest, True
         else:
-            v_low, is_root = 0.0, False
+            # evaluate the 0+ side of the friction sign
+            f_zero = _accel_scalar(1e-12, False, wind_speed, gravity_component, params)
+            v_low, is_root = 0.0, abs(f_zero) <= 1e-12
         if v_low >= v_high - SPEED_ROOT_TOL:
             raise InfeasibleSliceError(
                 f"engine-off rest speed {v_low:.6g} does not lie below the "
@@ -420,17 +480,27 @@ class FrozenDynamics:
         return cls(params, power, slope, wind_speed, v_low, v_high, is_root)
 
 
-def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float | None:
-    """Largest speed where ``b - a D(v - w)`` falls through zero, if any.
+def _drag_roots(b: float, wind_speed: float, p: VehicleParams) -> list[float]:
+    """Speeds v > 0 where ``b - a D(v - w)`` crosses zero, in increasing order.
 
-    Signed drag ``D(r) = r|r|`` is increasing, so its single root always is
-    one; ``D(r) = r^2`` has the down-crossing ``w + sqrt(b/a)`` only for b > 0.
+    With ``k = sqrt(|b|/a)``: signed drag ``D(r) = r|r|`` is increasing, so
+    its single root ``w + sgn(b) k`` falls through zero; ``D(r) = r^2`` has
+    the up-crossing ``w - k`` and the down-crossing ``w + k`` only for b > 0.
     """
+    k = math.sqrt(abs(b) / p.drag_coeff)
     if p.signed_drag:
-        return wind_speed + math.copysign(math.sqrt(abs(b) / p.drag_coeff), b)
-    if b > 0.0:
-        return wind_speed + math.sqrt(b / p.drag_coeff)
-    return None
+        roots = [wind_speed + math.copysign(k, b)]
+    elif b > 0.0:
+        roots = [wind_speed - k, wind_speed + k]
+    else:
+        return []
+    return [v for v in roots if v > 0.0]
+
+
+def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float | None:
+    """Largest speed v > 0 where ``b - a D(v - w)`` falls through zero, if any."""
+    roots = _drag_roots(b, wind_speed, p)
+    return roots[-1] if roots else None
 
 
 def _branch_time(b: float, A: float, r0: float, r1: float) -> float:
@@ -596,12 +666,10 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
 
     Regularity (continuity, forward uniqueness) is checked by grid scans;
     the mode structure by sign scans around the cached equilibria; the
-    switching-cost inequality by improper quadrature; and the curvature of
-    the acceleration/consumption tradeoff F by second differences on a
-    uniform grid over the open band.
+    switching-cost inequality from the slice's moment integrals; and the
+    curvature of the acceleration/consumption tradeoff F by second
+    differences on a uniform grid over the open band.
     """
-    from . import quadrature  # deferred: quadrature depends on this module
-
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     items: list[AssumptionItem] = []
@@ -712,26 +780,20 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
 
     # -- switching cost small enough that oscillating beats full speed
     h_star = frozen.engine_power_at(v_hi)
-    try:
-        excess_energy, up_moment, down_moment = quadrature.moment_integrals(frozen)
-        lhs = frozen.params.switch_cost - excess_energy
-        rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            items.append(
-                AssumptionItem(
-                    "switching_cost_small",
-                    None,
-                    {"diagnostic": "divergent integral", "lhs": lhs, "rhs": rhs},
-                )
-            )
-        else:
-            items.append(
-                AssumptionItem("switching_cost_small", lhs < rhs, {"lhs": lhs, "rhs": rhs})
-            )
-    except NumericError as exc:
-        lhs = rhs = math.nan
+    excess_energy, up_moment, down_moment = frozen.moment_integrals()
+    lhs = frozen.params.switch_cost - excess_energy
+    rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
         items.append(
-            AssumptionItem("switching_cost_small", None, {"diagnostic": str(exc)})
+            AssumptionItem(
+                "switching_cost_small",
+                None,
+                {"diagnostic": "divergent integral", "lhs": lhs, "rhs": rhs},
+            )
+        )
+    else:
+        items.append(
+            AssumptionItem("switching_cost_small", lhs < rhs, {"lhs": lhs, "rhs": rhs})
         )
 
     # -- strict curvature of F = h(x,1) f(x,0) / (f(x,1) - f(x,0))

@@ -22,13 +22,7 @@ from .errors import (
     InfeasibleTargetError,
     NumericError,
 )
-from .quadrature import (
-    SpeedSegment,
-    leg_time_distance,
-    mode_changes_sign,
-    moment_integrals,
-    period_stats,
-)
+from .quadrature import SpeedSegment, leg_time_distance, period_stats
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
@@ -132,7 +126,7 @@ def upper_limit(
         raise InfeasibleCandidateError(
             f"target {v_target:.6g} leaves no room below v_high {frozen.v_high:.6g}"
         )
-    if any(mode_changes_sign(frozen, on, v_a, v_b_max) for on in (True, False)):
+    if any(frozen.mode_changes_sign(on, v_a, v_b_max) for on in (True, False)):
         raise InfeasibleCandidateError(
             f"a mode acceleration changes sign between v_a={v_a:.6g} "
             f"and the top {v_b_max:.6g}"
@@ -250,7 +244,8 @@ def optimal_band(
         center = best.lower
         lo = max(center - grid.fine_halfwidth, frozen.v_low + 1e-9)
         hi = min(center + grid.fine_halfwidth, v_target - 1e-9)
-        for cand in np.arange(lo, hi + 0.5 * grid.fine_step, grid.fine_step):
+        cands = np.arange(lo, hi + 0.5 * grid.fine_step, grid.fine_step)
+        for cand in cands[cands <= hi]:
             consider(float(cand))
 
     if best.upper > v_safe:
@@ -290,7 +285,7 @@ def asymptotic_average_cost(frozen: FrozenDynamics, v_target: float, t2: float) 
         raise ValueError("t2 must be strictly positive")
     v_lo, v_hi = frozen.v_low, frozen.v_high
     h_star = frozen.engine_power_at(v_hi)
-    excess_energy, up_moment, down_moment = moment_integrals(frozen)
+    excess_energy, up_moment, down_moment = frozen.moment_integrals()
     pieces = (excess_energy, up_moment, down_moment)
     if not all(math.isfinite(p) for p in pieces):
         raise ExpansionInapplicableError(

@@ -5,18 +5,14 @@ covered distance are the integrals of 1/f and s/f over the speed interval.
 On the model's own slice both come in closed form from the slice
 (``FrozenDynamics.leg_time_distance``), and consumed energy follows from them
 through the power model, whose draw is constant or proportional to speed.
-The adaptive Gauss-Kronrod loop here serves the whole-band moment integrals,
-the robustness series and slices with any other acceleration law.  Near an
-equilibrium speed f vanishes, so those integrals become improper; they are
-then evaluated by truncation with geometric tail extrapolation, and
-classified as infinite when the truncation increments do not decay.
+The adaptive Gauss-Kronrod loop here returns both speed moments of any
+continuous integrand on a closed interval; it serves the robustness series.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,10 +24,6 @@ from .errors import InvalidSegmentError, NumericError
 REL_TOL = 1e-8
 ABS_FLOOR = 1e-12
 MAX_PANELS = 4096
-# truncation offset near a vanishing endpoint, as a fraction of the band width
-ENDPOINT_EPS_FRACTION = 1e-6
-# increment decay threshold separating convergent tails from divergent ones
-DIVERGENCE_RATIO = 0.9
 
 # Kronrod-15 abscissae on [0, 1] side (symmetric) with embedded Gauss-7 rule.
 _KRONROD_X = np.array(
@@ -151,131 +143,6 @@ def adaptive_quadrature(
     return speed_moments(fn, lo, hi, rel_tol, abs_floor, max_panels)[0]
 
 
-def integrate_with_vanishing_endpoint(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    singular_at: float,
-    eps: float,
-    rel_tol: float = REL_TOL,
-) -> tuple[float, float]:
-    """Improper speed moments with the integrand blowing up (or 0/0) at one endpoint.
-
-    The domain is truncated ``eps`` short of the singular endpoint and the
-    last stretch is probed at the geometric offsets eps, eps/2, eps/4.  Each
-    moment is classified on its own: when its successive increments fail to
-    decay by ``DIVERGENCE_RATIO`` it is divergent and comes back as
-    ``math.inf`` with the sign of the tail; otherwise the remaining tail is
-    extrapolated as a geometric series.
-    """
-    if lo >= hi:
-        raise ValueError("bounds must satisfy lo < hi")
-    if singular_at not in (lo, hi):
-        raise ValueError("singular endpoint must be one of the bounds")
-    # narrow intervals still get the full truncation treatment at their scale
-    eps = min(eps, 0.25 * (hi - lo))
-    if singular_at == hi:
-        p1, p2, p3 = hi - eps, hi - eps / 2.0, hi - eps / 4.0
-        body = speed_moments(fn, lo, p1, rel_tol)
-        d1 = speed_moments(fn, p1, p2, rel_tol)
-        d2 = speed_moments(fn, p2, p3, rel_tol)
-    else:
-        p1, p2, p3 = lo + eps, lo + eps / 2.0, lo + eps / 4.0
-        body = speed_moments(fn, p1, hi, rel_tol)
-        d1 = speed_moments(fn, p2, p1, rel_tol)
-        d2 = speed_moments(fn, p3, p2, rel_tol)
-    m0, m1 = (_with_tail(*parts) for parts in zip(body, d1, d2))
-    return m0, m1
-
-
-def _with_tail(body: float, d1: float, d2: float) -> float:
-    scale = max(abs(body), abs(d1), 1.0)
-    if abs(d1) <= ABS_FLOOR * scale and abs(d2) <= ABS_FLOOR * scale:
-        return body + d1 + d2
-    if abs(d2) >= DIVERGENCE_RATIO * abs(d1):
-        return math.copysign(math.inf, d2)
-    ratio = d2 / d1
-    tail = d2 * ratio / (1.0 - ratio)
-    return body + d1 + d2 + tail
-
-
-def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
-    """Whole-band integrals of the switching-cost inequality and cost expansion.
-
-    Returns ``(excess_energy, up_moment, down_moment)`` over (v_low, v_high):
-    the integrals of (h - h*)/f_on and (s - v_high)/f_on, and minus the
-    integral of (s - v_low)/f_off, the engine-off leg running from the top
-    down to the rest speed.  ``h*`` is the engine-on draw at v_high.
-    Divergent integrals come back infinite.
-    """
-    v_lo, v_hi = frozen.v_low, frozen.v_high
-    eps = ENDPOINT_EPS_FRACTION * (v_hi - v_lo)
-    up_moment = integrate_with_vanishing_endpoint(
-        lambda s: (s - v_hi) / frozen.accel_grid(s, True),
-        v_lo,
-        v_hi,
-        singular_at=v_hi,
-        eps=eps,
-    )[0]
-    # h - h* is 0 under constant power and m f1 (s - v_high) under wheel power
-    excess_energy = engine_energy(0.0, up_moment, True, frozen.power, frozen.params)
-    if frozen.v_low_is_root:
-        down_moment = -integrate_with_vanishing_endpoint(
-            lambda s: (s - v_lo) / frozen.accel_grid(s, False),
-            v_lo,
-            v_hi,
-            singular_at=v_lo,
-            eps=eps,
-        )[0]
-    else:
-        down_moment = -adaptive_quadrature(
-            lambda s: (s - v_lo) / frozen.accel_grid(s, False), v_lo, v_hi
-        )
-    return excess_energy, up_moment, down_moment
-
-
-# per-slice memo of the whole-band sign-uniformity scan, keyed by mode;
-# a valid whole band makes every sub-segment check O(1)
-_slice_sign_cache: weakref.WeakKeyDictionary[FrozenDynamics, dict[bool, bool]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _mode_sign_uniform(frozen: FrozenDynamics, engine_on: bool) -> bool:
-    per_slice = _slice_sign_cache.setdefault(frozen, {})
-    if engine_on not in per_slice:
-        margin = 1e-6 * (frozen.v_high - frozen.v_low)
-        xs = np.linspace(frozen.v_low + margin, frozen.v_high - margin, 1024)
-        if not frozen.v_low_is_root:
-            xs = xs[xs > 1e-9]  # stay on the 0+ side of the friction jump
-        vals = frozen.accel_grid(xs, engine_on)
-        per_slice[engine_on] = bool(
-            np.all(np.isfinite(vals))
-            and not np.any(vals == 0.0)
-            and not (np.any(vals > 0.0) and np.any(vals < 0.0))
-        )
-    return per_slice[engine_on]
-
-
-def mode_changes_sign(
-    frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
-) -> bool:
-    """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
-
-    Speeds within a small margin of the ends and of the mode's own rest
-    speed are not probed, so a leg may start or end at that rest speed.
-    """
-    if _mode_sign_uniform(frozen, engine_on):
-        return False
-    eq = frozen.rest_speed(engine_on)
-    margin = max(1e-9, 1e-4 * (hi - lo))
-    xs = np.linspace(lo + margin, hi - margin, 65)
-    if eq is not None:
-        xs = xs[np.abs(xs - eq) > margin]
-    vals = frozen.accel_grid(xs, engine_on)
-    return bool(np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)))
-
-
 def leg_time_distance(
     frozen: FrozenDynamics, engine_on: bool, v0: float, v1: float
 ) -> tuple[float, float]:
@@ -323,29 +190,11 @@ class SpeedSegment:
         if self.v0 == self.v1:
             return 0.0, 0.0
         lo, hi = sorted((self.v0, self.v1))
-        if mode_changes_sign(self.frozen, self.engine_on, lo, hi):
+        if self.frozen.mode_changes_sign(self.engine_on, lo, hi):
             raise InvalidSegmentError(
                 "mode acceleration changes sign strictly inside the segment"
             )
         return self.frozen.leg_time_distance(self.engine_on, self.v0, self.v1)
-
-
-def elapsed_time(segment: SpeedSegment) -> float:
-    """Duration of the maneuver; ``math.inf`` for an asymptotic approach."""
-    return segment.time_distance()[0]
-
-
-def covered_length(segment: SpeedSegment) -> float:
-    """Distance covered during the maneuver."""
-    return segment.time_distance()[1]
-
-
-def energy_used(segment: SpeedSegment) -> float:
-    """Energy drawn during the maneuver; identically zero with the engine off."""
-    if not segment.engine_on:
-        return 0.0
-    frozen = segment.frozen
-    return engine_energy(*segment.time_distance(), True, frozen.power, frozen.params)
 
 
 @dataclass(frozen=True)

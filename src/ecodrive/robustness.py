@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .dynamics import FrozenDynamics
 from .errors import DivergenceRiskError, InvalidProfileError
 from .quadrature import adaptive_quadrature, speed_moments
 
@@ -29,7 +28,7 @@ class SpeedProfile:
 
     Identified dynamics usually arrive as samples; those are interpolated
     with a monotone cubic so the profile stays free of spurious wiggles.
-    Closed-form profiles wrap the callable directly.
+    Closed-form profiles pass the callable to the constructor.
     """
 
     lo: float
@@ -44,10 +43,6 @@ class SpeedProfile:
         return self.fn(np.asarray(s, dtype=float))
 
     @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> SpeedProfile:
-        return cls(lo, hi, fn)
-
-    @classmethod
     def from_samples(cls, speeds, values) -> SpeedProfile:
         speeds = np.asarray(speeds, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -57,12 +52,6 @@ class SpeedProfile:
             raise InvalidProfileError("sample speeds must be strictly increasing")
         interp = PchipInterpolator(speeds, values, extrapolate=False)
         return cls(float(speeds[0]), float(speeds[-1]), interp)
-
-    @classmethod
-    def from_acceleration(
-        cls, frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
-    ) -> SpeedProfile:
-        return cls(lo, hi, lambda s: frozen.accel_grid(s, engine_on))
 
     def scaled(self, factor: float) -> SpeedProfile:
         fn = self.fn

@@ -11,6 +11,7 @@ import numpy as np
 
 import oracles
 import stepper
+from segments import acceleration_profile, covered_length, elapsed_time, energy_used
 from ecodrive import (
     GridSpec,
     RaceState,
@@ -20,9 +21,6 @@ from ecodrive import (
     WindField,
     asymptotic_average_cost,
     check_assumptions,
-    covered_length,
-    elapsed_time,
-    energy_used,
     mean_speed,
     min_switch_interval,
     optimal_band,
@@ -159,7 +157,7 @@ def test_criterion_05_first_order_variations(flat_slice):
 
 
 def test_criterion_06_proportional_invariance(flat_slice):
-    g = SpeedProfile.from_acceleration(flat_slice, True, 6.1, 7.94)
+    g = acceleration_profile(flat_slice, True, 6.1, 7.94)
     residuals = {eps: proportional_invariance_check(g, eps) for eps in (-0.5, -0.1, 0.3, 0.9)}
     ok = all(r <= 1e-10 for r in residuals.values())
     _report(
@@ -170,7 +168,7 @@ def test_criterion_06_proportional_invariance(flat_slice):
 
 
 def test_criterion_07_series_convergence(flat_slice):
-    g = SpeedProfile.from_acceleration(flat_slice, True, 6.1, 7.94)
+    g = acceleration_profile(flat_slice, True, 6.1, 7.94)
     # nonproportional perturbation with sup |dg/g| = 0.3 at the upper end
     dg = SpeedProfile(6.1, 7.94, lambda s: 0.3 * g(s) * ((s - 6.1) / 1.84) ** 2)
     direct = mean_speed(g.plus(dg)) - mean_speed(g)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -10,7 +10,10 @@ import oracles
 import quadrature_legs
 import stepper
 from ecodrive import (
+    CONSTANT_ELECTRICAL,
+    WHEEL_POWER,
     DomainError,
+    ExpansionInapplicableError,
     FrozenDynamics,
     InfeasibleSliceError,
     Leg,
@@ -21,6 +24,7 @@ from ecodrive import (
     TrackProfile,
     VehicleParams,
     WindField,
+    asymptotic_average_cost,
     check_assumptions,
     engine_power,
     freeze,
@@ -197,17 +201,19 @@ def reference_rest_speeds(params, slope: float, wind_speed: float) -> tuple[floa
     if bracket is None:
         raise InfeasibleSliceError("no engine-on equilibrium")
     v_high = _bisect_down(f_on, *bracket)
-    if abs(f_off(eps)) <= 1e-12:
-        v_low, is_root = 0.0, True
+    bracket = _scan_last_downcrossing(f_off, eps, SPEED_BRACKET_MAX)
+    if bracket is not None:
+        v_low, is_root = _bisect_down(f_off, *bracket), True
     else:
-        bracket = _scan_last_downcrossing(f_off, eps, SPEED_BRACKET_MAX)
-        if bracket is None:
-            v_low, is_root = 0.0, False
-        else:
-            v_low, is_root = _bisect_down(f_off, *bracket), True
+        v_low, is_root = 0.0, abs(f_off(eps)) <= 1e-12
     if v_low >= v_high - SPEED_ROOT_TOL:
         raise InfeasibleSliceError("engine-off rest speed not below the equilibrium")
     return v_low, v_high, is_root
+
+
+# (slope, wind) of an unsigned-drag slice whose engine-off acceleration
+# b_off - a (v - w)^2 has the roots 0 and 2w: b_off = 0.005 = a w^2
+REST_AT_ZERO_AND_2W = (math.asin(-0.035 / 9.81), math.sqrt(0.005 / 6e-4))
 
 
 class TestFreeze:
@@ -264,6 +270,19 @@ class TestFreeze:
         assert band.is_coast
         assert band.upper == 5.0
 
+    def test_rest_speed_above_a_zero_at_rest_wins(self, params, const_power):
+        # unsigned drag with a w^2 = b_off: the engine-off acceleration
+        # vanishes at 0+, is positive up to 2w and settles there
+        frozen = FrozenDynamics.from_conditions(params, const_power, *REST_AT_ZERO_AND_2W)
+        wind = REST_AT_ZERO_AND_2W[1]
+        assert frozen.accel(1.0, False) > 0.0
+        assert frozen.v_low_is_root
+        assert frozen.v_low == pytest.approx(2.0 * wind, abs=1e-9)
+        report = check_assumptions(frozen)
+        assert report.passed
+        assert report.inequality_lhs == 10.0
+        assert report.inequality_rhs == pytest.approx(13087.217137, rel=1e-9)
+
     @settings(max_examples=150, deadline=None)
     @given(
         signed=st.booleans(),
@@ -274,6 +293,9 @@ class TestFreeze:
     # rare under random draws: a second engine-off rest speed above the wind
     @example(signed=False, wind=4.0, slope=-0.0036, traction=0.2)
     @example(signed=False, wind=12.0, slope=-0.01, traction=0.3)
+    @example(
+        signed=False, wind=REST_AT_ZERO_AND_2W[1], slope=REST_AT_ZERO_AND_2W[0], traction=0.2
+    )
     def test_closed_form_matches_scan_reference(self, signed, wind, slope, traction):
         params = VehicleParams(traction=traction, signed_drag=signed)
         try:
@@ -300,7 +322,7 @@ class TestCheckAssumptions:
         assert report.inequality_lhs == pytest.approx(10.0, abs=1e-6)
         up, down = oracles.expansion_moments()
         assert report.inequality_rhs == pytest.approx(
-            (161.0 / oracles.V_TOP) * (up + down), rel=1e-6
+            (161.0 / oracles.V_TOP) * (up + down), rel=1e-9
         )
 
     def test_concavity_matches_closed_form(self, flat_slice):
@@ -322,6 +344,93 @@ class TestCheckAssumptions:
             params, const_power, 0.0, 0.0, flat_slice.v_low, flat_slice.v_high, False
         )
         assert check_assumptions(slice_).convexity_verdict == "neither"
+
+
+def _model_slice(signed, wind, slope, traction, wheel):
+    power = PowerModel(kind=WHEEL_POWER if wheel else CONSTANT_ELECTRICAL)
+    try:
+        return FrozenDynamics.from_conditions(
+            VehicleParams(traction=traction, signed_drag=signed), power, slope, wind
+        )
+    except InfeasibleSliceError:
+        assume(False)
+
+
+_SLICES = dict(
+    signed=st.booleans(),
+    wind=st.floats(min_value=-12.0, max_value=12.0),
+    slope=st.floats(min_value=-0.04, max_value=0.04),
+    traction=st.floats(min_value=0.05, max_value=0.5),
+    wheel=st.booleans(),
+)
+# a climb into a tailwind: the engine-on acceleration is negative below the
+# up-crossing w - k = 1.83 m/s, inside the band (0, 14.17) of a sticking slice
+INTERIOR_ROOT = dict(signed=False, wind=8.0, slope=0.015, traction=0.2, wheel=False)
+# signed drag with bands across the wind speed: a sticking slice, and one
+# whose engine-off rest speed lies below the wind speed
+SIGNED_ACROSS_WIND = dict(signed=True, wind=4.6, slope=0.014, traction=0.2, wheel=True)
+SIGNED_REST_BELOW_WIND = dict(signed=True, wind=8.0, slope=0.0, traction=0.2, wheel=False)
+REST_SPEED_SLICE = dict(
+    signed=False,
+    wind=REST_AT_ZERO_AND_2W[1],
+    slope=REST_AT_ZERO_AND_2W[0],
+    traction=0.2,
+    wheel=False,
+)
+
+
+class TestClosedFormSlice:
+    """Sign changes and moment integrals in closed form, against the numerical references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_SLICES)
+    @example(**SIGNED_ACROSS_WIND)
+    @example(**SIGNED_REST_BELOW_WIND)
+    @example(**INTERIOR_ROOT)
+    @example(**REST_SPEED_SLICE)
+    def test_moments_match_quadrature(self, signed, wind, slope, traction, wheel):
+        frozen = _model_slice(signed, wind, slope, traction, wheel)
+        closed = frozen.moment_integrals()
+        try:
+            ref = quadrature_legs.moment_integrals(frozen)
+        except NumericError:  # a node lands on a root of f inside the band
+            ref = None
+        if not math.isfinite(closed[1]):
+            assert ref is None or not math.isfinite(ref[1])
+            return
+        assert ref is not None
+        for got, want in zip(closed, ref):
+            assert got == pytest.approx(want, rel=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        **_SLICES,
+        engine_on=st.booleans(),
+        u0=st.floats(min_value=0.0, max_value=1.0),
+        u1=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(**INTERIOR_ROOT, engine_on=True, u0=0.0, u1=0.5)
+    @example(**SIGNED_ACROSS_WIND, engine_on=True, u0=0.1, u1=0.9)
+    @example(**REST_SPEED_SLICE, engine_on=False, u0=0.0, u1=1.0)
+    def test_sign_test_matches_scan(self, signed, wind, slope, traction, wheel, engine_on, u0, u1):
+        frozen = _model_slice(signed, wind, slope, traction, wheel)
+        width = frozen.v_high - frozen.v_low
+        lo, hi = sorted((frozen.v_low + u0 * width, frozen.v_low + u1 * width))
+        assume(hi - lo > 1e-3 * width)
+        assert frozen.mode_changes_sign(engine_on, lo, hi) == (
+            quadrature_legs.scan_mode_changes_sign(frozen, engine_on, lo, hi)
+        )
+
+    def test_interior_engine_on_root_diverges(self, params, const_power):
+        frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
+        assert frozen.mode_changes_sign(True, 1.0, 3.0)
+        assert not frozen.mode_changes_sign(True, 2.0, 3.0)
+        assert math.isinf(frozen.moment_integrals()[1])
+        item = check_assumptions(frozen).item("switching_cost_small")
+        assert item.passed is None
+        assert item.witness["diagnostic"] == "divergent integral"
+        with pytest.raises(ExpansionInapplicableError):
+            asymptotic_average_cost(frozen, 5.0, 400.0)
 
 
 class TestIntegrate:

@@ -23,6 +23,7 @@ from ecodrive import (
     upper_limit,
 )
 from ecodrive.errors import ExpansionInapplicableError
+from ecodrive import optimizer
 from ecodrive.optimizer import safety_band
 
 
@@ -214,7 +215,7 @@ class TestOptimalBand:
         assert band.avg_cost == pytest.approx(157.3, abs=0.1)
         assert band.avg_speed == pytest.approx(2.5, abs=1e-4)
 
-    def test_fine_candidate_within_rounding_of_the_target_is_dropped(self):
+    def test_fine_candidate_within_rounding_of_the_target_is_dropped(self, monkeypatch):
         # the fine window ends at the target, and its last grid point lands
         # 2e-14 below it: a band of no width, whose average only rounding
         # puts on either side of the target
@@ -225,8 +226,18 @@ class TestOptimalBand:
         target = 16.960964565912867
         with pytest.raises(InfeasibleCandidateError, match="rounding"):
             upper_limit(frozen, 16.960964565912846, target)
+        lowers = []
+
+        def recording_band_cost(frozen, v_a, v_target, tol):
+            lowers.append(v_a)
+            return band_cost(frozen, v_a, v_target, tol)
+
+        # the fine grid is clipped to the window: no candidate reaches the target
+        monkeypatch.setattr(optimizer, "band_cost", recording_band_cost)
         band = optimal_band(frozen, target, 21.587702851415912, GridSpec(fine_step=0.01))
         assert band.avg_speed == pytest.approx(target, abs=1e-4)
+        assert len(lowers) > 50
+        assert all(v_a < target - 1e-9 for v_a in lowers)
 
     def test_grid_candidates_respect_window(self):
         grid = GridSpec()
@@ -260,7 +271,7 @@ class TestAsymptoticExpansion:
     def test_matches_closed_form_moments(self, flat_slice):
         for t2 in (200.0, 400.0, 800.0):
             assert asymptotic_average_cost(flat_slice, 7.0, t2) == pytest.approx(
-                oracles.expansion(7.0, t2), rel=1e-6
+                oracles.expansion(7.0, t2), rel=1e-9
             )
 
     def test_preconditions(self, flat_slice):

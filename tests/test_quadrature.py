@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import oracles
 import stepper
+from segments import covered_length, elapsed_time, energy_used
 from quadrature_legs import GeneralLawSlice, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
@@ -19,9 +20,6 @@ from ecodrive import (
     TrackProfile,
     VehicleParams,
     WindField,
-    covered_length,
-    elapsed_time,
-    energy_used,
     period_stats,
 )
 from ecodrive.quadrature import adaptive_quadrature, leg_time_distance

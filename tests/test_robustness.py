@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from segments import acceleration_profile, covered_length, elapsed_time
 from ecodrive import (
     DivergenceRiskError,
     FrozenDynamics,
@@ -12,8 +13,6 @@ from ecodrive import (
     SpeedProfile,
     SpeedSegment,
     VehicleParams,
-    covered_length,
-    elapsed_time,
     mean_speed,
     perturbation_series,
     proportional_invariance_check,
@@ -25,7 +24,7 @@ from ecodrive.quadrature import adaptive_quadrature
 @pytest.fixture(scope="module")
 def accel_profile():
     frozen = FrozenDynamics.from_conditions(VehicleParams(), PowerModel())
-    return SpeedProfile.from_acceleration(frozen, True, 6.1, 7.94)
+    return acceleration_profile(frozen, True, 6.1, 7.94)
 
 
 def _quadratic_bump(g, magnitude):
@@ -36,7 +35,7 @@ def _quadratic_bump(g, magnitude):
 
 class TestMeanSpeed:
     def test_constant_profile_gives_the_midpoint(self):
-        g = SpeedProfile.from_callable(lambda s: np.full_like(s, 2.5), 6.1, 7.94)
+        g = SpeedProfile(6.1, 7.94, lambda s: np.full_like(s, 2.5))
         assert mean_speed(g) == pytest.approx(0.5 * (6.1 + 7.94), rel=1e-10)
 
     def test_acceleration_profile_matches_segment_ratio(self, accel_profile, flat_slice):
@@ -55,11 +54,11 @@ class TestMeanSpeed:
     @given(factor=st.floats(min_value=0.05, max_value=20.0))
     def test_scale_invariance_property(self, factor):
         frozen = FrozenDynamics.from_conditions(VehicleParams(), PowerModel())
-        g = SpeedProfile.from_acceleration(frozen, True, 6.1, 7.94)
+        g = acceleration_profile(frozen, True, 6.1, 7.94)
         assert abs(mean_speed(g.scaled(factor)) - mean_speed(g)) <= 1e-10
 
     def test_vanishing_profile_rejected(self):
-        g = SpeedProfile.from_callable(lambda s: s - 7.0, 6.1, 7.94)
+        g = SpeedProfile(6.1, 7.94, lambda s: s - 7.0)
         with pytest.raises(InvalidProfileError):
             mean_speed(g)
 
@@ -88,7 +87,7 @@ class TestProportionalInvariance:
 
 class TestPerturbationSeries:
     def test_zero_perturbation(self, accel_profile):
-        dg = SpeedProfile.from_callable(lambda s: np.zeros_like(s), 6.1, 7.94)
+        dg = SpeedProfile(6.1, 7.94, lambda s: np.zeros_like(s))
         assert perturbation_series(accel_profile, dg) == pytest.approx(0.0, abs=1e-12)
 
     def test_proportional_perturbation_gives_zero_every_depth(self, accel_profile):
@@ -122,7 +121,7 @@ class TestPerturbationSeries:
             perturbation_series(accel_profile, dg)
 
     def test_mismatched_bands_rejected(self, accel_profile):
-        dg = SpeedProfile.from_callable(lambda s: 0.1 * np.ones_like(s), 6.0, 7.94)
+        dg = SpeedProfile(6.0, 7.94, lambda s: 0.1 * np.ones_like(s))
         with pytest.raises(InvalidProfileError):
             perturbation_series(accel_profile, dg)
 
