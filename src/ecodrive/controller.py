@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .dynamics import (
     Leg,
     PowerModel,
@@ -25,6 +23,7 @@ from .dynamics import (
     WindField,
     engine_energy,
     freeze,
+    increasing_root,
 )
 from .errors import EcodriveError, InfeasibleSliceError, ScenarioError
 # band_from_limits stays importable from here: perfbench/spans.py wraps it
@@ -338,6 +337,8 @@ def _next_event(
     band edge speed ``edge``, the position ``s_stop`` and, when a ``safety``
     track is given, its safety speed.  Speed and position events land
     exactly on their value, so the switching tests at the new state see them.
+    The position and safety-speed events are guarded Newton roots in the
+    leg's time; the safety speed is linear in position inside the leg's cell.
     """
     tau, t_new, speed = t_stop - t, t_stop, None
     for v_event, tau_event in ((leg.end_speed, leg.end_time), (edge, leg.time_to(edge))):
@@ -345,16 +346,19 @@ def _next_event(
             tau, t_new, speed = tau_event, t + tau_event, v_event
     x_new = x1 + leg.distance(tau)
     if x_new >= s_stop:
-        tau = brentq(lambda h: x1 + leg.distance(h) - s_stop, 0.0, tau)
+        tau = increasing_root(lambda h: (x1 + leg.distance(h) - s_stop, leg.speed(h)), 0.0, tau, tau)
         t_new, x_new, speed = t + tau, s_stop, None
     if safety is not None:
+        gradient = (safety.safe_speed_at(s_stop) - safety.safe_speed_at(x1)) / (s_stop - x1)
 
-        def above(h: float) -> float:
-            return leg.speed(h) - safety.safe_speed_at(min(x1 + leg.distance(h), s_stop))
+        def above(h: float) -> tuple[float, float]:
+            v = leg.speed(h)
+            accel = leg.b - leg.A * (v - leg.wind_speed) ** 2
+            return v - safety.safe_speed_at(min(x1 + leg.distance(h), s_stop)), accel - gradient * v
 
-        if above(tau) >= 0.0:
+        if above(tau)[0] >= 0.0:
             # a start within rounding of the safety speed crosses it at once
-            tau = brentq(above, 0.0, tau) if above(0.0) < 0.0 else 0.0
+            tau = increasing_root(above, 0.0, tau, tau) if above(0.0)[0] < 0.0 else 0.0
             t_new, x_new = t + tau, min(x1 + leg.distance(tau), s_stop)
             speed = safety.safe_speed_at(x_new)
     return t_new, x_new, leg.speed(tau) if speed is None else speed

@@ -15,6 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -501,6 +502,38 @@ def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float |
     """Largest speed v > 0 where ``b - a D(v - w)`` falls through zero, if any."""
     roots = _drag_roots(b, wind_speed, p)
     return roots[-1] if roots else None
+
+
+def increasing_root(
+    fn: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float
+) -> float:
+    """Root of an increasing ``fn`` in [lo, hi], by Newton's method with a bisection guard.
+
+    ``fn(x)`` returns the value and the slope at x; ``x`` clipped into the
+    bracket is the first iterate.  An end is evaluated only when a step would
+    leave through it, and is returned when its value puts the root beyond it.
+    A step out through an evaluated end bisects.  Stops on brentq's default
+    tolerance: a step shorter than ``2e-12 + 4 eps |x|``.
+    """
+    fresh = {lo, hi}  # the ends not evaluated yet
+    x = min(max(x, lo), hi)
+    for _ in range(100):
+        value, slope = fn(x)
+        if math.isnan(value):
+            raise NumericError(f"root function is NaN at {x!r}")
+        if value == 0.0 or x in fresh and (value > 0.0 if x == lo else value < 0.0):
+            return x
+        fresh.discard(x)
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        # a flat or falling slope says only on which side the root lies
+        x_new = x - value / slope if slope > 0.0 else math.copysign(math.inf, -value)
+        if not lo < x_new < hi:
+            end = lo if x_new <= lo else hi
+            x_new = end if end in fresh else 0.5 * (lo + hi)
+        if x_new not in fresh and abs(x_new - x) <= 2e-12 + 8.9e-16 * abs(x_new):
+            return x_new
+        x = x_new
+    raise NumericError(f"no root after 100 iterations in [{lo!r}, {hi!r}]")
 
 
 def _branch_time(b: float, A: float, r0: float, r1: float) -> float:

@@ -13,16 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dynamics import FrozenDynamics
+from .dynamics import FrozenDynamics, increasing_root
 from .errors import (
     ExpansionInapplicableError,
     InfeasibleCandidateError,
     InfeasibleTargetError,
     NumericError,
 )
-from .quadrature import SpeedSegment, leg_time_distance, period_stats
+from .quadrature import leg_time_distance, period_stats
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
@@ -107,8 +106,10 @@ def upper_limit(
 ) -> tuple[float, float]:
     """Upper band limit realizing the target average speed above ``v_a``.
 
-    Found as the bracketed root of the (monotone) period average minus the
-    target; a root that misses the target by more than ``0.01 tol`` raises.
+    Newton's method on the exact slope of the period average in the upper
+    limit, ``(v_b - avg)(1/f_on(v_b) - 1/f_off(v_b))/T``, finds where the
+    average meets the target inside [target, top], from ``2 target - v_a``;
+    a root that misses the target by more than ``0.01 tol`` raises.
     When even a band reaching almost the top equilibrium undershoots the
     target - possible only when the equilibrium is attained in finite time -
     the band saturates at the equilibrium and the balance is made up by
@@ -132,20 +133,25 @@ def upper_limit(
             f"and the top {v_b_max:.6g}"
         )
 
-    def miss(v_b: float) -> float:
+    def miss(v_b: float) -> tuple[float, float]:
         t_up, d_up = leg_time_distance(frozen, True, v_a, v_b)
         t_dn, d_dn = leg_time_distance(frozen, False, v_b, v_a)
-        return (d_up + d_dn) / (t_up + t_dn) - v_target
+        t = t_up + t_dn
+        avg = (d_up + d_dn) / t
+        # the legs gain 1/|f| in time and v_b/|f| in distance at the moving end
+        rate = 1.0 / frozen.accel(v_b, True) - 1.0 / frozen.accel(v_b, False)
+        return avg - v_target, (v_b - avg) * rate / t
 
-    if miss(v_b_max) < 0.0:
-        return _saturated_limit(frozen, v_a, v_target)
-    if miss(v_target) >= 0.0:
+    v_b = increasing_root(miss, v_target, v_b_max, 2.0 * v_target - v_a)
+    if v_b == v_target:
         # only rounding puts the band (v_a, target) on the target
         raise InfeasibleCandidateError(
             f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
         )
-    v_b = brentq(miss, v_target, v_b_max)
-    if not abs(miss(v_b)) <= 0.01 * tol:
+    missed = miss(v_b)[0]
+    if v_b == v_b_max and missed < 0.0:
+        return _saturated_limit(frozen, v_a, v_target)
+    if not abs(missed) <= 0.01 * tol:
         raise NumericError(
             f"upper limit {v_b:.9g} misses the target {v_target:.6g} by more than {0.01 * tol:.3g}"
         )
@@ -155,16 +161,13 @@ def upper_limit(
 def _saturated_limit(
     frozen: FrozenDynamics, v_a: float, v_target: float
 ) -> tuple[float, float]:
-    t_up, d_up = SpeedSegment(frozen, True, v_a, frozen.v_high).time_distance()
-    t_down, d_down = SpeedSegment(frozen, False, frozen.v_high, v_a).time_distance()
-    t_osc = t_up + t_down
-    d_osc = d_up + d_down
-    if not (math.isfinite(t_osc) and math.isfinite(d_osc)):
+    cycle = period_stats(frozen, v_a, frozen.v_high)
+    if not (math.isfinite(cycle.duration) and math.isfinite(cycle.distance)):
         raise InfeasibleCandidateError(
             f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "
             "the top equilibrium is only approached asymptotically"
         )
-    dwell = (v_target * t_osc - d_osc) / (frozen.v_high - v_target)
+    dwell = (v_target * cycle.duration - cycle.distance) / (frozen.v_high - v_target)
     return frozen.v_high, max(dwell, 0.0)
 
 

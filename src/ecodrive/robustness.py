@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DivergenceRiskError, InvalidProfileError
 from .quadrature import adaptive_quadrature, speed_moments
@@ -50,6 +49,7 @@ class SpeedProfile:
             raise InvalidProfileError("need two equal-length 1-d sample arrays")
         if np.any(np.diff(speeds) <= 0.0):
             raise InvalidProfileError("sample speeds must be strictly increasing")
+        from scipy.interpolate import PchipInterpolator  # the package's one use of scipy
         interp = PchipInterpolator(speeds, values, extrapolate=False)
         return cls(float(speeds[0]), float(speeds[-1]), interp)
 

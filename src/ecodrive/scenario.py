@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .controller import ControllerConfig, RaceResult
@@ -24,18 +24,8 @@ from .dynamics import (
 from .errors import ScenarioError
 from .optimizer import GridSpec
 
-PARAM_KEYS = {
-    "a",
-    "c",
-    "g",
-    "f1",
-    "m",
-    "alpha",
-    "power_model",
-    "constant_watts",
-    "signed_drag",
-}
 REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
+PARAM_KEYS = REQUIRED_PARAM_KEYS | {"power_model", "constant_watts", "signed_drag"}
 CONTROLLER_KEYS = {
     "duration_s",
     "replan_interval_s",
@@ -64,13 +54,8 @@ class Scenario:
     controller: ControllerConfig
 
     def content_equal(self, other: Scenario) -> bool:
-        return (
-            self.params == other.params
-            and self.power == other.power
-            and self.track == other.track
-            and self.wind == other.wind
-            and self.controller == other.controller
-        )
+        """Equal in everything but the name."""
+        return replace(self, name=other.name) == other
 
 
 def _load_json(path: Path, allowed: set[str], required: set[str]) -> dict:

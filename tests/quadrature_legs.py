@@ -159,7 +159,14 @@ def scan_mode_changes_sign(
 
 
 class GeneralLawSlice(FrozenDynamics):
-    """A slice whose subclasses override the acceleration law: every answer by numerics."""
+    """A slice whose subclasses override the acceleration law: every answer by numerics.
+
+    Subclasses override ``accel_grid``; the scalar ``accel``, which gives the
+    band search its slope, follows from it.
+    """
+
+    def accel(self, x2, engine_on):
+        return float(self.accel_grid(np.asarray(x2, dtype=float), engine_on))
 
     def leg_time_distance(self, engine_on, v0, v1):
         return leg_time_distance(self, engine_on, v0, v1)
@@ -173,12 +180,6 @@ class GeneralLawSlice(FrozenDynamics):
 
 class SqrtTopSlice(GeneralLawSlice):
     """Engine-on acceleration with a square-root root: the top is reached in finite time."""
-
-    def accel(self, x2, engine_on):
-        if engine_on:
-            rel = (10.0 - x2) / 10.0
-            return 0.2 * math.copysign(math.sqrt(abs(rel)), rel)
-        return super().accel(x2, engine_on)
 
     def accel_grid(self, x2, engine_on):
         if engine_on:

@@ -1,14 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ecodrive import (
     ControllerConfig,
+    FrozenDynamics,
+    InfeasibleSliceError,
     InfeasibleTargetError,
+    Leg,
     OscillationBand,
+    PowerModel,
     RaceState,
     ScenarioError,
     TrackProfile,
@@ -26,6 +30,19 @@ from ecodrive.controller import (
     FLAG_STALLED,
     FLAG_UNREACHABLE,
 )
+
+
+def _bisect(value, lo: float, hi: float) -> float:
+    """Root of ``value``, negative at lo and not at hi, by halving down to adjacent floats."""
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _band(lower, upper):
@@ -304,3 +321,68 @@ class TestFullRaces:
 
     def test_min_switch_interval_on_the_flat_race(self, flat_race):
         assert min_switch_interval(flat_race) >= 1.0
+
+class TestNextEvent:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        signed=st.booleans(),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wind=st.floats(min_value=-4.0, max_value=4.0),
+        engine_on=st.booleans(),
+        v0=st.floats(min_value=0.5, max_value=12.0),
+        frac=st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_finish_line_lands_on_its_position(self, signed, slope, wind, engine_on, v0, frac):
+        leg = Leg.start(VehicleParams(signed_drag=signed), slope, wind, engine_on, v0)
+        horizon = min(leg.end_time, 60.0)
+        t, x1 = 5.0, 123.0
+        s_stop = x1 + leg.distance(frac * horizon)
+        assume(s_stop > x1)
+        # an edge at the start speed is never ahead
+        t_new, x_new, speed = controller._next_event(
+            leg, t, x1, leg.v0, t + horizon, s_stop, None
+        )
+        assert x_new == s_stop
+        assert abs(x1 + leg.distance(t_new - t) - s_stop) <= 1e-9
+        assert speed == pytest.approx(leg.speed(t_new - t), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        slope=st.floats(min_value=-0.02, max_value=0.01),
+        wind=st.floats(min_value=-3.0, max_value=3.0),
+        frac=st.floats(min_value=0.05, max_value=0.9),
+        gap=st.floats(min_value=0.05, max_value=3.0),
+        drop=st.floats(min_value=0.5, max_value=8.0),
+        length=st.floats(min_value=20.0, max_value=500.0),
+    )
+    def test_crossing_of_a_falling_safety_speed(self, slope, wind, frac, gap, drop, length):
+        params = VehicleParams()
+        try:
+            frozen = FrozenDynamics.from_conditions(params, PowerModel(), slope, wind)
+        except InfeasibleSliceError:
+            assume(False)
+        # engine on below the top equilibrium: the speed rises, the safety speed falls
+        v0 = max(frozen.v_low, 0.5) + frac * (frozen.v_high - max(frozen.v_low, 0.5))
+        v_start, v_end = v0 + gap, max(v0 + gap - drop, 0.2)
+        track = TrackProfile(
+            (0.0, length, length + 100.0), (slope,) * 3, (v_start, v_end, v_end)
+        )
+        leg = Leg.start(params, slope, wind, True, v0)
+        t, x1, t_stop = 2.0, 0.0, 200.0
+        horizon = t_stop - t
+        if x1 + leg.distance(horizon) >= length:
+            horizon = _bisect(lambda h: x1 + leg.distance(h) - length, 0.0, horizon)
+
+        def above(h):
+            return leg.speed(h) - track.safe_speed_at(min(x1 + leg.distance(h), length))
+
+        assume(above(horizon) >= 0.0)
+        tau_ref = _bisect(above, 0.0, horizon)
+        t_new, x_new, speed = controller._next_event(
+            leg, t, x1, leg.v0, t_stop, length, track
+        )
+        tau = t_new - t
+        assert tau == pytest.approx(tau_ref, abs=1e-9)
+        assert speed == track.safe_speed_at(x_new)
+        assert abs(leg.speed(tau) - track.safe_speed_at(x_new)) <= 1e-9
+        assert x_new == pytest.approx(x1 + leg.distance(tau), abs=1e-12)

@@ -30,7 +30,12 @@ from ecodrive import (
     freeze,
     optimal_band,
 )
-from ecodrive.dynamics import SPEED_BRACKET_MAX, SPEED_ROOT_TOL, engine_energy
+from ecodrive.dynamics import (
+    SPEED_BRACKET_MAX,
+    SPEED_ROOT_TOL,
+    engine_energy,
+    increasing_root,
+)
 
 
 class TestVehicleParams:
@@ -636,3 +641,93 @@ class TestModeStructure:
             energies.append(energy)
         assert all(b >= a for a, b in zip(energies, energies[1:]))
         assert energies[-1] == pytest.approx(3 * 161.0 * 5.0, rel=1e-12)
+
+
+def _bisection_root(value, lo: float, hi: float) -> float:
+    """Root of an increasing ``value`` by halving [lo, hi] down to adjacent floats."""
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestIncreasingRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(min_value=0.01, max_value=10.0),
+        b=st.floats(min_value=0.0, max_value=5.0),
+        c=st.floats(min_value=0.0, max_value=10.0),
+        shift=st.floats(min_value=-50.0, max_value=50.0),
+        lo=st.floats(min_value=-6.0, max_value=6.0),
+        width=st.floats(min_value=1e-6, max_value=12.0),
+        start=st.floats(min_value=-20.0, max_value=20.0),
+    )
+    # a start below the bracket and the root above it: both ends evaluated
+    @example(1.0, 0.0, 0.0, 3.0, 0.0, 1.0, -5.0)
+    # a start above the bracket and the root below it
+    @example(1.0, 1.0, 1.0, -30.0, 0.0, 2.0, 9.0)
+    def test_matches_bisection(self, a, b, c, shift, lo, width, start):
+        hi = lo + width
+
+        def value(x):
+            return a * x + b * x**3 + c * math.tanh(x) - shift
+
+        def fn(x):
+            return value(x), a + 3.0 * b * x * x + c / math.cosh(x) ** 2
+
+        calls = []
+
+        def recording(x):
+            calls.append(x)
+            return fn(x)
+
+        root = _bisection_root(value, -(abs(shift) / a + 1.0), abs(shift) / a + 1.0)
+        x = increasing_root(recording, lo, hi, start)
+        # the root, or the end of the bracket nearest to it
+        assert lo <= x <= hi
+        assert x == pytest.approx(min(max(root, lo), hi), abs=1e-9 * (1.0 + abs(root)))
+        if x in (lo, hi) and not lo < root < hi:
+            assert x in calls
+        # an end is evaluated only as the clipped start or where a Newton
+        # step from the previous iterate would leave through it
+        for k, end in enumerate(calls):
+            if end not in (lo, hi) or k == 0:
+                continue
+            v, slope = fn(calls[k - 1])
+            step = calls[k - 1] - v / slope
+            assert step <= lo if end == lo else step >= hi
+        if not lo <= start <= hi:
+            assert calls[0] == (lo if start < lo else hi)
+
+    def test_newton_inside_the_bracket_never_evaluates_an_end(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x**3 + x - 1.0, 3.0 * x * x + 1.0
+
+        x = increasing_root(fn, 0.0, 2.0, 1.0)
+        assert x == pytest.approx(0.6823278038280193, abs=1e-15)
+        assert 0.0 not in calls and 2.0 not in calls
+        assert len(calls) <= 6
+
+    def test_end_beyond_which_the_root_lies_is_returned(self):
+        assert increasing_root(lambda x: (x - 3.0, 1.0), 0.0, 1.0, 0.5) == 1.0
+        assert increasing_root(lambda x: (x + 3.0, 1.0), 0.0, 1.0, 0.5) == 0.0
+        assert increasing_root(lambda x: (x - 1.0, 1.0), 0.0, 1.0, 5.0) == 1.0
+
+    def test_flat_slope_bisects(self):
+        x = increasing_root(lambda x: (math.copysign(1.0, x - 0.3), 0.0), 0.0, 1.0, 0.5)
+        assert x == pytest.approx(0.3, abs=1e-11)
+
+    def test_iteration_cap(self):
+        # bisection would need about 106 halvings to reach the tolerance
+        with pytest.raises(NumericError, match="100 iterations"):
+            increasing_root(lambda x: (x - 1e-3, 0.0), -1e20, 1e20, 0.0)
+        with pytest.raises(NumericError, match="NaN"):
+            increasing_root(lambda x: (math.nan, 1.0), 0.0, 1.0, 0.5)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ecodrive
 from ecodrive import ScenarioError, TrackProfile, WindField, run_race
 from ecodrive import fixtures as fixture_lib
 from ecodrive.harness import main
@@ -329,3 +331,38 @@ class TestCli:
         assert rc == 0
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert float(values["residual_mps"]) < 1e-6
+
+
+# runs in a fresh interpreter: the race and slice commands, then a sampled profile
+_START_UP_PROBE = """
+import json, sys
+import ecodrive
+from ecodrive.harness import main
+scenario, out = sys.argv[1], sys.argv[2]
+params = scenario + "/params.json"
+assert main(["simulate", "--scenario", scenario, "--out", out]) == 0
+assert main(["optimize", "--params", params, "--target", "7", "--fine"]) == 0
+assert main(["check-assumptions", "--params", params, "--slope", "0.002"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+profile = ecodrive.SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
+print(json.dumps({"scipy": loaded, "value": float(profile(7.5))}))
+"""
+
+
+class TestStartUp:
+    def test_races_and_slice_commands_load_no_scipy(self, tmp_path):
+        scenario_dir = tmp_path / "flat16500"
+        write_scenario(fixture_lib.flat16500(), scenario_dir)
+        src = Path(ecodrive.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_UP_PROBE, str(scenario_dir), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["scipy"] == []
+        # the monotone cubic through the samples still interpolates them
+        assert 0.05 < probe["value"] < 0.08
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 48

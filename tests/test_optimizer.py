@@ -25,6 +25,7 @@ from ecodrive import (
 from ecodrive.errors import ExpansionInapplicableError
 from ecodrive import optimizer
 from ecodrive.optimizer import safety_band
+from ecodrive.quadrature import leg_time_distance
 
 
 class TestUpperLimit:
@@ -48,6 +49,21 @@ class TestUpperLimit:
         for v_a in (4.5, 5.5, 6.5):
             v_b, _ = upper_limit(flat_slice, v_a, 7.0)
             assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-4)
+
+    @pytest.mark.parametrize("v_a", [6.1, 5.0, 6.999])
+    def test_newton_budget(self, flat_slice, monkeypatch, v_a):
+        # Newton on the exact slope, then the post-check: at most 6 period
+        # averages of two legs each
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return leg_time_distance(*args)
+
+        monkeypatch.setattr(optimizer, "leg_time_distance", counting)
+        v_b, _ = upper_limit(flat_slice, v_a, 7.0)
+        assert len(calls) <= 12
+        assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-6)
 
     def test_preconditions(self, flat_slice):
         with pytest.raises(InfeasibleCandidateError):
