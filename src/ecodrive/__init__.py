@@ -44,10 +44,9 @@ from .optimizer import (
     OscillationBand,
     asymptotic_average_cost,
     band_cost,
+    band_from_limits,
     optimal_band,
-    upper_limit,
 )
-from .quadrature import PeriodStats, SpeedSegment, period_stats
 from .robustness import (
     SpeedProfile,
     mean_speed,

@@ -24,6 +24,7 @@ from .dynamics import (
     engine_energy,
     freeze,
     increasing_root,
+    require_positive,
 )
 from .errors import EcodriveError, InfeasibleSliceError, ScenarioError
 # band_from_limits stays importable from here: perfbench/spans.py wraps it
@@ -57,18 +58,13 @@ class ControllerConfig:
     trace_interval: float = 0.5             # s between dense trace rows
 
     def __post_init__(self) -> None:
-        if self.race_length < 0.0:
-            raise ValueError("race_length must be nonnegative")
-        for name in (
-            "race_duration",
-            "replan_interval",
-            "safety_margin",
-            "trace_interval",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.hard_stop_factor < 1.0:
-            raise ValueError("hard_stop_factor must be at least 1")
+        if not 0.0 <= self.race_length < math.inf:
+            raise ValueError("race_length must be finite and nonnegative")
+        require_positive(
+            self, "race_duration", "replan_interval", "safety_margin", "trace_interval"
+        )
+        if not 1.0 <= self.hard_stop_factor < math.inf:
+            raise ValueError("hard_stop_factor must be finite and at least 1")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,13 @@ WHEEL_POWER = "wheel_power"
 CONSTANT_ELECTRICAL = "constant_electrical"
 
 
+def require_positive(obj: object, *names: str) -> None:
+    """Raise ``ValueError`` unless each named attribute of ``obj`` is finite and > 0."""
+    for name in names:
+        if not 0.0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical constants of the longitudinal model plus the switching cost.
@@ -53,9 +60,9 @@ class VehicleParams:
     signed_drag: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("drag_coeff", "solid_friction", "gravity", "traction", "mass", "switch_cost"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        require_positive(
+            self, "drag_coeff", "solid_friction", "gravity", "traction", "mass", "switch_cost"
+        )
         if self.traction <= self.solid_friction:
             raise ValueError(
                 "traction must exceed solid friction or the vehicle cannot "
@@ -81,8 +88,7 @@ class PowerModel:
     def __post_init__(self) -> None:
         if self.kind not in (WHEEL_POWER, CONSTANT_ELECTRICAL):
             raise ValueError(f"unknown power model kind: {self.kind!r}")
-        if self.constant_watts <= 0.0:
-            raise ValueError("constant_watts must be strictly positive")
+        require_positive(self, "constant_watts")
 
 
 def engine_power(
@@ -273,6 +279,15 @@ def read_csv_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[float
     return rows
 
 
+def mode_b(params: VehicleParams, gravity_component: float, engine_on: bool) -> float:
+    """``b`` of the mode's law ``b - a D(v - w)`` on v > 0.
+
+    ``b_on = f1 - c - g sin(theta)`` and ``b_off = -c - g sin(theta)``, with
+    ``gravity_component = g sin(theta)``.
+    """
+    return params.traction * engine_on - params.solid_friction - gravity_component
+
+
 def _sgn(x: float) -> float:
     if x > 0.0:
         return 1.0
@@ -348,11 +363,6 @@ class FrozenDynamics:
             return self.v_high
         return self.v_low if self.v_low_is_root else None
 
-    def _b(self, engine_on: bool) -> float:
-        """``b`` of the mode's law ``b - a D(v - w)`` on v > 0: b_on or b_off."""
-        p = self.params
-        return p.traction * engine_on - p.solid_friction - self.gravity_component
-
     def leg_time_distance(self, engine_on: bool, v0: float, v1: float) -> tuple[float, float]:
         """Time and distance of the constant-mode leg from speed ``v0`` to ``v1``.
 
@@ -371,7 +381,7 @@ class FrozenDynamics:
             t0, d0 = self.leg_time_distance(engine_on, v0, w)
             t1, d1 = self.leg_time_distance(engine_on, w, v1)
             return t0 + t1, d0 + d1
-        b = self._b(engine_on)
+        b = mode_b(p, self.gravity_component, engine_on)
         r0, r1 = v0 - w, v1 - w
         A = -p.drag_coeff if p.signed_drag and r0 + r1 < 0.0 else p.drag_coeff
         tau = _branch_time(b, A, r0, r1)
@@ -388,7 +398,8 @@ class FrozenDynamics:
         """
         margin = max(1e-9, 1e-4 * (hi - lo))
         rest = self.rest_speed(engine_on)
-        for v in _drag_roots(self._b(engine_on), self.wind_speed, self.params):
+        b = mode_b(self.params, self.gravity_component, engine_on)
+        for v in _drag_roots(b, self.wind_speed, self.params):
             if lo + margin < v < hi - margin and (rest is None or abs(v - rest) > margin):
                 return True
         return False
@@ -447,14 +458,13 @@ class FrozenDynamics:
     ) -> FrozenDynamics:
         """Slice at fixed slope and wind, with both rest speeds in closed form.
 
-        On v > 0 each mode's acceleration is ``b - a D(v - w)``: ``b_on = f1 -
-        c - g sin(theta)``, ``b_off = -c - g sin(theta)``.  Each rest speed is
-        the last down-crossing of that acceleration.  Coasting falls back to
-        the sticking point 0 when it has no down-crossing on v > 0.
+        On v > 0 each mode's acceleration is ``b - a D(v - w)`` with ``b`` from
+        ``mode_b``.  Each rest speed is the last down-crossing of that
+        acceleration.  Coasting falls back to the sticking point 0 when it has
+        no down-crossing on v > 0.
         """
         gravity_component = params.gravity * math.sin(slope)
-        b_off = -params.solid_friction - gravity_component
-        v_high = _last_downcrossing(params.traction + b_off, wind_speed, params)
+        v_high = _last_downcrossing(mode_b(params, gravity_component, True), wind_speed, params)
         if v_high is None:
             raise InfeasibleSliceError(
                 "engine-on acceleration is nonpositive for all speeds: the "
@@ -464,7 +474,7 @@ class FrozenDynamics:
             raise InfeasibleSliceError(
                 f"engine-on acceleration has no root below {SPEED_BRACKET_MAX} m/s"
             )
-        v_rest = _last_downcrossing(b_off, wind_speed, params)
+        v_rest = _last_downcrossing(mode_b(params, gravity_component, False), wind_speed, params)
         if v_rest is not None:
             # also when friction wins at 0+ but a tailwind pushes coasting
             # up to a second rest speed above the sticking point
@@ -584,8 +594,7 @@ class Leg:
         """The leg from speed ``v0 >= 0`` at fixed slope and wind."""
         if not math.isfinite(v0):
             raise NumericError(f"leg cannot start from speed {v0}")
-        # b_on or b_off, as in from_conditions
-        b = params.traction * engine_on - params.solid_friction - params.gravity * math.sin(slope)
+        b = mode_b(params, params.gravity * math.sin(slope), engine_on)
         r0 = max(v0, 0.0) - wind_speed
         v0 = r0 + wind_speed  # a speed below the resolution of r is rest
         A = params.drag_coeff

@@ -14,14 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FrozenDynamics, increasing_root
+from .dynamics import (
+    ENDPOINT_MATCH_TOL,
+    FrozenDynamics,
+    engine_energy,
+    increasing_root,
+    require_positive,
+)
 from .errors import (
     ExpansionInapplicableError,
     InfeasibleCandidateError,
     InfeasibleTargetError,
+    InvalidSegmentError,
     NumericError,
 )
-from .quadrature import leg_time_distance, period_stats
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
@@ -85,12 +91,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.lower_offsets:
             raise ValueError("lower_offsets must be nonempty")
-        if any(o <= 0.0 for o in self.lower_offsets):
-            raise ValueError("lower_offsets must be strictly positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be strictly positive")
-        if self.fine_step is not None and self.fine_step <= 0.0:
-            raise ValueError("fine_step must be strictly positive")
+        if not all(0.0 < o < math.inf for o in self.lower_offsets):
+            raise ValueError("lower_offsets must be finite and strictly positive")
+        require_positive(self, "tol", "fine_halfwidth")
+        if self.fine_step is not None:
+            require_positive(self, "fine_step")
 
     def candidates(self, v_target: float, v_low: float) -> list[float]:
         cands = sorted(v_target - o for o in self.lower_offsets)
@@ -101,21 +106,74 @@ class GridSpec:
         return cands
 
 
-def upper_limit(
-    frozen: FrozenDynamics, v_a: float, v_target: float, tol: float = 1e-4
+def leg_time_distance(
+    frozen: FrozenDynamics, engine_on: bool, v0: float, v1: float
 ) -> tuple[float, float]:
-    """Upper band limit realizing the target average speed above ``v_a``.
+    """Time and distance of a constant-mode leg from speed ``v0`` to ``v1``.
+
+    The band search's one entry to the slice's own leg; a module function, so
+    that a caller can wrap it to count and time legs.
+    """
+    return frozen.leg_time_distance(engine_on, v0, v1)
+
+
+def band_from_limits(
+    frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float = 0.0
+) -> OscillationBand:
+    """One period oscillating between v_a and v_b: up leg, dwell at the top, down leg.
+
+    The engine turns on once per period, so the switching cost is charged
+    once.  A dwell is only meaningful at the engine-on equilibrium, where the
+    speed can be held without changing mode.  Neither mode's acceleration may
+    change sign strictly inside the band.
+    """
+    if not frozen.v_low < v_a < v_b <= frozen.v_high + ENDPOINT_MATCH_TOL:
+        raise InvalidSegmentError(
+            f"band ({v_a}, {v_b}) must satisfy "
+            f"v_low < v_a < v_b <= v_high = ({frozen.v_low}, {frozen.v_high})"
+        )
+    if dwell < 0.0:
+        raise InvalidSegmentError("dwell must be nonnegative")
+    if dwell > 0.0 and abs(v_b - frozen.v_high) > ENDPOINT_MATCH_TOL:
+        raise InvalidSegmentError("dwell is only possible at the top equilibrium")
+    if any(frozen.mode_changes_sign(on, v_a, v_b) for on in (True, False)):
+        raise InvalidSegmentError("mode acceleration changes sign strictly inside the segment")
+    t_up, d_up = leg_time_distance(frozen, True, v_a, v_b)
+    t_down, d_down = leg_time_distance(frozen, False, v_b, v_a)
+    # the dwell holds v_b with the engine on, so it extends the up leg's draw
+    on_energy = engine_energy(t_up + dwell, d_up + v_b * dwell, True, frozen.power, frozen.params)
+    energy = on_energy + frozen.params.switch_cost
+    period = t_up + dwell + t_down
+    return OscillationBand(
+        lower=v_a,
+        upper=v_b,
+        dwell=dwell,
+        period=period,
+        distance=d_up + v_b * dwell + d_down,
+        energy=energy,
+        avg_cost=energy / period,
+    )
+
+
+# the benchmark's tracer wraps this name (perfbench/spans.py)
+period_stats = band_from_limits
+
+
+def band_cost(
+    frozen: FrozenDynamics, v_a: float, v_target: float, tol: float = 1e-4
+) -> OscillationBand:
+    """Band through ``v_a`` meeting the target average, with its average cost.
 
     Newton's method on the exact slope of the period average in the upper
     limit, ``(v_b - avg)(1/f_on(v_b) - 1/f_off(v_b))/T``, finds where the
     average meets the target inside [target, top], from ``2 target - v_a``;
-    a root that misses the target by more than ``0.01 tol`` raises.
-    When even a band reaching almost the top equilibrium undershoots the
-    target - possible only when the equilibrium is attained in finite time -
-    the band saturates at the equilibrium and the balance is made up by
-    dwelling there.  A candidate whose legs would cross a root of either
-    mode's acceleration, or that lies within rounding of the target, is
-    infeasible.
+    the band at that root is returned when its average misses the target by
+    at most ``0.01 tol`` and raises otherwise.  When even a band reaching
+    almost the top equilibrium undershoots the target - possible only when
+    the equilibrium is attained in finite time - the band saturates at the
+    equilibrium and the balance is made up by dwelling there.  A candidate
+    whose legs would cross a root of either mode's acceleration, or that
+    lies within rounding of the target, is infeasible.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
@@ -148,51 +206,26 @@ def upper_limit(
         raise InfeasibleCandidateError(
             f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
         )
-    missed = miss(v_b)[0]
+    band = band_from_limits(frozen, v_a, v_b)
+    missed = band.avg_speed - v_target
     if v_b == v_b_max and missed < 0.0:
-        return _saturated_limit(frozen, v_a, v_target)
+        return _saturated_band(frozen, v_a, v_target)
     if not abs(missed) <= 0.01 * tol:
         raise NumericError(
             f"upper limit {v_b:.9g} misses the target {v_target:.6g} by more than {0.01 * tol:.3g}"
         )
-    return v_b, 0.0
+    return band
 
 
-def _saturated_limit(
-    frozen: FrozenDynamics, v_a: float, v_target: float
-) -> tuple[float, float]:
-    cycle = period_stats(frozen, v_a, frozen.v_high)
-    if not (math.isfinite(cycle.duration) and math.isfinite(cycle.distance)):
+def _saturated_band(frozen: FrozenDynamics, v_a: float, v_target: float) -> OscillationBand:
+    cycle = band_from_limits(frozen, v_a, frozen.v_high)
+    if not (math.isfinite(cycle.period) and math.isfinite(cycle.distance)):
         raise InfeasibleCandidateError(
             f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "
             "the top equilibrium is only approached asymptotically"
         )
-    dwell = (v_target * cycle.duration - cycle.distance) / (frozen.v_high - v_target)
-    return frozen.v_high, max(dwell, 0.0)
-
-
-def band_from_limits(
-    frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float = 0.0
-) -> OscillationBand:
-    """Band record with period statistics for explicitly chosen limits."""
-    stats = period_stats(frozen, v_a, v_b, dwell)
-    return OscillationBand(
-        lower=v_a,
-        upper=v_b,
-        dwell=dwell,
-        period=stats.duration,
-        distance=stats.distance,
-        energy=stats.energy,
-        avg_cost=stats.avg_cost,
-    )
-
-
-def band_cost(
-    frozen: FrozenDynamics, v_a: float, v_target: float, tol: float = 1e-4
-) -> OscillationBand:
-    """Band through ``v_a`` meeting the target average, with its average cost."""
-    v_b, dwell = upper_limit(frozen, v_a, v_target, tol)
-    return band_from_limits(frozen, v_a, v_b, dwell)
+    dwell = (v_target * cycle.period - cycle.distance) / (frozen.v_high - v_target)
+    return band_from_limits(frozen, v_a, frozen.v_high, max(dwell, 0.0))
 
 
 def optimal_band(

@@ -1,25 +1,20 @@
-"""Speed-reparametrized integrals for constant-mode maneuvers.
+"""Adaptive Gauss-Kronrod quadrature of the speed moments of an integrand.
 
-Between two speeds with the engine held in one mode, elapsed time and
-covered distance are the integrals of 1/f and s/f over the speed interval.
-On the model's own slice both come in closed form from the slice
-(``FrozenDynamics.leg_time_distance``), and consumed energy follows from them
-through the power model, whose draw is constant or proportional to speed.
-The adaptive Gauss-Kronrod loop here returns both speed moments of any
-continuous integrand on a closed interval; it serves the robustness series.
+The loop returns both speed moments, the integrals of fn(s) and s fn(s), of
+any continuous vectorized integrand on a closed interval; it serves the
+robustness series.  The legs of the model's own slices come in closed form
+from ``FrozenDynamics.leg_time_distance``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import ENDPOINT_MATCH_TOL, FrozenDynamics, engine_energy
-from .errors import InvalidSegmentError, NumericError
+from .errors import NumericError
 
 REL_TOL = 1e-8
 ABS_FLOOR = 1e-12
@@ -141,104 +136,3 @@ def adaptive_quadrature(
 ) -> float:
     """Integral of a vectorized integrand: the first of its speed moments."""
     return speed_moments(fn, lo, hi, rel_tol, abs_floor, max_panels)[0]
-
-
-def leg_time_distance(
-    frozen: FrozenDynamics, engine_on: bool, v0: float, v1: float
-) -> tuple[float, float]:
-    """Time and distance of a constant-mode leg from speed ``v0`` to ``v1``.
-
-    The band search's one entry to the slice's own leg; a module function, so
-    that a caller can wrap it to count and time legs.
-    """
-    return frozen.leg_time_distance(engine_on, v0, v1)
-
-
-@dataclass(frozen=True)
-class SpeedSegment:
-    """A constant-mode maneuver between two speeds of a frozen slice.
-
-    Acceleration segments run upward (v0 < v1, engine on), deceleration
-    segments downward (v0 > v1, engine off); f must keep one sign strictly
-    between the endpoints.
-    """
-
-    frozen: FrozenDynamics
-    engine_on: bool
-    v0: float
-    v1: float
-
-    def __post_init__(self) -> None:
-        if self.engine_on and self.v1 < self.v0:
-            raise InvalidSegmentError(
-                f"engine-on segment must not decelerate: {self.v0} -> {self.v1}"
-            )
-        if not self.engine_on and self.v1 > self.v0:
-            raise InvalidSegmentError(
-                f"engine-off segment must not accelerate: {self.v0} -> {self.v1}"
-            )
-        lo, hi = sorted((self.v0, self.v1))
-        slack = 1e-6 * (self.frozen.v_high - self.frozen.v_low) + 1e-12
-        if lo < self.frozen.v_low - slack or hi > self.frozen.v_high + slack:
-            raise InvalidSegmentError(
-                f"segment [{lo}, {hi}] leaves the reachable band "
-                f"[{self.frozen.v_low}, {self.frozen.v_high}]"
-            )
-
-    def time_distance(self) -> tuple[float, float]:
-        """Duration and covered distance; infinite for an asymptotic approach."""
-        if self.v0 == self.v1:
-            return 0.0, 0.0
-        lo, hi = sorted((self.v0, self.v1))
-        if self.frozen.mode_changes_sign(self.engine_on, lo, hi):
-            raise InvalidSegmentError(
-                "mode acceleration changes sign strictly inside the segment"
-            )
-        return self.frozen.leg_time_distance(self.engine_on, self.v0, self.v1)
-
-
-@dataclass(frozen=True)
-class PeriodStats:
-    """One oscillation period: up leg, optional dwell at the top, down leg."""
-
-    duration: float
-    distance: float
-    energy: float
-
-    @property
-    def avg_speed(self) -> float:
-        return self.distance / self.duration
-
-    @property
-    def avg_cost(self) -> float:
-        return self.energy / self.duration
-
-
-def period_stats(
-    frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float = 0.0
-) -> PeriodStats:
-    """Statistics of one period oscillating between v_a and v_b.
-
-    The engine turns on once per period, so the switching cost is charged
-    once.  A dwell is only meaningful at the engine-on equilibrium, where the
-    speed can be held without changing mode.
-    """
-    if not frozen.v_low < v_a < v_b <= frozen.v_high + ENDPOINT_MATCH_TOL:
-        raise InvalidSegmentError(
-            f"band ({v_a}, {v_b}) must satisfy "
-            f"v_low < v_a < v_b <= v_high = ({frozen.v_low}, {frozen.v_high})"
-        )
-    if dwell < 0.0:
-        raise InvalidSegmentError("dwell must be nonnegative")
-    if dwell > 0.0 and abs(v_b - frozen.v_high) > ENDPOINT_MATCH_TOL:
-        raise InvalidSegmentError("dwell is only possible at the top equilibrium")
-    t_up, d_up = SpeedSegment(frozen, True, v_a, v_b).time_distance()
-    t_down, d_down = SpeedSegment(frozen, False, v_b, v_a).time_distance()
-    # the dwell holds v_b with the engine on, so it extends the up leg's draw
-    on_energy = engine_energy(t_up + dwell, d_up + v_b * dwell, True, frozen.power, frozen.params)
-    energy = on_energy + frozen.params.switch_cost
-    return PeriodStats(
-        duration=t_up + dwell + t_down,
-        distance=d_up + v_b * dwell + d_down,
-        energy=energy,
-    )

@@ -20,7 +20,7 @@ import numpy as np
 
 from ecodrive.dynamics import ENDPOINT_MATCH_TOL, FrozenDynamics, engine_energy
 from ecodrive.errors import InfeasibleCandidateError
-from ecodrive.optimizer import UPPER_BRACKET_MARGIN, _saturated_limit
+from ecodrive.optimizer import UPPER_BRACKET_MARGIN, _saturated_band
 from ecodrive.quadrature import ABS_FLOOR, speed_moments
 
 # truncation offset near a vanishing endpoint, as a fraction of the band width
@@ -217,7 +217,8 @@ def bisection_upper_limit(
         return (d_fixed + d_up + d_dn) / (t_fixed + t_up + t_dn)
 
     if average(v_b_max) < v_target:
-        return _saturated_limit(frozen, v_a, v_target)
+        band = _saturated_band(frozen, v_a, v_target)
+        return band.upper, band.dwell
     lo, hi = v_target, v_b_max
     mid = 0.5 * (lo + hi)
     for _ in range(60):

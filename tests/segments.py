@@ -1,13 +1,59 @@
-"""One-quantity views of a constant-mode segment, and acceleration profiles.
+"""Constant-mode segments with one-quantity views, and acceleration profiles.
 
-Thin wrappers the tests read more easily than ``SpeedSegment.time_distance``
-and the ``SpeedProfile`` constructor.
+``SpeedSegment`` checks one leg's orientation and sign before handing it to
+the slice's own closed form; the thin wrappers read more easily in the tests
+than ``SpeedSegment.time_distance`` and the ``SpeedProfile`` constructor.
 """
 
 from __future__ import annotations
 
-from ecodrive import FrozenDynamics, SpeedProfile, SpeedSegment
+from dataclasses import dataclass
+
+from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile
 from ecodrive.dynamics import engine_energy
+
+
+@dataclass(frozen=True)
+class SpeedSegment:
+    """A constant-mode maneuver between two speeds of a frozen slice.
+
+    Acceleration segments run upward (v0 < v1, engine on), deceleration
+    segments downward (v0 > v1, engine off); f must keep one sign strictly
+    between the endpoints.
+    """
+
+    frozen: FrozenDynamics
+    engine_on: bool
+    v0: float
+    v1: float
+
+    def __post_init__(self) -> None:
+        if self.engine_on and self.v1 < self.v0:
+            raise InvalidSegmentError(
+                f"engine-on segment must not decelerate: {self.v0} -> {self.v1}"
+            )
+        if not self.engine_on and self.v1 > self.v0:
+            raise InvalidSegmentError(
+                f"engine-off segment must not accelerate: {self.v0} -> {self.v1}"
+            )
+        lo, hi = sorted((self.v0, self.v1))
+        slack = 1e-6 * (self.frozen.v_high - self.frozen.v_low) + 1e-12
+        if lo < self.frozen.v_low - slack or hi > self.frozen.v_high + slack:
+            raise InvalidSegmentError(
+                f"segment [{lo}, {hi}] leaves the reachable band "
+                f"[{self.frozen.v_low}, {self.frozen.v_high}]"
+            )
+
+    def time_distance(self) -> tuple[float, float]:
+        """Duration and covered distance; infinite for an asymptotic approach."""
+        if self.v0 == self.v1:
+            return 0.0, 0.0
+        lo, hi = sorted((self.v0, self.v1))
+        if self.frozen.mode_changes_sign(self.engine_on, lo, hi):
+            raise InvalidSegmentError(
+                "mode acceleration changes sign strictly inside the segment"
+            )
+        return self.frozen.leg_time_distance(self.engine_on, self.v0, self.v1)
 
 
 def elapsed_time(segment: SpeedSegment) -> float:

@@ -11,20 +11,25 @@ import numpy as np
 
 import oracles
 import stepper
-from segments import acceleration_profile, covered_length, elapsed_time, energy_used
+from segments import (
+    SpeedSegment,
+    acceleration_profile,
+    covered_length,
+    elapsed_time,
+    energy_used,
+)
 from ecodrive import (
     GridSpec,
     RaceState,
     SpeedProfile,
-    SpeedSegment,
     TrackProfile,
     WindField,
     asymptotic_average_cost,
+    band_from_limits,
     check_assumptions,
     mean_speed,
     min_switch_interval,
     optimal_band,
-    period_stats,
     perturbation_series,
     proportional_invariance_check,
 )
@@ -72,9 +77,9 @@ def test_criterion_02_energy_figure(flat_race):
 
 
 def test_criterion_03_band_average_cross_check(flat_slice):
-    stats = period_stats(flat_slice, 6.1, 7.94)
-    ok = abs(stats.avg_speed - 7.00) <= 0.01
-    _report(3, ok, f"period average {stats.avg_speed:.4f} m/s within 7.00 +/- 0.01")
+    band = band_from_limits(flat_slice, 6.1, 7.94)
+    ok = abs(band.avg_speed - 7.00) <= 0.01
+    _report(3, ok, f"period average {band.avg_speed:.4f} m/s within 7.00 +/- 0.01")
 
 
 def test_criterion_04_quadrature_vs_ode(params, const_power, flat_slice):

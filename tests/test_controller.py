@@ -63,6 +63,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ControllerConfig(race_length=100.0, race_duration=100.0, hard_stop_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["race_length", "race_duration", "replan_interval", "hard_stop_factor"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ControllerConfig(**{"race_length": 100.0, "race_duration": 100.0, field: value})
+
 
 class TestReplan:
     def test_initial_target_is_length_over_duration(

@@ -136,6 +136,40 @@ class TestOverrides:
         with pytest.raises(ScenarioError, match="key=value"):
             load_scenario(scenario_dir, ("alpha",))
 
+    # JSON override values may be NaN and Infinity; a NaN replan interval
+    # used to make the race replan forever
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "duration_s=Infinity",
+            "replan_interval_s=NaN",
+            "replan_interval_s=Infinity",
+            "safety_margin_mps=NaN",
+            "trace_interval_s=NaN",
+            "hard_stop_factor=NaN",
+            "hard_stop_factor=Infinity",
+            "a=NaN",
+            "c=Infinity",
+            "g=NaN",
+            "f1=Infinity",
+            "m=NaN",
+            "alpha=-Infinity",
+            "constant_watts=Infinity",
+            "grid_offsets_mps=1.0,nan",
+            "grid_offsets_mps=inf",
+            "grid_tol_mps=NaN",
+            "fine_step_mps=NaN",
+            "fine_step_mps=Infinity",
+            "fine_halfwidth_mps=NaN",
+            "fine_halfwidth_mps=0",
+            "fine_halfwidth_mps=-0.5",
+        ],
+    )
+    def test_non_finite_or_non_positive_value_rejected(self, short_scenario, item):
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(scenario_dir, (item,))
+
 
 class TestEmitReport:
     @pytest.fixture

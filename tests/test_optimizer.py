@@ -18,36 +18,37 @@ from ecodrive import (
     VehicleParams,
     asymptotic_average_cost,
     band_cost,
+    band_from_limits,
     optimal_band,
-    period_stats,
-    upper_limit,
 )
 from ecodrive.errors import ExpansionInapplicableError
 from ecodrive import optimizer
-from ecodrive.optimizer import safety_band
-from ecodrive.quadrature import leg_time_distance
+from ecodrive.optimizer import leg_time_distance, safety_band
 
 
 class TestUpperLimit:
+    """The upper limit and dwell of ``band_cost``'s band."""
+
     def test_reference_candidate(self, flat_slice):
-        v_b, dwell = upper_limit(flat_slice, 6.1, 7.0)
-        assert dwell == 0.0
+        band = band_cost(flat_slice, 6.1, 7.0)
+        v_b = band.upper
+        assert band.dwell == 0.0
         assert v_b == pytest.approx(oracles.upper_for_target(6.1, 7.0), abs=1e-5)
         assert v_b == pytest.approx(7.94, abs=0.05)
 
     def test_collapsing_band(self, flat_slice):
-        v_b, _ = upper_limit(flat_slice, 6.999, 7.0)
+        v_b = band_cost(flat_slice, 6.999, 7.0).upper
         assert 7.0 < v_b < 7.02
 
     def test_wider_gap_forces_higher_upper(self, flat_slice):
-        v_b_low, _ = upper_limit(flat_slice, 5.0, 7.0)
-        v_b_ref, _ = upper_limit(flat_slice, 6.1, 7.0)
+        v_b_low = band_cost(flat_slice, 5.0, 7.0).upper
+        v_b_ref = band_cost(flat_slice, 6.1, 7.0).upper
         assert v_b_low == pytest.approx(oracles.upper_for_target(5.0, 7.0), abs=1e-5)
         assert v_b_low > v_b_ref
 
     def test_average_constraint_met(self, flat_slice):
         for v_a in (4.5, 5.5, 6.5):
-            v_b, _ = upper_limit(flat_slice, v_a, 7.0)
+            v_b = band_cost(flat_slice, v_a, 7.0).upper
             assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-4)
 
     @pytest.mark.parametrize("v_a", [6.1, 5.0, 6.999])
@@ -61,22 +62,21 @@ class TestUpperLimit:
             return leg_time_distance(*args)
 
         monkeypatch.setattr(optimizer, "leg_time_distance", counting)
-        v_b, _ = upper_limit(flat_slice, v_a, 7.0)
+        v_b = band_cost(flat_slice, v_a, 7.0).upper
         assert len(calls) <= 12
         assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-6)
 
     def test_preconditions(self, flat_slice):
         with pytest.raises(InfeasibleCandidateError):
-            upper_limit(flat_slice, 7.5, 7.0)
+            band_cost(flat_slice, 7.5, 7.0)
         with pytest.raises(InfeasibleCandidateError):
-            upper_limit(flat_slice, -1.0, 7.0)
+            band_cost(flat_slice, -1.0, 7.0)
 
 
 class TestUpperLimitOnRandomSlices:
     """The bracketed root against the Gauss-Kronrod bisection and scipy's quad."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(
+    SLICES = dict(
         signed=st.booleans(),
         wind=st.floats(min_value=-6.0, max_value=6.0),
         slope=st.floats(min_value=-0.02, max_value=0.02),
@@ -85,10 +85,13 @@ class TestUpperLimitOnRandomSlices:
         u_t=st.floats(min_value=0.02, max_value=0.98),
     )
     # engine off where gravity cancels friction: b_off = 0, the rational branch
-    @example(False, 0.0, -math.asin(0.03 / 9.81), False, 0.3, 0.5)
+    RATIONAL_BRANCH = (False, 0.0, -math.asin(0.03 / 9.81), False, 0.3, 0.5)
     # signed drag: both legs cross the wind speed
-    @example(True, 4.0, 0.0, True, 0.1, 0.4)
-    def test_meets_target_and_matches_bisection(self, signed, wind, slope, wheel, u_a, u_t):
+    ACROSS_THE_WIND = (True, 4.0, 0.0, True, 0.1, 0.4)
+
+    @staticmethod
+    def candidate(signed, wind, slope, wheel, u_a, u_t):
+        """A feasible slice, a lower speed and a target above it, from unit fractions."""
         power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
         try:
             frozen = FrozenDynamics.from_conditions(
@@ -96,17 +99,26 @@ class TestUpperLimitOnRandomSlices:
             )
         except InfeasibleSliceError:
             assume(False)
-        tol = GridSpec().tol
         v_a = frozen.v_low + u_a * (frozen.v_high - frozen.v_low)
         v_target = v_a + u_t * (frozen.v_high - v_a)
+        return frozen, v_a, v_target
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SLICES)
+    @example(*RATIONAL_BRANCH)
+    @example(*ACROSS_THE_WIND)
+    def test_meets_target_and_matches_bisection(self, signed, wind, slope, wheel, u_a, u_t):
+        frozen, v_a, v_target = self.candidate(signed, wind, slope, wheel, u_a, u_t)
+        tol = GridSpec().tol
         try:
-            v_b, dwell = upper_limit(frozen, v_a, v_target, tol)
+            band = band_cost(frozen, v_a, v_target, tol)
         except InfeasibleCandidateError:
             with pytest.raises(InfeasibleCandidateError):
                 bisection_upper_limit(frozen, v_a, v_target, tol)
             return
-        assert dwell == 0.0
-        assert abs(period_stats(frozen, v_a, v_b).avg_speed - v_target) <= 0.01 * tol
+        v_b = band.upper
+        assert band.dwell == 0.0
+        assert abs(band_from_limits(frozen, v_a, v_b).avg_speed - v_target) <= 0.01 * tol
         assert v_b == pytest.approx(bisection_upper_limit(frozen, v_a, v_target, tol)[0], abs=tol)
         for engine_on, v0, v1 in ((True, v_a, v_b), (False, v_b, v_a)):
             kink = [frozen.wind_speed] if signed and v_a < frozen.wind_speed < v_b else None
@@ -122,6 +134,20 @@ class TestUpperLimitOnRandomSlices:
             t, d = frozen.leg_time_distance(engine_on, v0, v1)
             assert t == pytest.approx(ref(lambda s: 1.0), rel=1e-10)
             assert d == pytest.approx(ref(lambda s: s), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SLICES)
+    @example(*RATIONAL_BRANCH)
+    @example(*ACROSS_THE_WIND)
+    def test_band_is_the_period_of_its_limits(self, signed, wind, slope, wheel, u_a, u_t):
+        # the one pass of band_cost returns the band its root was checked on
+        frozen, v_a, v_target = self.candidate(signed, wind, slope, wheel, u_a, u_t)
+        try:
+            band = band_cost(frozen, v_a, v_target)
+        except InfeasibleCandidateError:
+            assume(False)
+        again = band_from_limits(frozen, v_a, band.upper, band.dwell)
+        assert band == again  # field for field
 
 
 class TestBandCost:
@@ -224,7 +250,7 @@ class TestOptimalBand:
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
         for v_a in (0.5, 1.0, 1.5):
             with pytest.raises(InfeasibleCandidateError, match="sign"):
-                upper_limit(frozen, v_a, 2.5)
+                band_cost(frozen, v_a, 2.5)
         band = optimal_band(frozen, 2.5, 12.0)
         assert band.lower == 2.0
         assert band.upper == pytest.approx(3.47, abs=0.01)
@@ -241,7 +267,7 @@ class TestOptimalBand:
         )
         target = 16.960964565912867
         with pytest.raises(InfeasibleCandidateError, match="rounding"):
-            upper_limit(frozen, 16.960964565912846, target)
+            band_cost(frozen, 16.960964565912846, target)
         lowers = []
 
         def recording_band_cost(frozen, v_a, v_target, tol):
@@ -269,10 +295,9 @@ class TestOptimalBand:
 class TestSaturatedUpperLimit:
     def test_dwell_at_the_top(self, params, const_power):
         frozen = sqrt_top_slice(params, const_power)
-        v_b, dwell = upper_limit(frozen, 2.0, 9.7)
-        assert v_b == pytest.approx(10.0)
-        assert dwell > 0.0
         band = band_cost(frozen, 2.0, 9.7)
+        assert band.upper == pytest.approx(10.0)
+        assert band.dwell > 0.0
         assert band.avg_speed == pytest.approx(9.7, abs=1e-4)
 
 

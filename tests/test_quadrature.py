@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import oracles
 import stepper
-from segments import covered_length, elapsed_time, energy_used
+from segments import SpeedSegment, covered_length, elapsed_time, energy_used
 from quadrature_legs import GeneralLawSlice, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
@@ -16,13 +16,13 @@ from ecodrive import (
     InvalidSegmentError,
     PowerModel,
     RaceState,
-    SpeedSegment,
     TrackProfile,
     VehicleParams,
     WindField,
-    period_stats,
+    band_from_limits,
 )
-from ecodrive.quadrature import adaptive_quadrature, leg_time_distance
+from ecodrive.optimizer import leg_time_distance
+from ecodrive.quadrature import adaptive_quadrature
 
 # frozen closed-form values for the reference band 6.1 -> 7.94 m/s
 T_UP_BAND = 13.131691162356102
@@ -248,33 +248,40 @@ class TestQuadratureVsIntegration:
 
 class TestPeriodStats:
     def test_reference_band(self, flat_slice):
-        stats = period_stats(flat_slice, 6.1, 7.94)
-        assert stats.duration == pytest.approx(T_UP_BAND + T_DOWN_BAND, rel=1e-8)
-        assert stats.distance == pytest.approx(D_UP_BAND + D_DOWN_BAND, rel=1e-8)
-        assert stats.energy == pytest.approx(161.0 * T_UP_BAND + 10.0, rel=1e-8)
-        assert stats.avg_speed == pytest.approx(7.00, abs=0.01)
+        band = band_from_limits(flat_slice, 6.1, 7.94)
+        assert band.period == pytest.approx(T_UP_BAND + T_DOWN_BAND, rel=1e-8)
+        assert band.distance == pytest.approx(D_UP_BAND + D_DOWN_BAND, rel=1e-8)
+        assert band.energy == pytest.approx(161.0 * T_UP_BAND + 10.0, rel=1e-8)
+        assert band.avg_speed == pytest.approx(7.00, abs=0.01)
 
     def test_degenerate_band_average_tends_to_upper(self, flat_slice):
-        stats = period_stats(flat_slice, 7.94 - 1e-6, 7.94)
-        assert stats.avg_speed == pytest.approx(7.94, abs=1e-5)
+        band = band_from_limits(flat_slice, 7.94 - 1e-6, 7.94)
+        assert band.avg_speed == pytest.approx(7.94, abs=1e-5)
 
     def test_switch_cost_charged_once(self, flat_slice):
-        cheap = period_stats(flat_slice, 6.1, 7.94)
+        cheap = band_from_limits(flat_slice, 6.1, 7.94)
         costly_params = VehicleParams(switch_cost=25.0)
         frozen = FrozenDynamics.from_conditions(costly_params, PowerModel())
-        dear = period_stats(frozen, 6.1, 7.94)
+        dear = band_from_limits(frozen, 6.1, 7.94)
         assert dear.energy - cheap.energy == pytest.approx(15.0, abs=1e-6)
 
     def test_band_validation(self, flat_slice):
         with pytest.raises(InvalidSegmentError):
-            period_stats(flat_slice, 7.94, 6.1)
+            band_from_limits(flat_slice, 7.94, 6.1)
         with pytest.raises(InvalidSegmentError):
-            period_stats(flat_slice, 6.1, 7.94, dwell=-1.0)
+            band_from_limits(flat_slice, 6.1, 7.94, dwell=-1.0)
         with pytest.raises(InvalidSegmentError):
-            period_stats(flat_slice, 6.1, 7.94, dwell=5.0)  # dwell below the top
+            band_from_limits(flat_slice, 6.1, 7.94, dwell=5.0)  # dwell below the top
+
+    def test_band_across_an_engine_on_root_rejected(self, params, const_power):
+        # climb into a tailwind: the engine-on acceleration changes sign near 1.83 m/s
+        frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
+        with pytest.raises(InvalidSegmentError, match="sign"):
+            band_from_limits(frozen, 1.0, 3.0)
+        assert band_from_limits(frozen, 2.0, 3.0).avg_speed > 2.0
 
     def test_average_speed_increases_with_upper_limit(self, flat_slice):
-        avgs = [period_stats(flat_slice, 6.1, vb).avg_speed for vb in (7.0, 7.5, 8.0, 9.0)]
+        avgs = [band_from_limits(flat_slice, 6.1, vb).avg_speed for vb in (7.0, 7.5, 8.0, 9.0)]
         assert all(b > a for a, b in zip(avgs, avgs[1:]))
 
 
@@ -289,13 +296,13 @@ class TestSaturatingSlice:
 
     def test_dwell_balances_average(self, params, const_power):
         frozen = sqrt_top_slice(params, const_power)
-        stats = period_stats(frozen, 2.0, 10.0, dwell=30.0)
+        band = band_from_limits(frozen, 2.0, 10.0, dwell=30.0)
         up = SpeedSegment(frozen, True, 2.0, 10.0)
         down = SpeedSegment(frozen, False, 10.0, 2.0)
         t_osc = elapsed_time(up) + elapsed_time(down)
         d_osc = covered_length(up) + covered_length(down)
-        assert stats.duration == pytest.approx(t_osc + 30.0, rel=1e-8)
-        assert stats.distance == pytest.approx(d_osc + 300.0, rel=1e-8)
-        assert stats.energy == pytest.approx(
+        assert band.period == pytest.approx(t_osc + 30.0, rel=1e-8)
+        assert band.distance == pytest.approx(d_osc + 300.0, rel=1e-8)
+        assert band.energy == pytest.approx(
             energy_used(up) + 161.0 * 30.0 + 10.0, rel=1e-8
         )

@@ -4,14 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from segments import acceleration_profile, covered_length, elapsed_time
+from segments import SpeedSegment, acceleration_profile, covered_length, elapsed_time
 from ecodrive import (
     DivergenceRiskError,
     FrozenDynamics,
     InvalidProfileError,
     PowerModel,
     SpeedProfile,
-    SpeedSegment,
     VehicleParams,
     mean_speed,
     perturbation_series,
