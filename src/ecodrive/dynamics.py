@@ -30,6 +30,8 @@ SPEED_ROOT_TOL = 1e-9
 SPEED_BRACKET_MAX = 100.0
 # a leg ending this close to its mode's rest speed only approaches it
 ENDPOINT_MATCH_TOL = 1e-9
+# samples per grid scan of check_assumptions
+SCAN_POINTS = 200
 
 WHEEL_POWER = "wheel_power"
 CONSTANT_ELECTRICAL = "constant_electrical"
@@ -247,9 +249,21 @@ class WindField:
                     writer.writerow((repr(float(s)), repr(float(t)), repr(float(self.speed[i][j]))))
 
 
-def read_csv_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[float, ...]]:
-    """Float rows of a headed CSV file; blank lines are skipped."""
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell.strip()!r}")
+    return value
+
+
+def read_csv_rows(
+    path: str | Path,
+    header: tuple[str, ...],
+    parsers: tuple[Callable[[str], object], ...] | None = None,
+) -> list[tuple]:
+    """Rows of a headed CSV file, parsed per column (finite floats by default); blanks skipped."""
     path = Path(path)
+    parsers = parsers or (_finite_float,) * len(header)
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -273,7 +287,7 @@ def read_csv_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[float
                     f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append(tuple(float(cell) for cell in row))
+                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
             except ValueError as exc:
                 raise ScenarioError(f"{path} line {lineno}: {exc}") from exc
     return rows
@@ -690,7 +704,6 @@ class AssumptionReport:
     convexity_verdict: str
     inequality_lhs: float
     inequality_rhs: float
-    grid_points: int
 
     @property
     def passed(self) -> bool:
@@ -703,7 +716,7 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> AssumptionReport:
+def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
     """Numerically verify the structural assumptions on a frozen slice.
 
     Regularity (continuity, forward uniqueness) is checked by grid scans;
@@ -712,8 +725,6 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     curvature of the acceleration/consumption tradeoff F by second
     differences on a uniform grid over the open band.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
     items: list[AssumptionItem] = []
     v_lo, v_hi = frozen.v_low, frozen.v_high
     width = v_hi - v_lo
@@ -730,7 +741,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
             worst = max(worst, float(np.max(np.abs(np.diff(vals)))))
         return worst
 
-    coarse, fine = max_increment(2 * grid_points), max_increment(4 * grid_points)
+    coarse, fine = max_increment(2 * SCAN_POINTS), max_increment(4 * SCAN_POINTS)
     continuity_ok = math.isfinite(fine) and (fine <= 0.75 * coarse + 1e-12)
     items.append(
         AssumptionItem(
@@ -741,7 +752,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     )
 
     # -- regularity: forward uniqueness proxy, one monotone crossing per mode
-    scan = np.linspace(1e-9, 1.5 * v_hi, 4 * grid_points)
+    scan = np.linspace(1e-9, 1.5 * v_hi, 4 * SCAN_POINTS)
     on_signs = np.sign(frozen.accel_grid(scan, True))
     off_signs = np.sign(frozen.accel_grid(scan, False))
     on_changes = int(np.sum(np.abs(np.diff(np.where(on_signs == 0, 1, on_signs))) > 0))
@@ -755,8 +766,8 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     )
 
     # -- engine on: positive below the equilibrium, negative above
-    below = np.linspace(inner_lo, v_hi - 1e-6 * width, grid_points)
-    above = np.linspace(v_hi + 1e-6 * width, 1.5 * v_hi, grid_points)
+    below = np.linspace(inner_lo, v_hi - 1e-6 * width, SCAN_POINTS)
+    above = np.linspace(v_hi + 1e-6 * width, 1.5 * v_hi, SCAN_POINTS)
     on_ok = (
         bool(np.all(frozen.accel_grid(below, True) > 0.0))
         and bool(np.all(frozen.accel_grid(above, True) < 0.0))
@@ -771,7 +782,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     )
 
     # -- engine on always accelerates harder than engine off
-    band = np.linspace(inner_lo, v_hi, 2 * grid_points)
+    band = np.linspace(inner_lo, v_hi, 2 * SCAN_POINTS)
     gap = frozen.accel_grid(band, True) - frozen.accel_grid(band, False)
     items.append(
         AssumptionItem(
@@ -782,7 +793,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     )
 
     # -- engine off: decays toward the rest speed
-    off_above = np.linspace(v_lo + 1e-6 * width, v_hi, 2 * grid_points)
+    off_above = np.linspace(v_lo + 1e-6 * width, v_hi, 2 * SCAN_POINTS)
     off_ok = bool(np.all(frozen.accel_grid(off_above, False) < 0.0))
     witness: dict[str, float | str] = {"v_low": v_lo}
     if frozen.v_low_is_root:
@@ -790,7 +801,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
         witness["residual"] = frozen.accel(v_lo, False)
         off_ok = off_ok and abs(frozen.accel(v_lo, False)) < 1e-6
         if v_lo > 1e-9:
-            off_below = np.linspace(1e-9, v_lo - 1e-6 * width, grid_points)
+            off_below = np.linspace(1e-9, v_lo - 1e-6 * width, SCAN_POINTS)
             off_ok = off_ok and bool(np.all(frozen.accel_grid(off_below, False) > 0.0))
     else:
         # sticking: the one-sided limits bracket zero speed
@@ -811,7 +822,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
     )
 
     # -- consumption nondecreasing in speed
-    increments = np.diff(frozen.power_grid(np.linspace(0.0, 1.5 * v_hi, 2 * grid_points)))
+    increments = np.diff(frozen.power_grid(np.linspace(0.0, 1.5 * v_hi, 2 * SCAN_POINTS)))
     items.append(
         AssumptionItem(
             "consumption_nondecreasing",
@@ -839,9 +850,8 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
         )
 
     # -- strict curvature of F = h(x,1) f(x,0) / (f(x,1) - f(x,0))
-    n = max(grid_points, 200)
     margin = 1e-4 * width
-    xs = np.linspace(v_lo + margin, v_hi - margin, n)
+    xs = np.linspace(v_lo + margin, v_hi - margin, SCAN_POINTS)
     f_on_vals = frozen.accel_grid(xs, True)
     f_off_vals = frozen.accel_grid(xs, False)
     tradeoff = frozen.power_grid(xs) * f_off_vals / (f_on_vals - f_off_vals)
@@ -857,7 +867,7 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
         AssumptionItem(
             "tradeoff_curvature",
             verdict != "neither",
-            {"verdict": verdict, "grid_points": float(n)},
+            {"verdict": verdict, "grid_points": float(SCAN_POINTS)},
         )
     )
 
@@ -866,5 +876,4 @@ def check_assumptions(frozen: FrozenDynamics, grid_points: int = 200) -> Assumpt
         convexity_verdict=verdict,
         inequality_lhs=lhs,
         inequality_rhs=rhs,
-        grid_points=grid_points,
     )

@@ -31,6 +31,8 @@ from .errors import (
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
+# the fine stage searches this far either side of the best coarse candidate, m/s
+FINE_HALFWIDTH = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,21 +81,20 @@ class GridSpec:
 
     The default offsets place four candidates 0.5 m/s apart below the target
     average speed.  A band misses the target average speed by at most
-    ``0.01 tol``; ``fine_step`` enables the refinement stage on a +/-
-    fine_halfwidth window around the best coarse candidate.
+    ``0.01 tol``; ``fine_step`` enables the refinement stage around the best
+    coarse candidate.
     """
 
     lower_offsets: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
     tol: float = 1e-4
     fine_step: float | None = None
-    fine_halfwidth: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.lower_offsets:
             raise ValueError("lower_offsets must be nonempty")
         if not all(0.0 < o < math.inf for o in self.lower_offsets):
             raise ValueError("lower_offsets must be finite and strictly positive")
-        require_positive(self, "tol", "fine_halfwidth")
+        require_positive(self, "tol")
         if self.fine_step is not None:
             require_positive(self, "fine_step")
 
@@ -278,8 +279,8 @@ def optimal_band(
         )
     if grid.fine_step is not None:
         center = best.lower
-        lo = max(center - grid.fine_halfwidth, frozen.v_low + 1e-9)
-        hi = min(center + grid.fine_halfwidth, v_target - 1e-9)
+        lo = max(center - FINE_HALFWIDTH, frozen.v_low + 1e-9)
+        hi = min(center + FINE_HALFWIDTH, v_target - 1e-9)
         cands = np.arange(lo, hi + 0.5 * grid.fine_step, grid.fine_step)
         for cand in cands[cands <= hi]:
             consider(float(cand))

@@ -88,16 +88,13 @@ def speed_moments(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    rel_tol: float = REL_TOL,
-    abs_floor: float = ABS_FLOOR,
-    max_panels: int = MAX_PANELS,
 ) -> tuple[float, float]:
     """Integrals of fn(s) and s fn(s) over [lo, hi] by bisection of the worst panel.
 
     ``fn`` only needs to be continuous and vectorized.  Each panel is scored
     with the embedded Gauss-7 rule on both moments, the first moment's error
     scaled down by the panel's speed magnitude, and the worst panel is split
-    until the summed error drops below ``max(rel_tol * |int fn|, abs_floor)``.
+    until the summed error drops below ``max(REL_TOL * |int fn|, ABS_FLOOR)``.
     """
     if lo == hi:
         return 0.0, 0.0
@@ -108,10 +105,10 @@ def speed_moments(
     heap = [(-err, lo, hi, m0, m1)]
     total_err = err
     panels = 1
-    while total_err > max(rel_tol * abs(m0), abs_floor):
-        if panels >= max_panels:
+    while total_err > max(REL_TOL * abs(m0), ABS_FLOOR):
+        if panels >= MAX_PANELS:
             raise NumericError(
-                f"quadrature exhausted {max_panels} panels on [{lo}, {hi}]"
+                f"quadrature exhausted {MAX_PANELS} panels on [{lo}, {hi}]"
             )
         neg_err, a, b, old0, old1 = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -130,9 +127,6 @@ def adaptive_quadrature(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    rel_tol: float = REL_TOL,
-    abs_floor: float = ABS_FLOOR,
-    max_panels: int = MAX_PANELS,
 ) -> float:
     """Integral of a vectorized integrand: the first of its speed moments."""
-    return speed_moments(fn, lo, hi, rel_tol, abs_floor, max_panels)[0]
+    return speed_moments(fn, lo, hi)[0]

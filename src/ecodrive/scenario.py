@@ -14,31 +14,66 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .controller import ControllerConfig, RaceResult
-from .dynamics import (
-    CONSTANT_ELECTRICAL,
-    PowerModel,
-    TrackProfile,
-    VehicleParams,
-    WindField,
-)
+from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
 from .errors import ScenarioError
 from .optimizer import GridSpec
 
-REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
-PARAM_KEYS = REQUIRED_PARAM_KEYS | {"power_model", "constant_watts", "signed_drag"}
-CONTROLLER_KEYS = {
-    "duration_s",
-    "replan_interval_s",
-    "safety_margin_mps",
-    "hard_stop_factor",
-    "trace_interval_s",
-    "grid_offsets_mps",
-    "grid_tol_mps",
-    "fine_step_mps",
-    "fine_halfwidth_mps",
-}
 
-TELEMETRY_HEADER = "t_s,x1_m,x2_mps,u,N,E_J,Va_mps,Vb_mps,flag"
+def _number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(value: object) -> float | None:
+    return None if value is None else _number(value)
+
+
+def _numbers(value: object) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(_number(v) for v in value)
+
+
+def _flag(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# file key -> (object, dataclass field, parser); an absent key takes the field's default
+PARAM_FIELDS = {
+    "a": ("params", "drag_coeff", _number),
+    "c": ("params", "solid_friction", _number),
+    "g": ("params", "gravity", _number),
+    "f1": ("params", "traction", _number),
+    "m": ("params", "mass", _number),
+    "alpha": ("params", "switch_cost", _number),
+    "signed_drag": ("params", "signed_drag", _flag),
+    "power_model": ("power", "kind", _text),
+    "constant_watts": ("power", "constant_watts", _number),
+}
+CONTROLLER_FIELDS = {
+    "duration_s": ("controller", "race_duration", _number),
+    "replan_interval_s": ("controller", "replan_interval", _number),
+    "safety_margin_mps": ("controller", "safety_margin", _number),
+    "hard_stop_factor": ("controller", "hard_stop_factor", _number),
+    "trace_interval_s": ("controller", "trace_interval", _number),
+    "grid_offsets_mps": ("grid", "lower_offsets", _numbers),
+    "grid_tol_mps": ("grid", "tol", _number),
+    "fine_step_mps": ("grid", "fine_step", _optional_number),
+}
+REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
+
+TELEMETRY_HEADER = ("t_s", "x1_m", "x2_mps", "u", "N", "E_J", "Va_mps", "Vb_mps", "flag")
+# the summary reads time, position, switch count, energy and flag
+TELEMETRY_PARSERS = (float, float, str, str, int, float, str, str, str)
 TRACE_HEADER = "t_s,x2_mps,Va_mps,Vb_mps,u"
 
 
@@ -58,102 +93,71 @@ class Scenario:
         return replace(self, name=other.name) == other
 
 
-def _load_json(path: Path, allowed: set[str], required: set[str]) -> dict:
+def _read_json(path: Path) -> object:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+
+
+def _load_json(path: Path, fields: dict, required: set[str]) -> dict:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected a JSON object")
-    unknown = set(data) - allowed
+    unknown = data.keys() - fields.keys()
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
+    missing = required - data.keys()
     if missing:
         raise ScenarioError(f"{path}: missing keys {sorted(missing)}")
     return data
 
 
+def _field_kwargs(data: dict, fields: dict, source: str) -> dict[str, dict[str, object]]:
+    """Constructor kwargs per object from the keys present in ``data``."""
+    kwargs: dict[str, dict[str, object]] = {obj: {} for obj, _, _ in fields.values()}
+    for key, value in data.items():
+        obj, name, parse = fields[key]
+        try:
+            kwargs[obj][name] = parse(value)
+        except (TypeError, OverflowError) as exc:
+            raise ScenarioError(f"{source}: {key}: {exc}") from exc
+    return kwargs
+
+
+def _to_mapping(fields: dict, **objects: object) -> dict:
+    return {key: getattr(objects[obj], name) for key, (obj, name, _) in fields.items()}
+
+
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def _params_from_mapping(data: dict, source: str) -> tuple[VehicleParams, PowerModel]:
+    kwargs = _field_kwargs(data, PARAM_FIELDS, source)
     try:
-        params = VehicleParams(
-            drag_coeff=float(data["a"]),
-            solid_friction=float(data["c"]),
-            gravity=float(data["g"]),
-            traction=float(data["f1"]),
-            mass=float(data["m"]),
-            switch_cost=float(data["alpha"]),
-            signed_drag=bool(data.get("signed_drag", False)),
-        )
-        power = PowerModel(
-            kind=str(data.get("power_model", CONSTANT_ELECTRICAL)),
-            constant_watts=float(data.get("constant_watts", 161.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return VehicleParams(**kwargs["params"]), PowerModel(**kwargs["power"])
+    except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
-    return params, power
 
 
 def load_params(path: str | Path) -> tuple[VehicleParams, PowerModel]:
     """Vehicle and power model from a ``params.json`` file."""
-    data = _load_json(Path(path), PARAM_KEYS, REQUIRED_PARAM_KEYS)
+    data = _load_json(Path(path), PARAM_FIELDS, REQUIRED_PARAM_KEYS)
     return _params_from_mapping(data, str(path))
 
 
-def _params_to_mapping(params: VehicleParams, power: PowerModel) -> dict:
-    return {
-        "a": params.drag_coeff,
-        "c": params.solid_friction,
-        "g": params.gravity,
-        "f1": params.traction,
-        "m": params.mass,
-        "alpha": params.switch_cost,
-        "power_model": power.kind,
-        "constant_watts": power.constant_watts,
-        "signed_drag": params.signed_drag,
-    }
-
-
 def _controller_from_mapping(data: dict, race_length: float, source: str) -> ControllerConfig:
+    kwargs = _field_kwargs(data, CONTROLLER_FIELDS, source)
     try:
-        grid = GridSpec(
-            lower_offsets=tuple(float(v) for v in data.get("grid_offsets_mps", (2.0, 1.5, 1.0, 0.5))),
-            tol=float(data.get("grid_tol_mps", 1e-4)),
-            fine_step=(
-                None
-                if data.get("fine_step_mps") is None
-                else float(data["fine_step_mps"])
-            ),
-            fine_halfwidth=float(data.get("fine_halfwidth_mps", 0.5)),
-        )
         return ControllerConfig(
-            race_length=race_length,
-            race_duration=float(data["duration_s"]),
-            replan_interval=float(data.get("replan_interval_s", 3.0)),
-            safety_margin=float(data.get("safety_margin_mps", 0.5)),
-            grid=grid,
-            hard_stop_factor=float(data.get("hard_stop_factor", 1.2)),
-            trace_interval=float(data.get("trace_interval_s", 0.5)),
+            race_length=race_length, grid=GridSpec(**kwargs["grid"]), **kwargs["controller"]
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
-
-
-def _controller_to_mapping(cfg: ControllerConfig) -> dict:
-    return {
-        "duration_s": cfg.race_duration,
-        "replan_interval_s": cfg.replan_interval,
-        "safety_margin_mps": cfg.safety_margin,
-        "hard_stop_factor": cfg.hard_stop_factor,
-        "trace_interval_s": cfg.trace_interval,
-        "grid_offsets_mps": list(cfg.grid.lower_offsets),
-        "grid_tol_mps": cfg.grid.tol,
-        "fine_step_mps": cfg.grid.fine_step,
-        "fine_halfwidth_mps": cfg.grid.fine_halfwidth,
-    }
 
 
 def parse_override(item: str) -> tuple[str, object]:
@@ -161,7 +165,7 @@ def parse_override(item: str) -> tuple[str, object]:
         raise ScenarioError(f"override {item!r} is not of the form key=value")
     key, raw = item.split("=", 1)
     key = key.strip()
-    if key not in PARAM_KEYS | CONTROLLER_KEYS:
+    if key not in PARAM_FIELDS.keys() | CONTROLLER_FIELDS.keys():
         raise ScenarioError(f"override key {key!r} is not recognized")
     raw = raw.strip()
     if key == "grid_offsets_mps":
@@ -184,9 +188,9 @@ def load_scenario(
     scenario_dir = Path(scenario_dir)
     if not scenario_dir.is_dir():
         raise ScenarioError(f"{scenario_dir}: not a directory")
-    params_map = _load_json(scenario_dir / "params.json", PARAM_KEYS, REQUIRED_PARAM_KEYS)
+    params_map = _load_json(scenario_dir / "params.json", PARAM_FIELDS, REQUIRED_PARAM_KEYS)
     controller_map = _load_json(
-        scenario_dir / "controller.json", CONTROLLER_KEYS, {"duration_s"}
+        scenario_dir / "controller.json", CONTROLLER_FIELDS, {"duration_s"}
     )
     track = TrackProfile.from_csv(scenario_dir / "track.csv")
     wind_path = scenario_dir / "wind.csv"
@@ -194,7 +198,7 @@ def load_scenario(
 
     for item in overrides:
         key, value = parse_override(item)
-        if key in PARAM_KEYS:
+        if key in PARAM_FIELDS:
             params_map[key] = value
         else:
             controller_map[key] = value
@@ -217,21 +221,16 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> list[Path]:
     """Write a scenario back to its file form (exact float round-trip)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     params_path = out_dir / "params.json"
-    params_path.write_text(
-        json.dumps(_params_to_mapping(scenario.params, scenario.power), indent=2, sort_keys=True)
-        + "\n"
+    _write_json(
+        params_path, _to_mapping(PARAM_FIELDS, params=scenario.params, power=scenario.power)
     )
-    written.append(params_path)
+    cfg = scenario.controller
     controller_path = out_dir / "controller.json"
-    controller_path.write_text(
-        json.dumps(_controller_to_mapping(scenario.controller), indent=2, sort_keys=True) + "\n"
-    )
-    written.append(controller_path)
+    _write_json(controller_path, _to_mapping(CONTROLLER_FIELDS, controller=cfg, grid=cfg.grid))
     track_path = out_dir / "track.csv"
     scenario.track.to_csv(track_path)
-    written.append(track_path)
+    written = [params_path, controller_path, track_path]
     if scenario.wind != WindField.zero():
         wind_path = out_dir / "wind.csv"
         scenario.wind.to_csv(wind_path)
@@ -264,7 +263,7 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
         raise ScenarioError(f"{out_dir}: {exc}") from exc
 
     telemetry_path = out_dir / "telemetry.csv"
-    lines = [TELEMETRY_HEADER]
+    lines = [",".join(TELEMETRY_HEADER)]
     for s in result.samples:
         lines.append(
             f"{s.t!r},{s.position!r},{s.speed!r},{int(s.engine_on)},"
@@ -279,70 +278,34 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
     trace_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(summary_path, result.summary_dict())
 
     return {"telemetry": telemetry_path, "speed_trace": trace_path, "summary": summary_path}
 
 
 def read_summary(out_dir: str | Path) -> dict:
-    path = Path(out_dir) / "summary.json"
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+    return _read_json(Path(out_dir) / "summary.json")
 
 
 def recompute_summary_from_telemetry(out_dir: str | Path) -> dict:
     """Rebuild the summary statistics from the telemetry file alone."""
     path = Path(out_dir) / "telemetry.csv"
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != TELEMETRY_HEADER:
-        raise ScenarioError(f"{path} line 1: expected header {TELEMETRY_HEADER}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise ScenarioError(f"{path} line {lineno}: expected 9 fields, got {len(parts)}")
-        try:
-            rows.append(
-                {
-                    "t": float(parts[0]),
-                    "x1": float(parts[1]),
-                    "N": int(parts[4]),
-                    "E": float(parts[5]),
-                    "flag": parts[8],
-                }
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path} line {lineno}: {exc}") from exc
+    rows = read_csv_rows(path, TELEMETRY_HEADER, TELEMETRY_PARSERS)
     if not rows:
         raise ScenarioError(f"{path}: no telemetry rows")
-    last = rows[-1]
+    t_end, x_end, _, _, switches, energy, _, _, last_flag = rows[-1]
     switch_flags = {"switch_on", "switch_off", "safety_override"}
-    switch_times = [0.0] + [r["t"] for r in rows if r["flag"] in switch_flags]
-    min_gap = (
-        min(b - a for a, b in zip(switch_times, switch_times[1:]))
-        if len(switch_times) >= 2
-        else None
-    )
-    finished = last["flag"] == "finish"
+    switch_times = [0.0] + [row[0] for row in rows if row[-1] in switch_flags]
+    min_gap = min((b - a for a, b in zip(switch_times, switch_times[1:])), default=None)
     flags = []
-    for r in rows:
-        fl = r["flag"]
+    for *_, fl in rows:
         if fl and fl not in ("replan", "switch_on", "switch_off", "finish") and fl not in flags:
             flags.append(fl)
     return {
-        "finish_time_s": last["t"] if finished else None,
-        "total_energy_J": last["E"],
-        "switches": last["N"],
+        "finish_time_s": t_end if last_flag == "finish" else None,
+        "total_energy_J": energy,
+        "switches": switches,
         "min_switch_gap_s": min_gap,
-        "avg_speed_mps": last["x1"] / last["t"] if last["t"] > 0 else 0.0,
+        "avg_speed_mps": x_end / t_end if t_end > 0 else 0.0,
         "flags": flags,
     }

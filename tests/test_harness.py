@@ -7,10 +7,20 @@ from pathlib import Path
 import pytest
 
 import ecodrive
-from ecodrive import ScenarioError, TrackProfile, WindField, run_race
+from ecodrive import (
+    ControllerConfig,
+    PowerModel,
+    ScenarioError,
+    TrackProfile,
+    VehicleParams,
+    WindField,
+    run_race,
+)
 from ecodrive import fixtures as fixture_lib
 from ecodrive.harness import main
 from ecodrive.scenario import (
+    CONTROLLER_FIELDS,
+    PARAM_FIELDS,
     default_out_dir,
     emit_report,
     load_scenario,
@@ -36,6 +46,45 @@ def short_scenario(tmp_path, short_cfg):
     return scenario, scenario_dir
 
 
+def _set_keys(path: Path, **values) -> None:
+    data = json.loads(path.read_text())
+    data.update(values)
+    path.write_text(json.dumps(data))
+
+
+# a value other than the dataclass default for every key of both tables
+_NON_DEFAULT = {
+    "a": 7e-4,
+    "c": 0.04,
+    "g": 9.8,
+    "f1": 0.25,
+    "m": 90.0,
+    "alpha": 12.5,
+    "signed_drag": True,
+    "power_model": "wheel_power",
+    "constant_watts": 150.0,
+    "duration_s": 250.0,
+    "replan_interval_s": 2.0,
+    "safety_margin_mps": 0.25,
+    "hard_stop_factor": 1.5,
+    "trace_interval_s": 0.25,
+    "grid_offsets_mps": [1.25, 0.75],
+    "grid_tol_mps": 1e-5,
+    "fine_step_mps": 0.02,
+}
+
+
+def _field_value(scenario, key: str):
+    obj, name, _ = {**PARAM_FIELDS, **CONTROLLER_FIELDS}[key]
+    objects = {
+        "params": scenario.params,
+        "power": scenario.power,
+        "controller": scenario.controller,
+        "grid": scenario.controller.grid,
+    }
+    return getattr(objects[obj], name)
+
+
 class TestScenarioRoundTrip:
     @pytest.mark.parametrize("name", ["flat16500", "hill", "gust"])
     def test_fixture_files_reload_identically(self, tmp_path, name):
@@ -48,6 +97,35 @@ class TestScenarioRoundTrip:
         write_scenario(fixture_lib.flat16500(), tmp_path / "flat")
         assert not (tmp_path / "flat" / "wind.csv").exists()
         assert load_scenario(tmp_path / "flat").wind == WindField.zero()
+
+    @pytest.mark.parametrize("key", sorted(PARAM_FIELDS.keys() | CONTROLLER_FIELDS.keys()))
+    def test_every_key_survives_write_and_load(self, tmp_path, short_scenario, key):
+        base, scenario_dir = short_scenario
+        value = _NON_DEFAULT[key]
+        target = "params.json" if key in PARAM_FIELDS else "controller.json"
+        _set_keys(scenario_dir / target, **{key: value})
+        loaded = load_scenario(scenario_dir)
+        expected = tuple(value) if isinstance(value, list) else value
+        assert _field_value(loaded, key) == expected != _field_value(base, key)
+        write_scenario(loaded, tmp_path / "again")
+        assert load_scenario(tmp_path / "again").content_equal(loaded)
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path, short_scenario):
+        _, scenario_dir = short_scenario
+        required = {"a": 7e-4, "c": 0.04, "g": 9.8, "f1": 0.25, "m": 90.0, "alpha": 12.5}
+        (scenario_dir / "params.json").write_text(json.dumps(required))
+        (scenario_dir / "controller.json").write_text(json.dumps({"duration_s": 250.0}))
+        loaded = load_scenario(scenario_dir)
+        assert loaded.power == PowerModel()
+        assert loaded.params == VehicleParams(
+            drag_coeff=7e-4,
+            solid_friction=0.04,
+            gravity=9.8,
+            traction=0.25,
+            mass=90.0,
+            switch_cost=12.5,
+        )
+        assert loaded.controller == ControllerConfig(loaded.track.length, 250.0)
 
 
 class TestScenarioValidation:
@@ -92,12 +170,40 @@ class TestScenarioValidation:
             load_scenario(scenario_dir)
 
     def test_time_step_key_refused(self, short_scenario):
-        # legs are exact, so a controller file may no longer set dt_s
+        # legs are exact, so a controller file may no longer set dt_s, nor
+        # fine_halfwidth_mps, since the fine search window is a constant
         _, scenario_dir = short_scenario
-        data = json.loads((scenario_dir / "controller.json").read_text())
-        data["dt_s"] = 1e-3
-        (scenario_dir / "controller.json").write_text(json.dumps(data))
-        with pytest.raises(ScenarioError, match="unknown keys"):
+        controller_json = (scenario_dir / "controller.json").read_text()
+        for key, value in (("dt_s", 1e-3), ("fine_halfwidth_mps", 0.5)):
+            (scenario_dir / "controller.json").write_text(controller_json)
+            _set_keys(scenario_dir / "controller.json", **{key: value})
+            with pytest.raises(ScenarioError, match="unknown keys"):
+                load_scenario(scenario_dir)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("signed_drag", "false"), ("signed_drag", 0), ("a", "7e-4"), ("m", True)],
+    )
+    def test_params_file_values_are_type_checked(self, short_scenario, key, value):
+        _, scenario_dir = short_scenario
+        _set_keys(scenario_dir / "params.json", **{key: value})
+        with pytest.raises(ScenarioError, match=f"params.json: {key}: expected"):
+            load_scenario(scenario_dir)
+
+    def test_non_finite_track_cell_names_the_line(self, short_scenario):
+        _, scenario_dir = short_scenario
+        (scenario_dir / "track.csv").write_text(
+            "s_m,slope_rad,vsafe_mps\n0.0,nan,12.0\n2000.0,0.0,12.0\n"
+        )
+        with pytest.raises(ScenarioError, match="track.csv line 2: non-finite value 'nan'"):
+            load_scenario(scenario_dir)
+
+    def test_non_finite_wind_cell_names_the_line(self, short_scenario):
+        _, scenario_dir = short_scenario
+        (scenario_dir / "wind.csv").write_text(
+            "s_m,t_s,v_mps\n0.0,0.0,0.0\n0.0,10.0,inf\n"
+        )
+        with pytest.raises(ScenarioError, match="wind.csv line 3: non-finite value 'inf'"):
             load_scenario(scenario_dir)
 
     def test_non_rectangular_wind(self, short_scenario):
@@ -160,15 +266,39 @@ class TestOverrides:
             "grid_tol_mps=NaN",
             "fine_step_mps=NaN",
             "fine_step_mps=Infinity",
-            "fine_halfwidth_mps=NaN",
-            "fine_halfwidth_mps=0",
-            "fine_halfwidth_mps=-0.5",
         ],
     )
     def test_non_finite_or_non_positive_value_rejected(self, short_scenario, item):
         _, scenario_dir = short_scenario
         with pytest.raises(ScenarioError, match="finite"):
             load_scenario(scenario_dir, (item,))
+
+    # a value must have its JSON type: bool("False") would turn signed drag on
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "signed_drag=False",
+            "signed_drag=no",
+            "signed_drag=1",
+            "a=true",
+            'alpha="20"',
+            "power_model=3",
+            "fine_step_mps=false",
+            "m=1" + "0" * 400,
+        ],
+        ids=lambda item: item[:20],
+    )
+    def test_mistyped_value_rejected(self, short_scenario, item):
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError, match=f"{item.split('=')[0]}: (expected|int too large)"):
+            load_scenario(scenario_dir, (item,))
+
+    def test_json_booleans_and_null_accepted(self, short_scenario):
+        _, scenario_dir = short_scenario
+        _set_keys(scenario_dir / "controller.json", fine_step_mps=0.02)
+        scenario = load_scenario(scenario_dir, ("signed_drag=true", "fine_step_mps=null"))
+        assert scenario.params.signed_drag is True
+        assert scenario.controller.grid.fine_step is None
 
 
 class TestEmitReport:
