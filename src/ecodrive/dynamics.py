@@ -133,6 +133,8 @@ class TrackProfile:
             raise ScenarioError("track needs at least two breakpoints (no breakpoints)")
         if len(self.slope) != n or len(self.safe_speed) != n:
             raise ScenarioError("track columns must have equal length")
+        if not all(map(math.isfinite, (*self.arclength, *self.slope, *self.safe_speed))):
+            raise ScenarioError("track arclengths, slopes and safety speeds must be finite")
         if self.arclength[0] != 0.0:
             raise ScenarioError("track must start at arclength 0")
         if any(b <= a for a, b in zip(self.arclength, self.arclength[1:])):
@@ -205,6 +207,8 @@ class WindField:
             len(row) != len(self.time) for row in self.speed
         ):
             raise ScenarioError("wind grid must be rectangular")
+        if not all(np.isfinite(axis).all() for axis in (self.arclength, self.time, self.speed)):
+            raise ScenarioError("wind arclengths, times and speeds must be finite")
 
     def at(self, s: float, t: float) -> float:
         i = min(max(bisect.bisect_right(self.arclength, s) - 1, 0), len(self.arclength) - 1)

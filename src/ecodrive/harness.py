@@ -117,6 +117,12 @@ def _read_profile_table(path: str) -> tuple[list[float], list[float]]:
     return [r[0] for r in rows], [r[1] for r in rows]
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_robustness(args) -> int:
     g = SpeedProfile.from_samples(*_read_profile_table(args.g))
     dg = SpeedProfile.from_samples(*_read_profile_table(args.dg))
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="average-speed sensitivity to dynamics error")
     p.add_argument("--g", required=True, help="profile CSV (s_mps,value)")
     p.add_argument("--dg", required=True, help="perturbation CSV (s_mps,value)")
-    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--terms", type=_positive_int, default=8, help="series terms, at least 1")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("sweep", help="simulate a scenario over parameter values")

@@ -1,15 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature of the speed moments of an integrand.
 
 The loop returns both speed moments, the integrals of fn(s) and s fn(s), of
-any continuous vectorized integrand on a closed interval; it serves the
-robustness series.  The legs of the model's own slices come in closed form
-from ``FrozenDynamics.leg_time_distance``.
+one continuous vectorized integrand, or of a stack of them on shared panels;
+it serves the robustness series.  The legs of the model's own slices come in
+closed form from ``FrozenDynamics.leg_time_distance``.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
 import numpy as np
@@ -69,64 +68,65 @@ _WEIGHTS = np.column_stack(
 )
 
 
-def _panel(
-    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
-) -> tuple[float, float, float]:
+def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """Both moments and the panel error on each panel between consecutive edges.
+
+    ``fn`` is called once on the nodes of all the panels.  The result holds
+    the zeroth moment, the first moment and the error estimate, with shape
+    ``(3, panels)``, or ``(3, rows, panels)`` when ``fn`` returns a stack.
+    """
+    a, b = edges[:-1], edges[1:]
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    k0, g0, k1, g1 = (fn(center + half * _NODES) @ _WEIGHTS).tolist()
+    values = np.asarray(fn((center[:, None] + half[:, None] * _NODES).ravel()))
+    sums = values.reshape(values.shape[:-1] + (a.size, _NODES.size)) @ _WEIGHTS
+    if not np.isfinite(sums).all():
+        raise NumericError(f"integrand is not finite on [{edges[0]}, {edges[-1]}]")
+    k0, g0, k1, g1 = (sums[..., j] for j in range(4))
     m0 = half * k0
-    m1 = center * m0 + half * half * k1
-    if not (math.isfinite(m0) and math.isfinite(m1)):
-        raise NumericError(f"integrand is not finite on [{a}, {b}]")
-    err0 = half * abs(k0 - g0)
-    err1 = half * abs(center * (k0 - g0) + half * (k1 - g1))
-    return m0, m1, max(err0, err1 / max(abs(a), abs(b), 1.0))
+    err0 = half * np.abs(k0 - g0)
+    err1 = half * np.abs(center * (k0 - g0) + half * (k1 - g1))
+    speed = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return np.stack([m0, center * m0 + half * half * k1, np.maximum(err0, err1 / speed)])
 
 
-def speed_moments(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
+def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     """Integrals of fn(s) and s fn(s) over [lo, hi] by bisection of the worst panel.
 
-    ``fn`` only needs to be continuous and vectorized.  Each panel is scored
+    ``fn`` only needs to be continuous and vectorized.  A ``(k, n)`` result
+    is a stack of k integrands, integrated on shared panels into length-k
+    moment arrays; a 1-d result gives float moments.  Each panel is scored
     with the embedded Gauss-7 rule on both moments, the first moment's error
-    scaled down by the panel's speed magnitude, and the worst panel is split
-    until the summed error drops below ``max(REL_TOL * |int fn|, ABS_FLOOR)``.
+    scaled down by the panel's speed magnitude.  Until every row's summed
+    error is below ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst
+    against that rule is split, both halves in one call of ``fn``.
     """
     if lo == hi:
         return 0.0, 0.0
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0
-    m0, m1, err = _panel(fn, lo, hi)
-    heap = [(-err, lo, hi, m0, m1)]
-    total_err = err
-    panels = 1
-    while total_err > max(REL_TOL * abs(m0), ABS_FLOOR):
-        if panels >= MAX_PANELS:
+    total = _panels(fn, np.array([lo, hi]))[..., 0]
+    # each row's error in units of its rule, as first estimated
+    scale = 1.0 / np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)
+    heap = [(-float(np.max(total[2] * scale)), lo, hi, total)]
+    while np.any(total[2] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):
+        if len(heap) >= MAX_PANELS:
             raise NumericError(
                 f"quadrature exhausted {MAX_PANELS} panels on [{lo}, {hi}]"
             )
-        neg_err, a, b, old0, old1 = heapq.heappop(heap)
+        _, a, b, old = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        l0, l1, el = _panel(fn, a, mid)
-        r0, r1, er = _panel(fn, mid, b)
-        m0 += l0 + r0 - old0
-        m1 += l1 + r1 - old1
-        total_err += el + er + neg_err
-        heapq.heappush(heap, (-el, a, mid, l0, l1))
-        heapq.heappush(heap, (-er, mid, b, r0, r1))
-        panels += 1
-    return sign * m0, sign * m1
+        halves = _panels(fn, np.array([a, mid, b]))
+        total = total + (halves[..., 0] + halves[..., 1] - old)
+        for i, (x, y) in enumerate(((a, mid), (mid, b))):
+            worst = float(np.max(halves[2, ..., i] * scale))
+            heapq.heappush(heap, (-worst, x, y, halves[..., i]))
+    if total.ndim == 1:
+        return sign * float(total[0]), sign * float(total[1])
+    return sign * total[0], sign * total[1]
 
 
-def adaptive_quadrature(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-) -> float:
-    """Integral of a vectorized integrand: the first of its speed moments."""
+def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    """Integral of a vectorized integrand, or of each row of a stack of them."""
     return speed_moments(fn, lo, hi)[0]

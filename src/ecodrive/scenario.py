@@ -165,18 +165,23 @@ def parse_override(item: str) -> tuple[str, object]:
         raise ScenarioError(f"override {item!r} is not of the form key=value")
     key, raw = item.split("=", 1)
     key = key.strip()
-    if key not in PARAM_FIELDS.keys() | CONTROLLER_FIELDS.keys():
+    fields = PARAM_FIELDS | CONTROLLER_FIELDS
+    if key not in fields:
         raise ScenarioError(f"override key {key!r} is not recognized")
     raw = raw.strip()
     if key == "grid_offsets_mps":
         try:
-            return key, [float(v) for v in raw.split(",")]
+            value = [float(v) for v in raw.split(",")]
         except ValueError as exc:
             raise ScenarioError(f"override {item!r}: {exc}") from exc
-    try:
-        return key, json.loads(raw)
-    except json.JSONDecodeError:
-        return key, raw  # bare strings like power_model=wheel_power
+    else:
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # bare strings like power_model=wheel_power
+    # type-checked here, so a mistyped value is blamed on the override, not the file
+    _field_kwargs({key: value}, fields, f"override {item!r}")
+    return key, value
 
 
 def load_scenario(

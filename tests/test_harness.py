@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,24 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="wind.csv line 3: non-finite value 'inf'"):
             load_scenario(scenario_dir)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TrackProfile((0.0, math.inf), (0.0, 0.0), (12.0, 12.0)),
+            lambda: TrackProfile((0.0, 100.0), (math.nan, 0.0), (12.0, 12.0)),
+            lambda: TrackProfile((0.0, 100.0), (0.0, 0.0), (12.0, math.inf)),
+            lambda: WindField((0.0,), (0.0,), ((math.nan,),)),
+            lambda: WindField((0.0, math.inf), (0.0,), ((1.0,), (1.0,))),
+            lambda: WindField((0.0,), (0.0, math.inf), ((1.0, 1.0),)),
+        ],
+        ids=["track_arclength", "track_slope", "track_vsafe", "wind_speed", "wind_arclength",
+             "wind_time"],
+    )
+    def test_non_finite_values_built_in_code_rejected(self, build):
+        # the CSV readers refuse non-finite cells; the constructors must too
+        with pytest.raises(ScenarioError, match="must be finite"):
+            build()
+
     def test_non_rectangular_wind(self, short_scenario):
         _, scenario_dir = short_scenario
         (scenario_dir / "wind.csv").write_text(
@@ -292,6 +311,23 @@ class TestOverrides:
         _, scenario_dir = short_scenario
         with pytest.raises(ScenarioError, match=f"{item.split('=')[0]}: (expected|int too large)"):
             load_scenario(scenario_dir, (item,))
+
+    def test_mistyped_override_is_blamed_on_the_override(self, short_scenario):
+        # params.json holds a valid false; the error must not name the file
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scenario_dir, ("signed_drag=False",))
+        assert str(err.value).startswith("override 'signed_drag=False': ")
+        assert "expected true or false" in str(err.value)
+        assert "params.json" not in str(err.value)
+
+    def test_mistyped_file_value_is_blamed_on_the_file(self, short_scenario):
+        _, scenario_dir = short_scenario
+        _set_keys(scenario_dir / "params.json", signed_drag="False")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scenario_dir, ("alpha=12",))
+        assert str(err.value).startswith(f"{scenario_dir / 'params.json'}: signed_drag: expected")
+        assert "override" not in str(err.value)
 
     def test_json_booleans_and_null_accepted(self, short_scenario):
         _, scenario_dir = short_scenario
@@ -495,6 +531,16 @@ class TestCli:
         assert rc == 0
         values = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert float(values["residual_mps"]) < 1e-6
+
+
+    @pytest.mark.parametrize("terms", ["0", "-1", "two"])
+    def test_robustness_terms_must_be_positive(self, tmp_path, capsys, terms):
+        # a usage error from argparse (exit 2), checked before any file is read
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["robustness", "--g", missing, "--dg", missing, "--terms", terms])
+        assert exc.value.code == 2
+        assert f"--terms: expected a positive integer, got {terms!r}" in capsys.readouterr().err
 
 
 # runs in a fresh interpreter: the race and slice commands, then a sampled profile

@@ -14,6 +14,7 @@ from ecodrive import (
     FrozenDynamics,
     InfeasibleSliceError,
     InvalidSegmentError,
+    NumericError,
     PowerModel,
     RaceState,
     TrackProfile,
@@ -22,7 +23,7 @@ from ecodrive import (
     band_from_limits,
 )
 from ecodrive.optimizer import leg_time_distance
-from ecodrive.quadrature import adaptive_quadrature
+from ecodrive.quadrature import adaptive_quadrature, speed_moments
 
 # frozen closed-form values for the reference band 6.1 -> 7.94 m/s
 T_UP_BAND = 13.131691162356102
@@ -55,6 +56,54 @@ class TestAdaptiveQuadrature:
         ours = adaptive_quadrature(fn, 0.0, 5.0)
         ref, _ = quad(lambda s: math.exp(-s) * math.sin(3.0 * s), 0.0, 5.0, epsabs=1e-12)
         assert ours == pytest.approx(ref, rel=1e-9)
+
+
+class TestStackedIntegrands:
+    ROWS = (
+        lambda s: 1.0 / (1.0 + s * s),
+        lambda s: np.exp(-s) * (2.0 + np.sin(3.0 * s)),
+        lambda s: np.sqrt(s) + 0.1 * s**3,
+    )
+
+    def test_every_row_matches_its_own_pass(self):
+        stacked = speed_moments(lambda s: np.vstack([row(s) for row in self.ROWS]), 0.5, 4.0)
+        for i, row in enumerate(self.ROWS):
+            alone = speed_moments(row, 0.5, 4.0)
+            assert type(alone[0]) is float and type(alone[1]) is float
+            for shared, own in zip(stacked, alone):
+                assert shared.shape == (3,)
+                assert shared[i] == pytest.approx(own, rel=1e-9)
+
+    def test_the_row_worst_against_its_rule_picks_the_split(self):
+        # next to a constant row, a peaked row must get the panels it gets alone
+        peak = lambda s: 1.0 / (1e-3 + (s - 1.3) ** 2)
+        alone_sizes, stacked_sizes = [], []
+
+        def alone(s):
+            alone_sizes.append(s.size)
+            return peak(s)
+
+        def stacked(s):
+            stacked_sizes.append(s.size)
+            return np.vstack([np.ones_like(s), peak(s)])
+
+        single = adaptive_quadrature(alone, 0.0, 2.0)
+        both = adaptive_quadrature(stacked, 0.0, 2.0)
+        assert stacked_sizes == alone_sizes
+        assert alone_sizes[0] == 15 and set(alone_sizes[1:]) == {30}
+        assert both[0] == pytest.approx(2.0, rel=1e-14)
+        assert both[1] == pytest.approx(single, rel=1e-14)
+
+    def test_reversed_bounds_flip_every_row(self):
+        fn = lambda s: np.vstack([np.ones_like(s), s])
+        forward = adaptive_quadrature(fn, 0.0, 2.0)
+        assert adaptive_quadrature(fn, 2.0, 0.0) == pytest.approx(-forward, rel=1e-15)
+        assert forward == pytest.approx([2.0, 2.0], rel=1e-12)
+
+    def test_non_finite_row_raises(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite"):
+                speed_moments(lambda s: np.vstack([np.ones_like(s), 1.0 / (s - 1.0)]), 0.0, 2.0)
 
 
 class TestSegments:
