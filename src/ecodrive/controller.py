@@ -6,7 +6,8 @@ and recomputes the oscillation band.  Between replans a hysteresis machine
 switches the engine off at the band top and on at the band bottom.  A hard
 safety override forces the engine off whenever the speed exceeds the local
 safety limit.  Between decisions the state jumps from event to event along
-closed-form legs, so every switch lands exactly on its threshold.
+closed-form legs, so every switch lands exactly on its threshold; the dense
+trace is read off the running leg.
 """
 
 from __future__ import annotations
@@ -203,9 +204,9 @@ def run_race(
 
     Starts from rest with the engine just switched on (one switch counted,
     one switching cost charged).  Replans every replan interval and, in
-    between, jumps from event to event along exact constant-mode legs;
-    telemetry is sampled at every replan and switch event, the dense trace
-    on a fixed time grid.  Stops at the finish line or at the hard time cap.
+    between, jumps from event to event along exact constant-mode legs, with
+    telemetry at every replan and switch.  The dense trace is read off the
+    running leg (at an event, its state).  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
         raise ScenarioError(
@@ -230,22 +231,20 @@ def run_race(
     band: OscillationBand | None = None
     stall_since: float | None = None
 
-    def total_energy() -> float:
-        return e_power + alpha * switches
-
     def note_flag(flag: str) -> None:
         if flag and flag not in flags:
             flags.append(flag)
 
-    def take_sample(flag: str, into: list[TelemetrySample]) -> None:
+    def take_sample(flag: str, into: list[TelemetrySample], at: tuple | None = None) -> None:
+        t_at, x_at, v_at, e_at = at or (t, x1, x2, e_power)
         into.append(
             TelemetrySample(
-                t=t,
-                position=x1,
-                speed=x2,
+                t=t_at,
+                position=x_at,
+                speed=v_at,
                 engine_on=engine_on,
                 switches=switches,
-                energy=total_energy(),
+                energy=e_at + alpha * switches,
                 band_lower=band.lower if band is not None else 0.0,
                 band_upper=band.upper if band is not None else 0.0,
                 flag=flag,
@@ -256,14 +255,8 @@ def run_race(
     next_trace = cfg.trace_interval
     n_replan = 0
     while x1 < race_len - 1e-9 and t < t_hard - 1e-12:
-        record = replan(
-            RaceState(t, x1, x2, engine_on, switches, total_energy()),
-            track,
-            wind,
-            params,
-            power,
-            cfg,
-        )
+        state = RaceState(t, x1, x2, engine_on, switches, e_power + alpha * switches)
+        record = replan(state, track, wind, params, power, cfg)
         band = record.band
         replans.append(record)
         note_flag(record.flag)
@@ -294,10 +287,16 @@ def run_race(
             leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
             t_new, x_new, x2 = _next_event(
                 leg, t, x1, band.upper if engine_on else band.lower,
-                min(window_end, next_trace, wind.next_boundary_t(t)),
+                min(window_end, wind.next_boundary_t(t)),
                 min(track.next_boundary(x1), wind.next_boundary_s(x1), race_len),
                 track if engine_on else None,
             )
+            while next_trace < t_new - 1e-12:
+                tau = next_trace - t
+                d = leg.distance(tau)
+                e_at = e_power + engine_energy(tau, d, engine_on, power, params)
+                take_sample("", trace, (next_trace, x1 + d, leg.speed(tau), e_at))
+                next_trace += cfg.trace_interval
             e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
             t, x1 = t_new, x_new
             if t >= next_trace - 1e-12:
@@ -316,7 +315,7 @@ def run_race(
         switch_times=tuple(switch_times),
         finished=finished,
         finish_time=t if finished else None,
-        total_energy=total_energy(),
+        total_energy=e_power + alpha * switches,
         switches=switches,
         avg_speed=avg_speed,
         flags=tuple(flags),

@@ -407,14 +407,16 @@ class FrozenDynamics:
             return tau, tau
         return tau, w * tau - math.log1p(A * (r0 - r1) * (r0 + r1) / (b - A * r0 * r0)) / (2.0 * A)
 
-    def mode_changes_sign(self, engine_on: bool, lo: float, hi: float) -> bool:
+    def mode_changes_sign(
+        self, engine_on: bool, lo: float, hi: float, margin: float | None = None
+    ) -> bool:
         """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
 
-        A root of ``b - a D(v - w)`` counts when it lies more than a small
-        margin inside the interval and away from the mode's own rest speed,
-        so a leg may start or end at that rest speed.
+        A root of ``b - a D(v - w)`` counts when it lies more than ``margin``,
+        by default ``max(1e-9, 1e-4 (hi - lo))``, inside the interval and away
+        from the mode's own rest speed, so a leg may start or end there.
         """
-        margin = max(1e-9, 1e-4 * (hi - lo))
+        margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
         rest = self.rest_speed(engine_on)
         b = mode_b(self.params, self.gravity_component, engine_on)
         for v in _drag_roots(b, self.wind_speed, self.params):
@@ -540,8 +542,8 @@ def increasing_root(
     ``fn(x)`` returns the value and the slope at x; ``x`` clipped into the
     bracket is the first iterate.  An end is evaluated only when a step would
     leave through it, and is returned when its value puts the root beyond it.
-    A step out through an evaluated end bisects.  Stops on brentq's default
-    tolerance: a step shorter than ``2e-12 + 4 eps |x|``.
+    A step out through an evaluated end bisects.  Returns the last evaluated
+    ``x`` once the next step is below brentq's ``2e-12 + 4 eps |x|``.
     """
     fresh = {lo, hi}  # the ends not evaluated yet
     x = min(max(x, lo), hi)
@@ -559,7 +561,7 @@ def increasing_root(
             end = lo if x_new <= lo else hi
             x_new = end if end in fresh else 0.5 * (lo + hi)
         if x_new not in fresh and abs(x_new - x) <= 2e-12 + 8.9e-16 * abs(x_new):
-            return x_new
+            return x
         x = x_new
     raise NumericError(f"no root after 100 iterations in [{lo!r}, {hi!r}]")
 

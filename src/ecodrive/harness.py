@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -161,8 +162,9 @@ def cmd_sweep(args) -> int:
         overrides = tuple(args.set) + (f"{key}={value}",)
         out_sub = out_root / f"{key}={value}"
         tasks.append((args.scenario, overrides, str(out_sub), value))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_variant, tasks))
     else:
         results = [_sweep_variant(task) for task in tasks]
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", required=True, metavar="KEY=V1,V2,...")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="capped at variants and CPUs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="re-derive summary from emitted telemetry")

@@ -139,8 +139,13 @@ def band_from_limits(
         raise InvalidSegmentError("dwell is only possible at the top equilibrium")
     if any(frozen.mode_changes_sign(on, v_a, v_b) for on in (True, False)):
         raise InvalidSegmentError("mode acceleration changes sign strictly inside the segment")
-    t_up, d_up = leg_time_distance(frozen, True, v_a, v_b)
-    t_down, d_down = leg_time_distance(frozen, False, v_b, v_a)
+    legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
+    return _band(frozen, v_a, v_b, dwell, legs)
+
+
+def _band(frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float, legs) -> OscillationBand:
+    """The band of the legs ``((t_up, d_up), (t_down, d_down))`` between v_a and v_b."""
+    (t_up, d_up), (t_down, d_down) = legs
     # the dwell holds v_b with the engine on, so it extends the up leg's draw
     on_energy = engine_energy(t_up + dwell, d_up + v_b * dwell, True, frozen.power, frozen.params)
     energy = on_energy + frozen.params.switch_cost
@@ -173,8 +178,8 @@ def band_cost(
     almost the top equilibrium undershoots the target - possible only when
     the equilibrium is attained in finite time - the band saturates at the
     equilibrium and the balance is made up by dwelling there.  A candidate
-    whose legs would cross a root of either mode's acceleration, or that
-    lies within rounding of the target, is infeasible.
+    within rounding of the target, or whose legs would cross a root of either
+    mode's acceleration, is infeasible: one check covers the whole bracket.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
@@ -186,15 +191,19 @@ def band_cost(
         raise InfeasibleCandidateError(
             f"target {v_target:.6g} leaves no room below v_high {frozen.v_high:.6g}"
         )
-    if any(frozen.mode_changes_sign(on, v_a, v_b_max) for on in (True, False)):
+    margin = max(1e-9, 1e-4 * (v_target - v_a))  # no wider than any band (v_a, v_b) gets
+    if any(frozen.mode_changes_sign(on, v_a, v_b_max, margin) for on in (True, False)):
         raise InfeasibleCandidateError(
             f"a mode acceleration changes sign between v_a={v_a:.6g} "
             f"and the top {v_b_max:.6g}"
         )
+    legs = []  # of the last upper limit evaluated, which the root returns
 
     def miss(v_b: float) -> tuple[float, float]:
-        t_up, d_up = leg_time_distance(frozen, True, v_a, v_b)
-        t_dn, d_dn = leg_time_distance(frozen, False, v_b, v_a)
+        legs[:] = (
+            leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
+        )
+        (t_up, d_up), (t_dn, d_dn) = legs
         t = t_up + t_dn
         avg = (d_up + d_dn) / t
         # the legs gain 1/|f| in time and v_b/|f| in distance at the moving end
@@ -207,7 +216,7 @@ def band_cost(
         raise InfeasibleCandidateError(
             f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
         )
-    band = band_from_limits(frozen, v_a, v_b)
+    band = _band(frozen, v_a, v_b, 0.0, legs)
     missed = band.avg_speed - v_target
     if v_b == v_b_max and missed < 0.0:
         return _saturated_band(frozen, v_a, v_target)

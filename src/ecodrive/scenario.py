@@ -179,8 +179,6 @@ def parse_override(item: str) -> tuple[str, object]:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings like power_model=wheel_power
-    # type-checked here, so a mistyped value is blamed on the override, not the file
-    _field_kwargs({key: value}, fields, f"override {item!r}")
     return key, value
 
 
@@ -201,17 +199,15 @@ def load_scenario(
     wind_path = scenario_dir / "wind.csv"
     wind = WindField.from_csv(wind_path) if wind_path.exists() else WindField.zero()
 
+    # the files must hold alone, so what fails once the overrides are in is blamed on them
+    _params_from_mapping(params_map, str(scenario_dir / "params.json"))
+    _controller_from_mapping(controller_map, track.length, str(scenario_dir / "controller.json"))
     for item in overrides:
         key, value = parse_override(item)
-        if key in PARAM_FIELDS:
-            params_map[key] = value
-        else:
-            controller_map[key] = value
-
-    params, power = _params_from_mapping(params_map, str(scenario_dir / "params.json"))
-    controller = _controller_from_mapping(
-        controller_map, track.length, str(scenario_dir / "controller.json")
-    )
+        (params_map if key in PARAM_FIELDS else controller_map)[key] = value
+    source = "override " + ", ".join(map(repr, overrides))
+    params, power = _params_from_mapping(params_map, source)
+    controller = _controller_from_mapping(controller_map, track.length, source)
     return Scenario(
         name=name or scenario_dir.name,
         params=params,

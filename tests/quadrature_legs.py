@@ -129,17 +129,17 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
 
 
 def scan_mode_changes_sign(
-    frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
+    frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float, margin: float | None = None
 ) -> bool:
     """Whether the mode acceleration vanishes or changes sign inside (lo, hi), by scans.
 
     A 1,024-point scan of the whole band answers first: a band of one sign
     makes every sub-interval uniform.  Otherwise 65 points of (lo, hi) are
     probed, leaving out a small margin at the ends and around the mode's
-    own rest speed.
+    own rest speed, ``max(1e-9, 1e-4 (hi - lo))`` unless ``margin`` is given.
     """
-    margin = 1e-6 * (frozen.v_high - frozen.v_low)
-    xs = np.linspace(frozen.v_low + margin, frozen.v_high - margin, 1024)
+    band_margin = 1e-6 * (frozen.v_high - frozen.v_low)
+    xs = np.linspace(frozen.v_low + band_margin, frozen.v_high - band_margin, 1024)
     if not frozen.v_low_is_root:
         xs = xs[xs > 1e-9]  # stay on the 0+ side of the friction jump
     vals = frozen.accel_grid(xs, engine_on)
@@ -150,7 +150,7 @@ def scan_mode_changes_sign(
     ):
         return False
     eq = frozen.rest_speed(engine_on)
-    margin = max(1e-9, 1e-4 * (hi - lo))
+    margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
     xs = np.linspace(lo + margin, hi - margin, 65)
     if eq is not None:
         xs = xs[np.abs(xs - eq) > margin]
@@ -171,8 +171,8 @@ class GeneralLawSlice(FrozenDynamics):
     def leg_time_distance(self, engine_on, v0, v1):
         return leg_time_distance(self, engine_on, v0, v1)
 
-    def mode_changes_sign(self, engine_on, lo, hi):
-        return scan_mode_changes_sign(self, engine_on, lo, hi)
+    def mode_changes_sign(self, engine_on, lo, hi, margin=None):
+        return scan_mode_changes_sign(self, engine_on, lo, hi, margin)
 
     def moment_integrals(self):
         return moment_integrals(self)

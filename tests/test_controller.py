@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from ecodrive import (
     ScenarioError,
     TrackProfile,
     VehicleParams,
+    WindField,
     min_switch_interval,
     replan,
     run_race,
@@ -258,6 +260,9 @@ class TestRunRace:
         assert FLAG_STALLED in result.flags
         assert "did_not_finish" in result.flags
         assert min_switch_interval(result) is None  # never switched after start
+        # stuck from the start, the stall is noted at the first replan more
+        # than one replan interval later, whatever the trace grid
+        assert [s.t for s in result.samples if s.flag == FLAG_STALLED] == [6.0]
 
     def test_doubling_switch_cost_does_not_shrink_the_gap(
         self, const_power, zero_wind, short_cfg
@@ -394,3 +399,58 @@ class TestNextEvent:
         assert speed == track.safe_speed_at(x_new)
         assert abs(leg.speed(tau) - track.safe_speed_at(x_new)) <= 1e-9
         assert x_new == pytest.approx(x1 + leg.distance(tau), abs=1e-12)
+
+
+def _windy_scenario(arcs, slopes, safe_speeds, u1, u2, signed_drag, duration):
+    """Wheel-power race with ``u1`` on the first half of the track from t = 60 s
+    on, ``u2`` on the second half before then, and calm elsewhere."""
+    half = arcs[-1] / 2
+    wind = WindField((0.0, half), (0.0, 60.0), ((0.0, u1), (u2, 0.0)))
+    cfg = ControllerConfig(race_length=arcs[-1], race_duration=duration)
+    return (
+        TrackProfile(arcs, slopes, safe_speeds), wind, VehicleParams(signed_drag=signed_drag),
+        PowerModel("wheel_power"), cfg,
+    )
+
+
+def _fixture_race(make):
+    scenario = make()
+    return scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
+
+
+class TestTraceGrid:
+    """The dense trace is read off the running leg, so its grid never changes the race."""
+
+    RACES = {
+        "flat16500": lambda: _fixture_race(fixture_lib.flat16500),
+        "hill": lambda: _fixture_race(fixture_lib.hill),
+        "gust": lambda: _fixture_race(fixture_lib.gust),
+        # a coast band under a falling safety speed: when trace samples ended
+        # legs, 0.5 s and 0.07 s grids gave 5 and 28 switches
+        "coast_under_falling_safety": lambda: _windy_scenario(
+            (0.0, 83.8, 278.1, 338.5, 528.0, 585.6), (0.0103, 0.0, -0.0104, 0.007, 0.0, 0.0),
+            (10.94, 8.19, 9.93, 9.37, 4.51, 10.07), 0.36, -0.79, True, 99.4,
+        ),
+        # unsigned drag into a headwind; 6 against 31 switches
+        "headwind_climb": lambda: _windy_scenario(
+            (0.0, 141.9, 228.0, 389.3, 588.2, 1112.6), (0.0092, -0.0146, -0.0036, 0.0217, 0.0, 0.0),
+            (11.03, 11.36, 4.91, 7.64, 10.93, 4.59), -1.61, -1.93, False, 158.4,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RACES))
+    def test_race_is_the_same_on_a_finer_grid(self, name):
+        track, wind, params, power, cfg = self.RACES[name]()
+        coarse, fine = (
+            run_race(track, wind, params, power, replace(cfg, trace_interval=dt))
+            for dt in (0.5, 0.07)
+        )
+        assert fine.samples == coarse.samples
+        assert fine.switch_times == coarse.switch_times
+        assert fine.total_energy == coarse.total_energy
+        assert fine.flags == coarse.flags
+        assert len(fine.trace) > len(coarse.trace)
+        # the samples read off each leg run forward in time, place and energy
+        for run in (coarse, fine):
+            for a, b in zip(run.trace, run.trace[1:]):
+                assert b.t > a.t and b.position >= a.position and b.energy >= a.energy

@@ -18,6 +18,7 @@ from ecodrive import (
     run_race,
 )
 from ecodrive import fixtures as fixture_lib
+from ecodrive import harness
 from ecodrive.harness import main
 from ecodrive.scenario import (
     CONTROLLER_FIELDS,
@@ -321,6 +322,22 @@ class TestOverrides:
         assert "expected true or false" in str(err.value)
         assert "params.json" not in str(err.value)
 
+    @pytest.mark.parametrize("item", ["m=-1", "replan_interval_s=0", "c=0.5"])
+    def test_out_of_range_override_is_blamed_on_the_override(self, short_scenario, item):
+        # the files hold valid values; the error must name the override
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scenario_dir, (item,))
+        assert str(err.value).startswith(f"override {item!r}: ")
+        assert ".json" not in str(err.value)
+
+    def test_out_of_range_file_value_is_blamed_on_the_file(self, short_scenario):
+        _, scenario_dir = short_scenario
+        _set_keys(scenario_dir / "params.json", m=-1.0)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scenario_dir, ("m=93",))
+        assert str(err.value).startswith(f"{scenario_dir / 'params.json'}: mass must be")
+
     def test_mistyped_file_value_is_blamed_on_the_file(self, short_scenario):
         _, scenario_dir = short_scenario
         _set_keys(scenario_dir / "params.json", signed_drag="False")
@@ -493,6 +510,52 @@ class TestCli:
         merged = json.loads((out / "sweep_summary.json").read_text())
         assert set(merged) == {"10", "20"}
         assert merged["20"]["total_energy_J"] > merged["10"]["total_energy_J"]
+
+    @pytest.mark.parametrize(
+        "jobs, variants, cpus, workers",
+        [(8, 3, 16, 3), (8, 3, 2, 2), (2, 5, 16, 2), (4, 1, 16, None), (1, 3, 16, None),
+         (4, 3, None, None)],
+    )
+    def test_sweep_workers_are_capped(
+        self, short_scenario, tmp_path, monkeypatch, capsys, jobs, variants, cpus, workers
+    ):
+        # no process is started: the pool runs its tasks in this process
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, scenario_dir = short_scenario
+        values = ",".join(str(10 + k) for k in range(variants))
+        argv = ["sweep", "--scenario", str(scenario_dir), "--vary", f"alpha={values}",
+                "--out", str(tmp_path / "sweep"), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert pools == ([] if workers is None else [workers])
+        merged = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
+        assert len(merged) == variants
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_sweep_refuses_fewer_than_one_job(self, short_scenario, tmp_path, capsys, jobs):
+        _, scenario_dir = short_scenario
+        argv = ["sweep", "--scenario", str(scenario_dir), "--vary", "alpha=10",
+                "--out", str(tmp_path / "sweep"), "--jobs", jobs]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_module_entry_point(self, short_scenario):
         _, scenario_dir = short_scenario

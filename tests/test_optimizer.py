@@ -19,6 +19,7 @@ from ecodrive import (
     asymptotic_average_cost,
     band_cost,
     band_from_limits,
+    check_assumptions,
     optimal_band,
 )
 from ecodrive.errors import ExpansionInapplicableError
@@ -53,8 +54,8 @@ class TestUpperLimit:
 
     @pytest.mark.parametrize("v_a", [6.1, 5.0, 6.999])
     def test_newton_budget(self, flat_slice, monkeypatch, v_a):
-        # Newton on the exact slope, then the post-check: at most 6 period
-        # averages of two legs each
+        # Newton on the exact slope, and the band built from the legs of its
+        # last iterate: at most 5 period averages of two legs each
         calls = []
 
         def counting(*args):
@@ -63,8 +64,21 @@ class TestUpperLimit:
 
         monkeypatch.setattr(optimizer, "leg_time_distance", counting)
         v_b = band_cost(flat_slice, v_a, 7.0).upper
-        assert len(calls) <= 12
+        assert len(calls) <= 10
+        assert calls[-2:] == [(flat_slice, True, v_a, v_b), (flat_slice, False, v_b, v_a)]
         assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-6)
+
+    def test_one_sign_check_per_mode(self, flat_slice, monkeypatch):
+        checks = []
+        original = type(flat_slice).mode_changes_sign
+
+        def counting(self, *args):
+            checks.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(type(flat_slice), "mode_changes_sign", counting)
+        band_cost(flat_slice, 6.1, 7.0)
+        assert sorted(on for on, *_ in checks) == [False, True]
 
     def test_preconditions(self, flat_slice):
         with pytest.raises(InfeasibleCandidateError):
@@ -148,6 +162,40 @@ class TestUpperLimitOnRandomSlices:
             assume(False)
         again = band_from_limits(frozen, v_a, band.upper, band.dwell)
         assert band == again  # field for field
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SLICES)
+    @example(False, 0.0, 0.0, False, 0.3, 0.5)  # the flat windless slice
+    def test_one_sign_check_rejects_what_the_pair_of_checks_did(
+        self, signed, wind, slope, wheel, u_a, u_t
+    ):
+        # one check of the bracket [v_a, v_b_max] with the margin of the
+        # narrowest band (v_a, target) rejects what checking the bracket and
+        # then the band [v_a, v_b], each with its own margin, rejects
+        frozen, v_a, v_target = self.candidate(signed, wind, slope, wheel, u_a, u_t)
+        assume(check_assumptions(frozen).passed)
+        v_b_max = frozen.v_high * (1.0 - optimizer.UPPER_BRACKET_MARGIN)
+        assume(v_target < v_b_max)
+
+        def pair_rejects(v_b):
+            return any(
+                frozen.mode_changes_sign(on, v_a, hi)
+                for on in (True, False)
+                for hi in (v_b_max, min(v_b, v_b_max))
+            )
+
+        try:
+            band = band_cost(frozen, v_a, v_target)
+        except InfeasibleCandidateError as exc:
+            if "changes sign" in str(exc):
+                # the bisection only runs once the bracket's own check passed
+                assert pair_rejects(v_b_max) or pair_rejects(
+                    bisection_upper_limit(frozen, v_a, v_target)[0]
+                )
+            else:  # rejected before the band was checked
+                assert not pair_rejects(v_b_max)
+            return
+        assert not pair_rejects(band.upper)
 
 
 class TestBandCost:
