@@ -130,7 +130,7 @@ def cmd_robustness(args) -> int:
     base = mean_speed(g)
     perturbed = mean_speed(g.plus(dg))
     direct = perturbed - base
-    estimate = perturbation_series(g, dg, args.terms)
+    estimate = perturbation_series(g, dg, args.terms, mean=base)
     ratio_mean, ratio_var = ratio_statistics(g, dg)
     _print_kv("mean_speed_mps", base)
     _print_kv("perturbed_mean_mps", perturbed)

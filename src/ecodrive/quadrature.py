@@ -90,30 +90,32 @@ def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.nda
     return np.stack([m0, center * m0 + half * half * k1, np.maximum(err0, err1 / speed)])
 
 
-def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
     """Integrals of fn(s) and s fn(s) over [lo, hi] by bisection of the worst panel.
 
-    ``fn`` only needs to be continuous and vectorized.  A ``(k, n)`` result
-    is a stack of k integrands, integrated on shared panels into length-k
-    moment arrays; a 1-d result gives float moments.  Each panel is scored
-    with the embedded Gauss-7 rule on both moments, the first moment's error
+    ``fn`` only needs to be vectorized and smooth between ``knots``, where
+    the first panels start, all in one call.  A ``(k, n)`` result is a stack
+    of k integrands, integrated on shared panels into length-k moment
+    arrays; a 1-d result gives float moments.  Each panel is scored with
+    the embedded Gauss-7 rule on both moments, the first moment's error
     scaled down by the panel's speed magnitude.  Until every row's summed
     error is below ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst
     against that rule is split, both halves in one call of ``fn``.
     """
     if lo == hi:
         return 0.0, 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-    total = _panels(fn, np.array([lo, hi]))[..., 0]
+    sign = 1.0 if lo < hi else -1.0
+    edges = np.unique([lo, *knots, hi])
+    panels = np.moveaxis(_panels(fn, edges), -1, 0)
+    total = panels.sum(axis=0)
     # each row's error in units of its rule, as first estimated
     scale = 1.0 / np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)
-    heap = [(-float(np.max(total[2] * scale)), lo, hi, total)]
+    worst = (panels[:, 2] * scale).reshape(len(panels), -1).max(axis=1)
+    heap = sorted(zip((-worst).tolist(), edges[:-1], edges[1:], panels))
     while np.any(total[2] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):
         if len(heap) >= MAX_PANELS:
             raise NumericError(
-                f"quadrature exhausted {MAX_PANELS} panels on [{lo}, {hi}]"
+                f"quadrature exhausted {MAX_PANELS} panels on [{edges[0]}, {edges[-1]}]"
             )
         _, a, b, old = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -127,6 +129,6 @@ def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     return sign * total[0], sign * total[1]
 
 
-def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
     """Integral of a vectorized integrand, or of each row of a stack of them."""
-    return speed_moments(fn, lo, hi)[0]
+    return speed_moments(fn, lo, hi, knots)[0]

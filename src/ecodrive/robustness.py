@@ -9,7 +9,7 @@ alternating series whose terms decay like powers of the perturbation ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,42 +33,63 @@ class SpeedProfile:
     lo: float
     hi: float
     fn: Callable[[np.ndarray], np.ndarray]
+    knots: tuple[float, ...] = ()  # ends included; fn is smooth between knots
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise InvalidProfileError("profile needs lo < hi")
+        object.__setattr__(self, "knots", tuple(self.knots) or (self.lo, self.hi))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(s, dtype=float))
 
     @classmethod
     def from_samples(cls, speeds, values) -> SpeedProfile:
-        speeds = np.asarray(speeds, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if speeds.ndim != 1 or speeds.size < 2 or speeds.shape != values.shape:
+        """Monotone cubic through the samples, NaN off [lo, hi]: Fritsch-Butland slopes
+        (SIAM J. Sci. Stat. Comput. 5(2), 1984) inside, three-point shape-preserving ends."""
+        x, y = np.asarray(speeds, dtype=float), np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
             raise InvalidProfileError("need two equal-length 1-d sample arrays")
-        if np.any(np.diff(speeds) <= 0.0):
+        h = np.diff(x)
+        if np.any(h <= 0.0):
             raise InvalidProfileError("sample speeds must be strictly increasing")
-        from scipy.interpolate import PchipInterpolator  # the package's one use of scipy
-        interp = PchipInterpolator(speeds, values, extrapolate=False)
-        return cls(float(speeds[0]), float(speeds[-1]), interp)
+        m = np.diff(y) / h
+        d = np.full(x.size, m[0])
+        if x.size > 2:
+            w1, w2, sign = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1], np.sign(m)
+            with np.errstate(all="ignore"):
+                mean = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
+            d[1:-1] = np.where((sign[:-1] == sign[1:]) & (m[1:] != 0.0), mean, 0.0)
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            e = np.where((np.sign(m0) != np.sign(m1)) & (abs(e) > 3.0 * abs(m0)), 3.0 * m0, e)
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, e)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+        def cubic(s: np.ndarray) -> np.ndarray:
+            i = np.searchsorted(x[1:-1], s, side="right")
+            out = np.polyval(coef.take(i, 1), s - x[i])
+            return np.where((s >= x[0]) & (s <= x[-1]), out, np.nan)
+
+        return cls(float(x[0]), float(x[-1]), cubic, tuple(x.tolist()))
 
     def scaled(self, factor: float) -> SpeedProfile:
-        fn = self.fn
-        return SpeedProfile(self.lo, self.hi, lambda s: factor * fn(s))
+        return replace(self, fn=lambda s: factor * self.fn(s))
 
     def plus(self, other: SpeedProfile) -> SpeedProfile:
         _require_same_band(self, other)
-        f, g = self.fn, other.fn
-        return SpeedProfile(self.lo, self.hi, lambda s: f(s) + g(s))
+        knots = np.unique(np.clip(self.knots + other.knots, self.lo, self.hi))
+        return replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=tuple(knots.tolist()))
 
-    def _validate_nonvanishing(self) -> None:
+    def _validate_nonvanishing(self) -> tuple[np.ndarray, np.ndarray]:
         xs = np.linspace(self.lo, self.hi, _VALIDATION_GRID)
         vals = self(xs)
         if not np.all(np.isfinite(vals)):
             raise InvalidProfileError("profile is not finite on its band")
         if np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)):
             raise InvalidProfileError("profile vanishes on the sampled grid")
+        return xs, vals
 
 
 def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
@@ -81,35 +102,37 @@ def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
 def mean_speed(g: SpeedProfile) -> float:
     """Time-weighted average speed of the maneuver driven by profile g."""
     g._validate_nonvanishing()
-    duration, distance = speed_moments(lambda s: 1.0 / g(s), g.lo, g.hi)
+    duration, distance = speed_moments(lambda s: 1.0 / g(s), g.lo, g.hi, g.knots)
     return distance / duration
 
 
-def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAULT_TERMS) -> float:
+def perturbation_series(
+    g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAULT_TERMS, mean: float | None = None
+) -> float:
     """Partial-sum estimate of the average-speed shift caused by ``dg``.
 
     Sums the alternating series in powers of dg/g; each extra term buys one
     power of sup|dg/g|, so the default depth is ample for ratios up to ~0.3.
     The perturbed duration and every term are integrated in one adaptive
-    pass on shared panels, each profile evaluated once per call.
+    pass on shared panels, each profile evaluated once per call.  A caller
+    that has ``mean_speed(g)`` already passes it as ``mean``.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
-    g._validate_nonvanishing()
     ratio = _ratio_values(g, dg)
     sup = float(np.max(np.abs(ratio)))
     if sup >= 1.0:
         raise DivergenceRiskError(
             f"sup|dg/g| = {sup:.6g} >= 1: the perturbation series may diverge"
         )
-    mean = mean_speed(g)
+    mean = mean_speed(g) if mean is None else mean
     powers = np.arange(1, n_terms + 1)[:, None]
 
     def rows(s: np.ndarray) -> np.ndarray:
         gs, dgs = g(s), dg(s)
         return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * (dgs / gs) ** powers])
 
-    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi)
+    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.plus(dg).knots)
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)
 
 
@@ -139,8 +162,5 @@ def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
 
 def _ratio_values(g: SpeedProfile, dg: SpeedProfile) -> np.ndarray:
     _require_same_band(g, dg)
-    xs = np.linspace(g.lo, g.hi, _VALIDATION_GRID)
-    gv = g(xs)
-    if np.any(gv == 0.0):
-        raise InvalidProfileError("profile vanishes on the sampled grid")
+    xs, gv = g._validate_nonvanishing()
     return dg(xs) / gv

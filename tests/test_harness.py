@@ -606,18 +606,19 @@ class TestCli:
         assert f"--terms: expected a positive integer, got {terms!r}" in capsys.readouterr().err
 
 
-# runs in a fresh interpreter: the race and slice commands, then a sampled profile
+# runs in a fresh interpreter: the race, slice and robustness commands, then a sampled profile
 _START_UP_PROBE = """
 import json, sys
 import ecodrive
 from ecodrive.harness import main
-scenario, out = sys.argv[1], sys.argv[2]
+scenario, out, g, dg = sys.argv[1:5]
 params = scenario + "/params.json"
 assert main(["simulate", "--scenario", scenario, "--out", out]) == 0
 assert main(["optimize", "--params", params, "--target", "7", "--fine"]) == 0
 assert main(["check-assumptions", "--params", params, "--slope", "0.002"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["robustness", "--g", g, "--dg", dg]) == 0
 profile = ecodrive.SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"scipy": loaded, "value": float(profile(7.5))}))
 """
 
@@ -626,9 +627,16 @@ class TestStartUp:
     def test_races_and_slice_commands_load_no_scipy(self, tmp_path):
         scenario_dir = tmp_path / "flat16500"
         write_scenario(fixture_lib.flat16500(), scenario_dir)
+        speeds = [6.0 + 2.0 * i / 32 for i in range(33)]
+        g = [0.5 - 0.005 * v * v for v in speeds]
+        tables = {"g.csv": g, "dg.csv": [0.2 * a * ((v - 6.0) / 2.0) ** 2 for v, a in zip(speeds, g)]}
+        for name, values in tables.items():
+            rows = "".join(f"{v!r},{x!r}\n" for v, x in zip(speeds, values))
+            (tmp_path / name).write_text("s_mps,value\n" + rows)
         src = Path(ecodrive.__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-c", _START_UP_PROBE, str(scenario_dir), str(tmp_path / "out")],
+            [sys.executable, "-c", _START_UP_PROBE, str(scenario_dir), str(tmp_path / "out"),
+             *(str(tmp_path / name) for name in tables)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},

@@ -51,6 +51,25 @@ class TestAdaptiveQuadrature:
     def test_empty_interval(self):
         assert adaptive_quadrature(lambda s: 1.0 / s, 1.0, 1.0) == 0.0
 
+    def test_knots_start_the_panels(self):
+        # a polynomial on each knot interval, kinked at s = 1 and s = 2.5
+        sizes = []
+
+        def fn(s):
+            sizes.append(s.size)
+            return np.abs(s - 1.0) + np.maximum(s - 2.5, 0.0) ** 2
+
+        m0, m1 = speed_moments(fn, 0.0, 3.0, (1.0, 2.5))
+        assert sizes == [3 * 15]
+        assert m0 == pytest.approx(2.5 + 0.5**3 / 3.0, rel=1e-14)
+        assert m1 == pytest.approx(29.0 / 6.0 + 0.5**4 / 4.0 + 2.5 * 0.5**3 / 3.0, rel=1e-14)
+        assert speed_moments(fn, 3.0, 0.0, (2.5, 1.0)) == (-m0, -m1)
+        assert adaptive_quadrature(fn, 0.0, 3.0, (1.0, 2.5)) == m0
+        # without the knots the kinks cost splits
+        sizes.clear()
+        speed_moments(fn, 0.0, 3.0)
+        assert len(sizes) > 1
+
     def test_against_scipy_reference(self):
         fn = lambda s: np.exp(-s) * np.sin(3.0 * s)
         ours = adaptive_quadrature(fn, 0.0, 5.0)
