@@ -30,8 +30,6 @@ SPEED_ROOT_TOL = 1e-9
 SPEED_BRACKET_MAX = 100.0
 # a leg ending this close to its mode's rest speed only approaches it
 ENDPOINT_MATCH_TOL = 1e-9
-# samples per grid scan of check_assumptions
-SCAN_POINTS = 200
 
 WHEEL_POWER = "wheel_power"
 CONSTANT_ELECTRICAL = "constant_electrical"
@@ -355,25 +353,8 @@ class FrozenDynamics:
     def accel(self, x2: float, engine_on: bool) -> float:
         return _accel_scalar(x2, engine_on, self.wind_speed, self.gravity_component, self.params)
 
-    def accel_grid(self, x2: np.ndarray, engine_on: bool) -> np.ndarray:
-        p = self.params
-        rel = x2 - self.wind_speed
-        if p.signed_drag:
-            drag = -p.drag_coeff * rel * np.abs(rel)
-        else:
-            drag = -p.drag_coeff * rel * rel
-        f = drag - p.solid_friction * np.sign(x2) - self.gravity_component
-        if engine_on:
-            f = f + p.traction
-        return f
-
     def engine_power_at(self, x2: float) -> float:
         return engine_power(x2, True, self.power, self.params)
-
-    def power_grid(self, x2: np.ndarray) -> np.ndarray:
-        if self.power.kind == WHEEL_POWER:
-            return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
-        return np.full_like(x2, self.power.constant_watts)
 
     def rest_speed(self, engine_on: bool) -> float | None:
         """Root the mode's acceleration settles at: v_high, or v_low when it is a root."""
@@ -696,7 +677,7 @@ class RaceState:
 
 @dataclass(frozen=True)
 class AssumptionItem:
-    """Outcome of one numerical assumption check; ``passed=None`` means the
+    """Outcome of one assumption check; ``passed=None`` means the
     check could not be completed (reported, never silently passed)."""
 
     name: str
@@ -723,163 +704,83 @@ class AssumptionReport:
 
 
 def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
-    """Numerically verify the structural assumptions on a frozen slice.
+    """Verify the structural assumptions on a frozen slice, in closed form.
 
-    Regularity (continuity, forward uniqueness) is checked by grid scans;
-    the mode structure by sign scans around the cached equilibria; the
-    switching-cost inequality from the slice's moment integrals; and the
-    curvature of the acceleration/consumption tradeoff F by second
-    differences on a uniform grid over the open band.
+    On v > 0 each mode's acceleration is ``b - a D(v - w)``, a polynomial on
+    each drag branch, with ``b_on - b_off = f1``: continuity and the mode
+    ordering hold by construction, and each mode's sign structure follows
+    from the roots of its law.  Consumption is zero off and, on, positive and
+    nondecreasing by the definition of ``PowerModel``.  The switching-cost
+    inequality comes from the slice's moment integrals, and the curvature of
+    the tradeoff F = h f_off / f1 from the sign of its second derivative.
     """
-    items: list[AssumptionItem] = []
+    p, w = frozen.params, frozen.wind_speed
     v_lo, v_hi = frozen.v_low, frozen.v_high
-    width = v_hi - v_lo
-    inner_lo = v_lo + 1e-9  # stay on the 0+ side of the friction discontinuity
-
-    # -- regularity: continuity of both modes on the band
-    def max_increment(n: int) -> float:
-        xs = np.linspace(inner_lo, v_hi, n)
-        worst = 0.0
-        for on in (True, False):
-            vals = frozen.accel_grid(xs, on)
-            if not np.all(np.isfinite(vals)):
-                return math.inf
-            worst = max(worst, float(np.max(np.abs(np.diff(vals)))))
-        return worst
-
-    coarse, fine = max_increment(2 * SCAN_POINTS), max_increment(4 * SCAN_POINTS)
-    continuity_ok = math.isfinite(fine) and (fine <= 0.75 * coarse + 1e-12)
-    items.append(
-        AssumptionItem(
-            "continuity",
-            continuity_ok,
-            {"max_step_coarse": coarse, "max_step_fine": fine},
-        )
+    # each mode's roots on v > 0, none of them above v_high
+    on_roots, off_roots = (
+        _drag_roots(mode_b(p, frozen.gravity_component, on), w, p) for on in (True, False)
     )
-
-    # -- regularity: forward uniqueness proxy, one monotone crossing per mode
-    scan = np.linspace(1e-9, 1.5 * v_hi, 4 * SCAN_POINTS)
-    on_signs = np.sign(frozen.accel_grid(scan, True))
-    off_signs = np.sign(frozen.accel_grid(scan, False))
-    on_changes = int(np.sum(np.abs(np.diff(np.where(on_signs == 0, 1, on_signs))) > 0))
-    off_changes = int(np.sum(np.abs(np.diff(np.where(off_signs == 0, 1, off_signs))) > 0))
-    items.append(
+    on_residual = frozen.accel(v_hi, True)
+    items = [
+        AssumptionItem("continuity", True, {}),
         AssumptionItem(
             "forward_uniqueness",
-            on_changes == 1 and off_changes <= 1,
-            {"engine_on_sign_changes": float(on_changes), "engine_off_sign_changes": float(off_changes)},
-        )
-    )
-
-    # -- engine on: positive below the equilibrium, negative above
-    below = np.linspace(inner_lo, v_hi - 1e-6 * width, SCAN_POINTS)
-    above = np.linspace(v_hi + 1e-6 * width, 1.5 * v_hi, SCAN_POINTS)
-    on_ok = (
-        bool(np.all(frozen.accel_grid(below, True) > 0.0))
-        and bool(np.all(frozen.accel_grid(above, True) < 0.0))
-        and abs(frozen.accel(v_hi, True)) < 1e-6
-    )
-    items.append(
+            len(on_roots) == 1 and len(off_roots) <= 1,
+            {
+                "engine_on_sign_changes": float(len(on_roots)),
+                "engine_off_sign_changes": float(len(off_roots)),
+            },
+        ),
         AssumptionItem(
             "engine_on_equilibrium",
-            on_ok,
-            {"v_high": v_hi, "residual": frozen.accel(v_hi, True)},
-        )
-    )
-
-    # -- engine on always accelerates harder than engine off
-    band = np.linspace(inner_lo, v_hi, 2 * SCAN_POINTS)
-    gap = frozen.accel_grid(band, True) - frozen.accel_grid(band, False)
-    items.append(
-        AssumptionItem(
-            "mode_ordering",
-            bool(np.all(gap > 0.0)),
-            {"min_gap": float(np.min(gap))},
-        )
-    )
+            not frozen.mode_changes_sign(True, v_lo, v_hi, 0.0) and abs(on_residual) < 1e-6,
+            {"v_high": v_hi, "residual": on_residual},
+        ),
+        AssumptionItem("mode_ordering", True, {"min_gap": p.traction}),
+    ]
 
     # -- engine off: decays toward the rest speed
-    off_above = np.linspace(v_lo + 1e-6 * width, v_hi, 2 * SCAN_POINTS)
-    off_ok = bool(np.all(frozen.accel_grid(off_above, False) < 0.0))
     witness: dict[str, float | str] = {"v_low": v_lo}
     if frozen.v_low_is_root:
         witness["kind"] = "root"
-        witness["residual"] = frozen.accel(v_lo, False)
-        off_ok = off_ok and abs(frozen.accel(v_lo, False)) < 1e-6
-        if v_lo > 1e-9:
-            off_below = np.linspace(1e-9, v_lo - 1e-6 * width, SCAN_POINTS)
-            off_ok = off_ok and bool(np.all(frozen.accel_grid(off_below, False) > 0.0))
+        witness["residual"] = off_residual = frozen.accel(v_lo, False)
+        off_ok = len(off_roots) == 1 and abs(off_residual) < 1e-6
     else:
         # sticking: the one-sided limits bracket zero speed
         witness["kind"] = "sticking"
         witness["f_zero_minus"] = frozen.accel(-1e-12, False)
-        witness["f_zero_plus"] = frozen.accel(1e-12, False)
-        off_ok = off_ok and frozen.accel(1e-12, False) < 0.0
-    items.append(AssumptionItem("engine_off_equilibrium", off_ok, witness))
-
-    # -- consumption: zero off, positive on
-    h_on = frozen.power_grid(band)
-    items.append(
-        AssumptionItem(
-            "idle_consumption_zero",
-            bool(np.all(h_on > 0.0)),
-            {"min_power_on": float(np.min(h_on)), "power_off": 0.0},
-        )
-    )
-
-    # -- consumption nondecreasing in speed
-    increments = np.diff(frozen.power_grid(np.linspace(0.0, 1.5 * v_hi, 2 * SCAN_POINTS)))
-    items.append(
-        AssumptionItem(
-            "consumption_nondecreasing",
-            bool(np.all(increments >= -1e-12)),
-            {"min_increment": float(np.min(increments))},
-        )
-    )
+        witness["f_zero_plus"] = f_zero = frozen.accel(1e-12, False)
+        off_ok = f_zero < 0.0
+    items += [
+        AssumptionItem("engine_off_equilibrium", off_ok, witness),
+        AssumptionItem("idle_consumption_zero", True, {"power_off": 0.0}),
+        AssumptionItem("consumption_nondecreasing", True, {}),
+    ]
 
     # -- switching cost small enough that oscillating beats full speed
     h_star = frozen.engine_power_at(v_hi)
     excess_energy, up_moment, down_moment = frozen.moment_integrals()
-    lhs = frozen.params.switch_cost - excess_energy
+    lhs = p.switch_cost - excess_energy
     rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        items.append(
-            AssumptionItem(
-                "switching_cost_small",
-                None,
-                {"diagnostic": "divergent integral", "lhs": lhs, "rhs": rhs},
-            )
-        )
+    sides = {"lhs": lhs, "rhs": rhs}
+    if math.isfinite(lhs) and math.isfinite(rhs):
+        items.append(AssumptionItem("switching_cost_small", lhs < rhs, sides))
     else:
-        items.append(
-            AssumptionItem("switching_cost_small", lhs < rhs, {"lhs": lhs, "rhs": rhs})
-        )
+        diagnostic = {"diagnostic": "divergent integral", **sides}
+        items.append(AssumptionItem("switching_cost_small", None, diagnostic))
 
-    # -- strict curvature of F = h(x,1) f(x,0) / (f(x,1) - f(x,0))
-    margin = 1e-4 * width
-    xs = np.linspace(v_lo + margin, v_hi - margin, SCAN_POINTS)
-    f_on_vals = frozen.accel_grid(xs, True)
-    f_off_vals = frozen.accel_grid(xs, False)
-    tradeoff = frozen.power_grid(xs) * f_off_vals / (f_on_vals - f_off_vals)
-    second = np.diff(tradeoff, 2)
-    threshold = 1e-12 * max(1.0, float(np.max(np.abs(tradeoff))))
-    if np.all(second > threshold):
-        verdict = "strictly_convex"
-    elif np.all(second < -threshold):
-        verdict = "strictly_concave"
-    else:
+    # -- strict curvature of F: F'' has the sign of -s(v) L(v), with s = sgn(v - w)
+    # under signed drag, else 1, and L = 3v - 2w under wheel power, else 1
+    margin = 1e-4 * (v_hi - v_lo)
+    ends = (v_lo + margin, v_hi - margin)
+    wheel = frozen.power.kind == WHEEL_POWER
+    signs = {
+        -(_sgn(v - w) if p.signed_drag else 1.0) * (_sgn(3.0 * v - 2.0 * w) if wheel else 1.0)
+        for v in ends
+    }
+    if len(signs) > 1 or 0.0 in signs or p.signed_drag and ends[0] < w < ends[1]:
         verdict = "neither"
-    items.append(
-        AssumptionItem(
-            "tradeoff_curvature",
-            verdict != "neither",
-            {"verdict": verdict, "grid_points": float(SCAN_POINTS)},
-        )
-    )
-
-    return AssumptionReport(
-        items=tuple(items),
-        convexity_verdict=verdict,
-        inequality_lhs=lhs,
-        inequality_rhs=rhs,
-    )
+    else:
+        verdict = "strictly_convex" if signs == {1.0} else "strictly_concave"
+    items.append(AssumptionItem("tradeoff_curvature", verdict != "neither", {"verdict": verdict}))
+    return AssumptionReport(tuple(items), verdict, lhs, rhs)

@@ -10,6 +10,7 @@ alternating series whose terms decay like powers of the perturbation ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,7 +83,9 @@ class SpeedProfile:
         knots = np.unique(np.clip(self.knots + other.knots, self.lo, self.hi))
         return replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=tuple(knots.tolist()))
 
+    @cached_property
     def _validate_nonvanishing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The validation grid and the values on it, checked once per profile."""
         xs = np.linspace(self.lo, self.hi, _VALIDATION_GRID)
         vals = self(xs)
         if not np.all(np.isfinite(vals)):
@@ -101,7 +104,7 @@ def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
 
 def mean_speed(g: SpeedProfile) -> float:
     """Time-weighted average speed of the maneuver driven by profile g."""
-    g._validate_nonvanishing()
+    g._validate_nonvanishing  # raises unless g is finite and of one sign on its grid
     duration, distance = speed_moments(lambda s: 1.0 / g(s), g.lo, g.hi, g.knots)
     return distance / duration
 
@@ -162,5 +165,5 @@ def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
 
 def _ratio_values(g: SpeedProfile, dg: SpeedProfile) -> np.ndarray:
     _require_same_band(g, dg)
-    xs, gv = g._validate_nonvanishing()
+    xs, gv = g._validate_nonvanishing
     return dg(xs) / gv

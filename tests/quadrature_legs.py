@@ -1,4 +1,4 @@
-"""Numerical references for the closed-form slice and the upper-limit root.
+"""Numerical references for the closed-form slice, its checks and the upper-limit root.
 
 ``leg_time_distance`` integrates 1/f and s/f over the speed interval with the
 package's adaptive loop, on each side of the signed-drag kink at the wind
@@ -7,9 +7,11 @@ speed and with improper-endpoint handling at the mode's rest speed.
 ``scan_mode_changes_sign`` probes a mode's sign on grids.  They are the
 methods of ``GeneralLawSlice``, the base of the test slices whose
 acceleration is not the model's law, and the independent references for the
-closed forms of the model's own slices.  ``bisection_upper_limit`` is the
-60-step dichotomy on the period average that the band search used before its
-bracketed root.
+closed forms of the model's own slices; ``general_law`` gives any slice the
+array form of its acceleration and consumption.  ``scan_check_assumptions``
+is the grid-scan form of ``check_assumptions``.  ``bisection_upper_limit``
+is the 60-step dichotomy on the period average that the band search used
+before its bracketed root.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ import math
 
 import numpy as np
 
-from ecodrive.dynamics import ENDPOINT_MATCH_TOL, FrozenDynamics, engine_energy
+from ecodrive.dynamics import (
+    ENDPOINT_MATCH_TOL,
+    WHEEL_POWER,
+    AssumptionItem,
+    AssumptionReport,
+    FrozenDynamics,
+    engine_energy,
+)
 from ecodrive.errors import InfeasibleCandidateError
 from ecodrive.optimizer import UPPER_BRACKET_MARGIN, _saturated_band
 from ecodrive.quadrature import ABS_FLOOR, speed_moments
@@ -27,6 +36,8 @@ from ecodrive.quadrature import ABS_FLOOR, speed_moments
 ENDPOINT_EPS_FRACTION = 1e-6
 # increment decay threshold separating convergent tails from divergent ones
 DIVERGENCE_RATIO = 0.9
+# samples per grid scan of scan_check_assumptions
+SCAN_POINTS = 200
 
 
 def integrate_with_vanishing_endpoint(fn, lo, hi, singular_at, eps):
@@ -80,8 +91,10 @@ def leg_time_distance(
         t1, d1 = leg_time_distance(frozen, engine_on, w, v1)
         return t0 + t1, d0 + d1
 
+    law = general_law(frozen)
+
     def inverse(s: np.ndarray) -> np.ndarray:
-        return 1.0 / frozen.accel_grid(s, engine_on)
+        return 1.0 / law.accel_grid(s, engine_on)
 
     rest = frozen.rest_speed(engine_on)
     singular = [v for v in (v1, v0) if rest is not None and abs(v - rest) <= ENDPOINT_MATCH_TOL]
@@ -107,10 +120,11 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
     # too narrow for the nodes to resolve
     kinked = frozen.params.signed_drag and v_lo + eps < w < v_hi - eps
     cuts = [v_lo, w, v_hi] if kinked else [v_lo, v_hi]
+    law = general_law(frozen)
 
     def band_integral(engine_on: bool, rest: float, singular: float | None) -> float:
         def fn(s: np.ndarray) -> np.ndarray:
-            return (s - rest) / frozen.accel_grid(s, engine_on)
+            return (s - rest) / law.accel_grid(s, engine_on)
 
         total = 0.0
         # a node on a root of f gives inf, which the loop reports as NumericError
@@ -138,11 +152,12 @@ def scan_mode_changes_sign(
     probed, leaving out a small margin at the ends and around the mode's
     own rest speed, ``max(1e-9, 1e-4 (hi - lo))`` unless ``margin`` is given.
     """
+    law = general_law(frozen)
     band_margin = 1e-6 * (frozen.v_high - frozen.v_low)
     xs = np.linspace(frozen.v_low + band_margin, frozen.v_high - band_margin, 1024)
     if not frozen.v_low_is_root:
         xs = xs[xs > 1e-9]  # stay on the 0+ side of the friction jump
-    vals = frozen.accel_grid(xs, engine_on)
+    vals = law.accel_grid(xs, engine_on)
     if (
         np.all(np.isfinite(vals))
         and not np.any(vals == 0.0)
@@ -154,16 +169,35 @@ def scan_mode_changes_sign(
     xs = np.linspace(lo + margin, hi - margin, 65)
     if eq is not None:
         xs = xs[np.abs(xs - eq) > margin]
-    vals = frozen.accel_grid(xs, engine_on)
+    vals = law.accel_grid(xs, engine_on)
     return bool(np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)))
 
 
 class GeneralLawSlice(FrozenDynamics):
     """A slice whose subclasses override the acceleration law: every answer by numerics.
 
-    Subclasses override ``accel_grid``; the scalar ``accel``, which gives the
-    band search its slope, follows from it.
+    ``accel_grid`` and ``power_grid`` are the model's acceleration and
+    consumption at an array of speeds.  Subclasses override them; the scalar
+    ``accel``, which gives the band search its slope, follows from
+    ``accel_grid``.
     """
+
+    def accel_grid(self, x2, engine_on):
+        p = self.params
+        rel = x2 - self.wind_speed
+        if p.signed_drag:
+            drag = -p.drag_coeff * rel * np.abs(rel)
+        else:
+            drag = -p.drag_coeff * rel * rel
+        f = drag - p.solid_friction * np.sign(x2) - self.gravity_component
+        if engine_on:
+            f = f + p.traction
+        return f
+
+    def power_grid(self, x2):
+        if self.power.kind == WHEEL_POWER:
+            return np.maximum(x2, 0.0) * (self.params.mass * self.params.traction)
+        return np.full_like(x2, self.power.constant_watts)
 
     def accel(self, x2, engine_on):
         return float(self.accel_grid(np.asarray(x2, dtype=float), engine_on))
@@ -176,6 +210,16 @@ class GeneralLawSlice(FrozenDynamics):
 
     def moment_integrals(self):
         return moment_integrals(self)
+
+
+def general_law(frozen: FrozenDynamics) -> GeneralLawSlice:
+    """The slice itself when it is a ``GeneralLawSlice``, else its copy as one."""
+    if isinstance(frozen, GeneralLawSlice):
+        return frozen
+    return GeneralLawSlice(
+        frozen.params, frozen.power, frozen.slope, frozen.wind_speed,
+        frozen.v_low, frozen.v_high, frozen.v_low_is_root,
+    )
 
 
 class SqrtTopSlice(GeneralLawSlice):
@@ -231,3 +275,169 @@ def bisection_upper_limit(
         else:
             hi = mid
     return mid, 0.0
+
+
+def scan_check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
+    """``check_assumptions`` by grid scans of the slice's acceleration and consumption.
+
+    Regularity (continuity, forward uniqueness) is checked by grid scans;
+    the mode structure by sign scans around the cached equilibria; the
+    switching-cost inequality from the slice's moment integrals; and the
+    curvature of the acceleration/consumption tradeoff F by second
+    differences on a uniform grid over the open band.  Items, ``passed``
+    values and verdict are those of ``check_assumptions``; the witnesses
+    also describe the grids.
+    """
+    law = general_law(frozen)
+    items: list[AssumptionItem] = []
+    v_lo, v_hi = frozen.v_low, frozen.v_high
+    width = v_hi - v_lo
+    inner_lo = v_lo + 1e-9  # stay on the 0+ side of the friction discontinuity
+
+    # -- regularity: continuity of both modes on the band
+    def max_increment(n: int) -> float:
+        xs = np.linspace(inner_lo, v_hi, n)
+        worst = 0.0
+        for on in (True, False):
+            vals = law.accel_grid(xs, on)
+            if not np.all(np.isfinite(vals)):
+                return math.inf
+            worst = max(worst, float(np.max(np.abs(np.diff(vals)))))
+        return worst
+
+    coarse, fine = max_increment(2 * SCAN_POINTS), max_increment(4 * SCAN_POINTS)
+    continuity_ok = math.isfinite(fine) and (fine <= 0.75 * coarse + 1e-12)
+    items.append(
+        AssumptionItem(
+            "continuity",
+            continuity_ok,
+            {"max_step_coarse": coarse, "max_step_fine": fine},
+        )
+    )
+
+    # -- regularity: forward uniqueness proxy, one monotone crossing per mode
+    scan = np.linspace(1e-9, 1.5 * v_hi, 4 * SCAN_POINTS)
+    on_signs = np.sign(law.accel_grid(scan, True))
+    off_signs = np.sign(law.accel_grid(scan, False))
+    on_changes = int(np.sum(np.abs(np.diff(np.where(on_signs == 0, 1, on_signs))) > 0))
+    off_changes = int(np.sum(np.abs(np.diff(np.where(off_signs == 0, 1, off_signs))) > 0))
+    items.append(
+        AssumptionItem(
+            "forward_uniqueness",
+            on_changes == 1 and off_changes <= 1,
+            {"engine_on_sign_changes": float(on_changes), "engine_off_sign_changes": float(off_changes)},
+        )
+    )
+
+    # -- engine on: positive below the equilibrium, negative above
+    below = np.linspace(inner_lo, v_hi - 1e-6 * width, SCAN_POINTS)
+    above = np.linspace(v_hi + 1e-6 * width, 1.5 * v_hi, SCAN_POINTS)
+    on_ok = (
+        bool(np.all(law.accel_grid(below, True) > 0.0))
+        and bool(np.all(law.accel_grid(above, True) < 0.0))
+        and abs(frozen.accel(v_hi, True)) < 1e-6
+    )
+    items.append(
+        AssumptionItem(
+            "engine_on_equilibrium",
+            on_ok,
+            {"v_high": v_hi, "residual": frozen.accel(v_hi, True)},
+        )
+    )
+
+    # -- engine on always accelerates harder than engine off
+    band = np.linspace(inner_lo, v_hi, 2 * SCAN_POINTS)
+    gap = law.accel_grid(band, True) - law.accel_grid(band, False)
+    items.append(
+        AssumptionItem(
+            "mode_ordering",
+            bool(np.all(gap > 0.0)),
+            {"min_gap": float(np.min(gap))},
+        )
+    )
+
+    # -- engine off: decays toward the rest speed
+    off_above = np.linspace(v_lo + 1e-6 * width, v_hi, 2 * SCAN_POINTS)
+    off_ok = bool(np.all(law.accel_grid(off_above, False) < 0.0))
+    witness: dict[str, float | str] = {"v_low": v_lo}
+    if frozen.v_low_is_root:
+        witness["kind"] = "root"
+        witness["residual"] = frozen.accel(v_lo, False)
+        off_ok = off_ok and abs(frozen.accel(v_lo, False)) < 1e-6
+        if v_lo > 1e-9:
+            off_below = np.linspace(1e-9, v_lo - 1e-6 * width, SCAN_POINTS)
+            off_ok = off_ok and bool(np.all(law.accel_grid(off_below, False) > 0.0))
+    else:
+        # sticking: the one-sided limits bracket zero speed
+        witness["kind"] = "sticking"
+        witness["f_zero_minus"] = frozen.accel(-1e-12, False)
+        witness["f_zero_plus"] = frozen.accel(1e-12, False)
+        off_ok = off_ok and frozen.accel(1e-12, False) < 0.0
+    items.append(AssumptionItem("engine_off_equilibrium", off_ok, witness))
+
+    # -- consumption: zero off, positive on
+    h_on = law.power_grid(band)
+    items.append(
+        AssumptionItem(
+            "idle_consumption_zero",
+            bool(np.all(h_on > 0.0)),
+            {"min_power_on": float(np.min(h_on)), "power_off": 0.0},
+        )
+    )
+
+    # -- consumption nondecreasing in speed
+    increments = np.diff(law.power_grid(np.linspace(0.0, 1.5 * v_hi, 2 * SCAN_POINTS)))
+    items.append(
+        AssumptionItem(
+            "consumption_nondecreasing",
+            bool(np.all(increments >= -1e-12)),
+            {"min_increment": float(np.min(increments))},
+        )
+    )
+
+    # -- switching cost small enough that oscillating beats full speed
+    h_star = frozen.engine_power_at(v_hi)
+    excess_energy, up_moment, down_moment = frozen.moment_integrals()
+    lhs = frozen.params.switch_cost - excess_energy
+    rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        items.append(
+            AssumptionItem(
+                "switching_cost_small",
+                None,
+                {"diagnostic": "divergent integral", "lhs": lhs, "rhs": rhs},
+            )
+        )
+    else:
+        items.append(
+            AssumptionItem("switching_cost_small", lhs < rhs, {"lhs": lhs, "rhs": rhs})
+        )
+
+    # -- strict curvature of F = h(x,1) f(x,0) / (f(x,1) - f(x,0))
+    margin = 1e-4 * width
+    xs = np.linspace(v_lo + margin, v_hi - margin, SCAN_POINTS)
+    f_on_vals = law.accel_grid(xs, True)
+    f_off_vals = law.accel_grid(xs, False)
+    tradeoff = law.power_grid(xs) * f_off_vals / (f_on_vals - f_off_vals)
+    second = np.diff(tradeoff, 2)
+    threshold = 1e-12 * max(1.0, float(np.max(np.abs(tradeoff))))
+    if np.all(second > threshold):
+        verdict = "strictly_convex"
+    elif np.all(second < -threshold):
+        verdict = "strictly_concave"
+    else:
+        verdict = "neither"
+    items.append(
+        AssumptionItem(
+            "tradeoff_curvature",
+            verdict != "neither",
+            {"verdict": verdict, "grid_points": float(SCAN_POINTS)},
+        )
+    )
+
+    return AssumptionReport(
+        items=tuple(items),
+        convexity_verdict=verdict,
+        inequality_lhs=lhs,
+        inequality_rhs=rhs,
+    )

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile
 from ecodrive.dynamics import engine_energy
+from quadrature_legs import general_law
 
 
 @dataclass(frozen=True)
@@ -78,4 +79,5 @@ def acceleration_profile(
     frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float
 ) -> SpeedProfile:
     """The mode acceleration of a slice as a profile on [lo, hi]."""
-    return SpeedProfile(lo, hi, lambda s: frozen.accel_grid(s, engine_on))
+    law = general_law(frozen)
+    return SpeedProfile(lo, hi, lambda s: law.accel_grid(s, engine_on))

@@ -578,9 +578,10 @@ class TestCli:
 
     def test_robustness_subcommand(self, tmp_path, capsys, flat_slice):
         import numpy as np
+        from quadrature_legs import general_law
 
         s = np.linspace(6.1, 7.94, 60)
-        g = flat_slice.accel_grid(s, True)
+        g = general_law(flat_slice).accel_grid(s, True)
         dg = 0.2 * g * ((s - 6.1) / 1.84) ** 2
         g_path = tmp_path / "g.csv"
         dg_path = tmp_path / "dg.csv"

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import oracles
 import stepper
 from segments import SpeedSegment, covered_length, elapsed_time, energy_used
-from quadrature_legs import GeneralLawSlice, sqrt_top_slice
+from quadrature_legs import GeneralLawSlice, general_law, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
     InfeasibleSliceError,
@@ -258,7 +258,8 @@ class TestLegsAgainstScipy:
         assume(hi - lo > 1e-3 * width)
         # the leg's mode acceleration must keep its sign: a tailwind can make
         # the engine-on acceleration negative at low speed
-        grid = frozen.accel_grid(np.linspace(lo, hi, 257), engine_on)
+        law = general_law(frozen)
+        grid = law.accel_grid(np.linspace(lo, hi, 257), engine_on)
         assume(np.all(grid > 0.0) if engine_on else np.all(grid < 0.0))
         v0, v1 = (lo, hi) if engine_on else (hi, lo)
 
@@ -278,7 +279,7 @@ class TestLegsAgainstScipy:
         for value in (d, covered_length(seg)):
             assert value == pytest.approx(d_ref, rel=1e-8)
         if engine_on:
-            e_ref = ref(lambda s: frozen.power_grid(np.array([s]))[0])
+            e_ref = ref(lambda s: law.power_grid(np.array([s]))[0])
             assert energy_used(seg) == pytest.approx(e_ref, rel=1e-8)
         else:
             assert energy_used(seg) == 0.0

@@ -253,6 +253,23 @@ class TestPerturbationSeries:
         monkeypatch.setattr(robustness, "mean_speed", refused)
         assert perturbation_series(accel_profile, dg, mean=mean) == expected
 
+    def test_each_profile_is_validated_once(self, accel_profile):
+        sizes = []
+
+        def counted(s):
+            sizes.append(s.size)
+            return accel_profile(s)
+
+        g = SpeedProfile(accel_profile.lo, accel_profile.hi, counted)
+        dg = _quadratic_bump(accel_profile, 0.3)
+        # the robustness command's calls, the series computing its own mean
+        mean_speed(g)
+        mean_speed(g.plus(dg))
+        perturbation_series(g, dg)
+        ratio_statistics(g, dg)
+        # one validation grid for g and one for g + dg
+        assert sizes.count(robustness._VALIDATION_GRID) == 2
+
     def test_divergence_risk_rejected(self, accel_profile):
         dg = accel_profile.scaled(1.05)
         with pytest.raises(DivergenceRiskError):
