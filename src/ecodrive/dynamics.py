@@ -742,9 +742,12 @@ def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
     # -- engine off: decays toward the rest speed
     witness: dict[str, float | str] = {"v_low": v_lo}
     if frozen.v_low_is_root:
+        # a rest speed of 0 balances on the 0+ side of the friction jump
         witness["kind"] = "root"
-        witness["residual"] = off_residual = frozen.accel(v_lo, False)
-        off_ok = len(off_roots) == 1 and abs(off_residual) < 1e-6
+        witness["residual"] = off_residual = frozen.accel(v_lo or 1e-12, False)
+        off_ok = (len(off_roots) == 1 and abs(off_residual) < 1e-6) or (
+            v_lo == 0.0 and not off_roots and abs(off_residual) <= 1e-12
+        )
     else:
         # sticking: the one-sided limits bracket zero speed
         witness["kind"] = "sticking"
@@ -757,10 +760,11 @@ def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
         AssumptionItem("consumption_nondecreasing", True, {}),
     ]
 
-    # -- switching cost small enough that oscillating beats full speed
+    # -- switching cost small enough to oscillate: lhs - rhs is the 1/T term of
+    # asymptotic_average_cost
     h_star = frozen.engine_power_at(v_hi)
     excess_energy, up_moment, down_moment = frozen.moment_integrals()
-    lhs = p.switch_cost - excess_energy
+    lhs = p.switch_cost + excess_energy
     rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
     sides = {"lhs": lhs, "rhs": rhs}
     if math.isfinite(lhs) and math.isfinite(rhs):

@@ -1,9 +1,8 @@
-"""Adaptive Gauss-Kronrod quadrature of the speed moments of an integrand.
+"""Adaptive Gauss-Kronrod quadrature of a vectorized integrand, row by row.
 
-The loop returns both speed moments, the integrals of fn(s) and s fn(s), of
-one continuous vectorized integrand, or of a stack of them on shared panels;
-it serves the robustness series.  The legs of the model's own slices come in
-closed form from ``FrozenDynamics.leg_time_distance``.
+The loop integrates one continuous vectorized integrand, or a stack of them
+on shared panels; it serves the robustness layer.  The legs of the model's
+own slices come in closed form from ``FrozenDynamics.leg_time_distance``.
 """
 
 from __future__ import annotations
@@ -54,65 +53,52 @@ _GAUSS_W = np.array(
 )
 
 _NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
-_WEIGHTS_K = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
-_WEIGHTS_G = np.zeros_like(_WEIGHTS_K)
-# Gauss-7 points sit at every other Kronrod node (odd indices of the half rule)
-_WEIGHTS_G[1:7:2] = _GAUSS_W[:3]
-_WEIGHTS_G[7] = _GAUSS_W[3]
-_WEIGHTS_G[9:15:2] = _GAUSS_W[2::-1]
-
-
-# one product with the node values gives both rules for both moments
-_WEIGHTS = np.column_stack(
-    [_WEIGHTS_K, _WEIGHTS_G, _WEIGHTS_K * _NODES, _WEIGHTS_G * _NODES]
-)
+# one product with the node values gives both rules for every row; the
+# Gauss-7 points sit at every other Kronrod node
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:, 0] = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
+_WEIGHTS[1::2, 1] = np.concatenate([_GAUSS_W, _GAUSS_W[2::-1]])
 
 
 def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """Both moments and the panel error on each panel between consecutive edges.
+    """Each row's integral and error estimate on each panel between consecutive edges.
 
     ``fn`` is called once on the nodes of all the panels.  The result holds
-    the zeroth moment, the first moment and the error estimate, with shape
-    ``(3, panels)``, or ``(3, rows, panels)`` when ``fn`` returns a stack.
+    the Kronrod integral and its distance from the embedded Gauss-7 rule,
+    with shape ``(2, panels)``, or ``(2, rows, panels)`` when ``fn`` returns
+    a stack.
     """
     a, b = edges[:-1], edges[1:]
-    center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    values = np.asarray(fn((center[:, None] + half[:, None] * _NODES).ravel()))
+    values = np.asarray(fn((0.5 * (a + b)[:, None] + half[:, None] * _NODES).ravel()))
     sums = values.reshape(values.shape[:-1] + (a.size, _NODES.size)) @ _WEIGHTS
     if not np.isfinite(sums).all():
         raise NumericError(f"integrand is not finite on [{edges[0]}, {edges[-1]}]")
-    k0, g0, k1, g1 = (sums[..., j] for j in range(4))
-    m0 = half * k0
-    err0 = half * np.abs(k0 - g0)
-    err1 = half * np.abs(center * (k0 - g0) + half * (k1 - g1))
-    speed = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-    return np.stack([m0, center * m0 + half * half * k1, np.maximum(err0, err1 / speed)])
+    kronrod, gauss = sums[..., 0], sums[..., 1]
+    return np.stack([half * kronrod, half * np.abs(kronrod - gauss)])
 
 
-def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
-    """Integrals of fn(s) and s fn(s) over [lo, hi] by bisection of the worst panel.
+def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
+    """Integral over [lo, hi] of each row of fn by bisection of the worst panel.
 
     ``fn`` only needs to be vectorized and smooth between ``knots``, where
     the first panels start, all in one call.  A ``(k, n)`` result is a stack
-    of k integrands, integrated on shared panels into length-k moment
-    arrays; a 1-d result gives float moments.  Each panel is scored with
-    the embedded Gauss-7 rule on both moments, the first moment's error
-    scaled down by the panel's speed magnitude.  Until every row's summed
-    error is below ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst
-    against that rule is split, both halves in one call of ``fn``.
+    of k integrands, integrated on shared panels into a length-k array; a
+    1-d result gives a float.  Until every row's summed error is below
+    ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst against that
+    rule is split, both halves in one call of ``fn``.
     """
     if lo == hi:
-        return 0.0, 0.0
+        return 0.0
     sign = 1.0 if lo < hi else -1.0
     edges = np.unique([lo, *knots, hi])
     panels = np.moveaxis(_panels(fn, edges), -1, 0)
     total = panels.sum(axis=0)
     # each row's error in units of its rule, as first estimated
     scale = 1.0 / np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)
-    worst = (panels[:, 2] * scale).reshape(len(panels), -1).max(axis=1)
+    worst = (panels[:, 1] * scale).reshape(len(panels), -1).max(axis=1)
     heap = sorted(zip((-worst).tolist(), edges[:-1], edges[1:], panels))
-    while np.any(total[2] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):
+    while np.any(total[1] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):
         if len(heap) >= MAX_PANELS:
             raise NumericError(
                 f"quadrature exhausted {MAX_PANELS} panels on [{edges[0]}, {edges[-1]}]"
@@ -122,13 +108,6 @@ def speed_moments(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, 
         halves = _panels(fn, np.array([a, mid, b]))
         total = total + (halves[..., 0] + halves[..., 1] - old)
         for i, (x, y) in enumerate(((a, mid), (mid, b))):
-            worst = float(np.max(halves[2, ..., i] * scale))
+            worst = float(np.max(halves[1, ..., i] * scale))
             heapq.heappush(heap, (-worst, x, y, halves[..., i]))
-    if total.ndim == 1:
-        return sign * float(total[0]), sign * float(total[1])
-    return sign * total[0], sign * total[1]
-
-
-def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
-    """Integral of a vectorized integrand, or of each row of a stack of them."""
-    return speed_moments(fn, lo, hi, knots)[0]
+    return sign * float(total[0]) if total.ndim == 1 else sign * total[0]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceRiskError, InvalidProfileError
-from .quadrature import adaptive_quadrature, speed_moments
+from .quadrature import adaptive_quadrature
 
 DEFAULT_TERMS = 8
 _VALIDATION_GRID = 512
@@ -84,15 +84,19 @@ class SpeedProfile:
         return replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=tuple(knots.tolist()))
 
     @cached_property
-    def _validate_nonvanishing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The validation grid and the values on it, checked once per profile."""
-        xs = np.linspace(self.lo, self.hi, _VALIDATION_GRID)
-        vals = self(xs)
+    def _grid_values(self) -> np.ndarray:
+        """The profile on its validation grid, evaluated once per profile."""
+        return self(np.linspace(self.lo, self.hi, _VALIDATION_GRID))
+
+    @cached_property
+    def _validate_nonvanishing(self) -> np.ndarray:
+        """The grid values, checked once per profile."""
+        vals = self._grid_values
         if not np.all(np.isfinite(vals)):
             raise InvalidProfileError("profile is not finite on its band")
         if np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)):
             raise InvalidProfileError("profile vanishes on the sampled grid")
-        return xs, vals
+        return vals
 
 
 def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
@@ -105,8 +109,10 @@ def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
 def mean_speed(g: SpeedProfile) -> float:
     """Time-weighted average speed of the maneuver driven by profile g."""
     g._validate_nonvanishing  # raises unless g is finite and of one sign on its grid
-    duration, distance = speed_moments(lambda s: 1.0 / g(s), g.lo, g.hi, g.knots)
-    return distance / duration
+    duration, distance = adaptive_quadrature(
+        lambda s: np.vstack([np.ones_like(s), s]) / g(s), g.lo, g.hi, g.knots
+    )
+    return float(distance / duration)
 
 
 def perturbation_series(
@@ -165,5 +171,4 @@ def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
 
 def _ratio_values(g: SpeedProfile, dg: SpeedProfile) -> np.ndarray:
     _require_same_band(g, dg)
-    xs, gv = g._validate_nonvanishing
-    return dg(xs) / gv
+    return dg._grid_values / g._validate_nonvanishing

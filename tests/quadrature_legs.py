@@ -30,7 +30,7 @@ from ecodrive.dynamics import (
 )
 from ecodrive.errors import InfeasibleCandidateError
 from ecodrive.optimizer import UPPER_BRACKET_MARGIN, _saturated_band
-from ecodrive.quadrature import ABS_FLOOR, speed_moments
+from ecodrive.quadrature import ABS_FLOOR, adaptive_quadrature
 
 # truncation offset near a vanishing endpoint, as a fraction of the band width
 ENDPOINT_EPS_FRACTION = 1e-6
@@ -38,6 +38,11 @@ ENDPOINT_EPS_FRACTION = 1e-6
 DIVERGENCE_RATIO = 0.9
 # samples per grid scan of scan_check_assumptions
 SCAN_POINTS = 200
+
+
+def speed_moments(fn, lo, hi):
+    """Integrals of fn(s) and s fn(s) over [lo, hi], two rows of one adaptive pass."""
+    return tuple(adaptive_quadrature(lambda s: np.vstack([np.ones_like(s), s]) * fn(s), lo, hi))
 
 
 def integrate_with_vanishing_endpoint(fn, lo, hi, singular_at, eps):
@@ -133,7 +138,7 @@ def moment_integrals(frozen: FrozenDynamics) -> tuple[float, float, float]:
                 if singular in (a, b):
                     total += integrate_with_vanishing_endpoint(fn, a, b, singular, eps)[0]
                 else:
-                    total += speed_moments(fn, a, b)[0]
+                    total += adaptive_quadrature(fn, a, b)
         return total
 
     up_moment = band_integral(True, v_hi, v_hi)
@@ -361,9 +366,10 @@ def scan_check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
     off_ok = bool(np.all(law.accel_grid(off_above, False) < 0.0))
     witness: dict[str, float | str] = {"v_low": v_lo}
     if frozen.v_low_is_root:
+        # a rest speed of 0 balances on the 0+ side of the friction jump
         witness["kind"] = "root"
-        witness["residual"] = frozen.accel(v_lo, False)
-        off_ok = off_ok and abs(frozen.accel(v_lo, False)) < 1e-6
+        witness["residual"] = residual = frozen.accel(v_lo or 1e-12, False)
+        off_ok = off_ok and (abs(residual) < 1e-6 if v_lo > 0.0 else abs(residual) <= 1e-12)
         if v_lo > 1e-9:
             off_below = np.linspace(1e-9, v_lo - 1e-6 * width, SCAN_POINTS)
             off_ok = off_ok and bool(np.all(law.accel_grid(off_below, False) > 0.0))
@@ -398,7 +404,7 @@ def scan_check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
     # -- switching cost small enough that oscillating beats full speed
     h_star = frozen.engine_power_at(v_hi)
     excess_energy, up_moment, down_moment = frozen.moment_integrals()
-    lhs = frozen.params.switch_cost - excess_energy
+    lhs = frozen.params.switch_cost + excess_energy
     rhs = (h_star / (v_hi - v_lo)) * (down_moment + up_moment)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         items.append(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from ecodrive import (
     VehicleParams,
     WindField,
     asymptotic_average_cost,
+    band_from_limits,
     check_assumptions,
     engine_power,
     freeze,
     optimal_band,
 )
 from ecodrive.dynamics import (
+    ENDPOINT_MATCH_TOL,
     SPEED_BRACKET_MAX,
     SPEED_ROOT_TOL,
     engine_energy,
@@ -355,6 +358,23 @@ WHEEL_TWO_THIRDS_WIND = dict(signed=False, wind=3.0, slope=0.0, traction=0.2, wh
 # of the band's low end
 SCAN_MISS = dict(signed=True, wind=0.05, slope=0.0, traction=0.2, wheel=False)
 
+# the flat fixture's vehicle under wheel power on a 0.01 rad descent, where
+# finite periods beat the time-sharing limit: T (cost - lead) tends to -16,022
+WHEEL_DESCENT = dict(signed=False, wind=0.0, slope=-0.01, traction=0.2, wheel=True)
+
+
+def near_limit_coefficient(frozen, eps=1e-7):
+    """T (avg_cost - lead) of the band ``eps`` of the width inside (v_low, v_high).
+
+    ``lead = h* (avg_speed - v_low)/(v_high - v_low)`` is the time-sharing
+    cost at the band's average.  As eps -> 0 this tends to alpha + X - h* (U +
+    D)/(v_high - v_low), with X, U and D the slice's moment integrals.
+    """
+    width = frozen.v_high - frozen.v_low
+    band = band_from_limits(frozen, frozen.v_low + eps * width, frozen.v_high - eps * width)
+    lead = frozen.engine_power_at(frozen.v_high) * (band.avg_speed - frozen.v_low) / width
+    return band.period * (band.avg_cost - lead)
+
 
 class TestCheckAssumptions:
     def test_reference_slice_passes_everything(self, flat_slice):
@@ -415,6 +435,53 @@ class TestCheckAssumptions:
         assert quadrature_legs.scan_check_assumptions(frozen).passed
         report = check_assumptions(frozen)
         assert [item.name for item in report.items if not item.passed] == ["tradeoff_curvature"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(**{**_SLICES, "wheel": st.just(True)})
+    @example(**WHEEL_DESCENT)
+    @example(**{**WHEEL_DESCENT, "slope": 0.0})
+    def test_switching_inequality_has_the_sign_of_the_band_expansion(
+        self, signed, wind, slope, traction, wheel
+    ):
+        # under wheel power the excess energy X = m f1 U is negative, and
+        # lhs - rhs is the 1/T coefficient of the large-period cost
+        frozen = _model_slice(signed, wind, slope, traction, wheel)
+        report = check_assumptions(frozen)
+        lhs, rhs = report.inequality_lhs, report.inequality_rhs
+        assume(math.isfinite(lhs) and math.isfinite(rhs))
+        # legs that end this close to a rest speed count as reaching it
+        assume(1e-7 * (frozen.v_high - frozen.v_low) > ENDPOINT_MATCH_TOL)
+        coefficient = near_limit_coefficient(frozen)
+        alpha = frozen.params.switch_cost
+        scale = alpha + abs(lhs - alpha) + abs(rhs)
+        assert coefficient == pytest.approx(lhs - rhs, abs=1e-5 * scale)
+        # lhs < rhs exactly when finite periods beat the time-sharing limit
+        assume(abs(lhs - rhs) > 1e-4 * scale)
+        assert (coefficient < 0.0) == (lhs < rhs)
+        assert report.item("switching_cost_small").passed == (lhs < rhs)
+
+    def test_wheel_power_on_the_flat_fixture_passes(self):
+        report = check_assumptions(_model_slice(**{**WHEEL_DESCENT, "slope": 0.0}))
+        assert report.inequality_lhs == pytest.approx(-21477.56, abs=0.01)
+        assert report.inequality_rhs == pytest.approx(7917.797, abs=0.001)
+        assert report.passed
+
+    def test_coasting_that_balances_at_zero_plus(self, params, const_power):
+        # g sin(theta) = -c and no wind: f_off(0+) = 0, and coasting only
+        # approaches 0, so the down moment diverges
+        for signed in (False, True):
+            frozen = FrozenDynamics.from_conditions(
+                replace(params, signed_drag=signed), const_power, math.asin(-0.03 / 9.81), 0.0
+            )
+            assert (frozen.v_low, frozen.v_low_is_root) == (0.0, True)
+            report = check_assumptions(frozen)
+            item = report.item("engine_off_equilibrium")
+            assert item.passed is True
+            assert item.witness["kind"] == "root"
+            assert abs(item.witness["residual"]) <= 1e-12
+            assert report.item("switching_cost_small").passed is None
+            scan = quadrature_legs.scan_check_assumptions(frozen)
+            assert scan.item("engine_off_equilibrium").passed is True
 
     @settings(max_examples=300, deadline=None)
     @given(**_SLICES)

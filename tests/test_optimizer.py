@@ -363,6 +363,24 @@ class TestAsymptoticExpansion:
                 oracles.expansion(7.0, t2), rel=1e-9
             )
 
+    @pytest.mark.parametrize("slope", [0.0, -0.01])
+    def test_wheel_power_matches_a_band_near_the_limits(self, params, wheel_power, slope):
+        # the band 1e-7 of the width inside (v_low, v_high) takes the
+        # expansion's average speed and period; under wheel power the excess
+        # energy enters the 1/T coefficient with a plus sign
+        frozen = FrozenDynamics.from_conditions(params, wheel_power, slope)
+        width = frozen.v_high - frozen.v_low
+        band = band_from_limits(frozen, frozen.v_low + 1e-7 * width, frozen.v_high - 1e-7 * width)
+        expansion = asymptotic_average_cost(frozen, band.avg_speed, band.period)
+        lead = frozen.engine_power_at(frozen.v_high) * (band.avg_speed - frozen.v_low) / width
+        coefficient = band.period * (expansion - lead)
+        assert coefficient == pytest.approx(band.period * (band.avg_cost - lead), rel=1e-5)
+        # and that coefficient is what the switching-cost inequality compares
+        report = check_assumptions(frozen)
+        assert coefficient == pytest.approx(
+            report.inequality_lhs - report.inequality_rhs, rel=1e-9
+        )
+
     def test_preconditions(self, flat_slice):
         with pytest.raises(InfeasibleTargetError):
             asymptotic_average_cost(flat_slice, 20.0, 100.0)

@@ -23,7 +23,7 @@ from ecodrive import (
     band_from_limits,
 )
 from ecodrive.optimizer import leg_time_distance
-from ecodrive.quadrature import adaptive_quadrature, speed_moments
+from ecodrive.quadrature import adaptive_quadrature
 
 # frozen closed-form values for the reference band 6.1 -> 7.94 m/s
 T_UP_BAND = 13.131691162356102
@@ -37,6 +37,11 @@ def test_frozen_constants_come_from_the_oracle():
     assert oracles.dist_up(6.1, 7.94) == pytest.approx(D_UP_BAND, rel=1e-12)
     assert oracles.time_down(7.94, 6.1) == pytest.approx(T_DOWN_BAND, rel=1e-12)
     assert oracles.dist_down(7.94, 6.1) == pytest.approx(D_DOWN_BAND, rel=1e-12)
+
+
+def _speed_rows(fn):
+    """The two rows fn(s) and s fn(s), whose integrals are the speed moments of fn."""
+    return lambda s: np.vstack([np.ones_like(s), s]) * fn(s)
 
 
 class TestAdaptiveQuadrature:
@@ -59,15 +64,15 @@ class TestAdaptiveQuadrature:
             sizes.append(s.size)
             return np.abs(s - 1.0) + np.maximum(s - 2.5, 0.0) ** 2
 
-        m0, m1 = speed_moments(fn, 0.0, 3.0, (1.0, 2.5))
+        m0, m1 = adaptive_quadrature(_speed_rows(fn), 0.0, 3.0, (1.0, 2.5))
         assert sizes == [3 * 15]
         assert m0 == pytest.approx(2.5 + 0.5**3 / 3.0, rel=1e-14)
         assert m1 == pytest.approx(29.0 / 6.0 + 0.5**4 / 4.0 + 2.5 * 0.5**3 / 3.0, rel=1e-14)
-        assert speed_moments(fn, 3.0, 0.0, (2.5, 1.0)) == (-m0, -m1)
+        assert adaptive_quadrature(_speed_rows(fn), 3.0, 0.0, (2.5, 1.0)).tolist() == [-m0, -m1]
         assert adaptive_quadrature(fn, 0.0, 3.0, (1.0, 2.5)) == m0
         # without the knots the kinks cost splits
         sizes.clear()
-        speed_moments(fn, 0.0, 3.0)
+        adaptive_quadrature(_speed_rows(fn), 0.0, 3.0)
         assert len(sizes) > 1
 
     def test_against_scipy_reference(self):
@@ -85,13 +90,14 @@ class TestStackedIntegrands:
     )
 
     def test_every_row_matches_its_own_pass(self):
-        stacked = speed_moments(lambda s: np.vstack([row(s) for row in self.ROWS]), 0.5, 4.0)
+        rows = [_speed_rows(row) for row in self.ROWS]
+        stacked = adaptive_quadrature(lambda s: np.vstack([r(s) for r in rows]), 0.5, 4.0)
+        assert stacked.shape == (6,)
         for i, row in enumerate(self.ROWS):
-            alone = speed_moments(row, 0.5, 4.0)
-            assert type(alone[0]) is float and type(alone[1]) is float
-            for shared, own in zip(stacked, alone):
-                assert shared.shape == (3,)
-                assert shared[i] == pytest.approx(own, rel=1e-9)
+            assert type(adaptive_quadrature(row, 0.5, 4.0)) is float
+            alone = adaptive_quadrature(rows[i], 0.5, 4.0)
+            for shared, own in zip(stacked[2 * i : 2 * i + 2], alone):
+                assert shared == pytest.approx(own, rel=1e-9)
 
     def test_the_row_worst_against_its_rule_picks_the_split(self):
         # next to a constant row, a peaked row must get the panels it gets alone
@@ -122,7 +128,9 @@ class TestStackedIntegrands:
     def test_non_finite_row_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="not finite"):
-                speed_moments(lambda s: np.vstack([np.ones_like(s), 1.0 / (s - 1.0)]), 0.0, 2.0)
+                adaptive_quadrature(
+                    lambda s: np.vstack([np.ones_like(s), 1.0 / (s - 1.0)]), 0.0, 2.0
+                )
 
 
 class TestSegments:

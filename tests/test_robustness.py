@@ -237,10 +237,27 @@ class TestPerturbationSeries:
             calls.append((lo, hi, knots))
             return inner(fn, lo, hi, knots)
 
+        mean = mean_speed(accel_profile)
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
-        perturbation_series(accel_profile, _quadratic_bump(accel_profile, 0.3), 8)
+        perturbation_series(accel_profile, _quadratic_bump(accel_profile, 0.3), 8, mean=mean)
         band = (accel_profile.lo, accel_profile.hi)
         assert calls == [(*band, band)]
+
+    def test_robustness_command_makes_three_passes(self, accel_profile, monkeypatch):
+        calls = []
+        inner = robustness.adaptive_quadrature
+
+        def counted(fn, lo, hi, knots=()):
+            calls.append(knots)
+            return inner(fn, lo, hi, knots)
+
+        monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
+        g, dg = accel_profile, _quadratic_bump(accel_profile, 0.3)
+        # the calls of ``ecodrive robustness``: both means, then the series
+        base = mean_speed(g)
+        mean_speed(g.plus(dg))
+        perturbation_series(g, dg, mean=base)
+        assert len(calls) == 3
 
     def test_given_mean_is_not_computed_again(self, accel_profile, monkeypatch):
         dg = _quadratic_bump(accel_profile, 0.3)
@@ -254,21 +271,26 @@ class TestPerturbationSeries:
         assert perturbation_series(accel_profile, dg, mean=mean) == expected
 
     def test_each_profile_is_validated_once(self, accel_profile):
-        sizes = []
+        g_sizes, dg_sizes = [], []
 
-        def counted(s):
-            sizes.append(s.size)
-            return accel_profile(s)
+        def counted(profile, sizes):
+            def fn(s):
+                sizes.append(s.size)
+                return profile(s)
 
-        g = SpeedProfile(accel_profile.lo, accel_profile.hi, counted)
-        dg = _quadratic_bump(accel_profile, 0.3)
+            return SpeedProfile(profile.lo, profile.hi, fn)
+
+        g = counted(accel_profile, g_sizes)
+        dg = counted(_quadratic_bump(accel_profile, 0.3), dg_sizes)
         # the robustness command's calls, the series computing its own mean
         mean_speed(g)
         mean_speed(g.plus(dg))
         perturbation_series(g, dg)
         ratio_statistics(g, dg)
-        # one validation grid for g and one for g + dg
-        assert sizes.count(robustness._VALIDATION_GRID) == 2
+        # g on its own grid and inside g + dg; dg inside g + dg and once for
+        # the ratios of both the series and the statistics
+        assert g_sizes.count(robustness._VALIDATION_GRID) == 2
+        assert dg_sizes.count(robustness._VALIDATION_GRID) == 2
 
     def test_divergence_risk_rejected(self, accel_profile):
         dg = accel_profile.scaled(1.05)
