@@ -413,7 +413,7 @@ class FrozenDynamics:
         minus the integral of (s - v_low)/f_off, the engine-off leg running
         from the top down to the rest speed.  ``h*`` is the engine-on draw at
         v_high.  On a sticking slice the down moment is the coast leg's
-        distance.  Divergent integrals come back infinite.
+        distance.  Divergent integrals come back infinite, signed at a band end.
         """
         up_moment = self._rest_moment(True, self.v_high)
         # h - h* is 0 under constant power and m f1 (s - v_high) under wheel power
@@ -445,8 +445,10 @@ class FrozenDynamics:
                 far, hi = rest * t - d, w
         A = -p.drag_coeff if p.signed_drag and rest < w else p.drag_coeff
         u0, u1 = lo + rest - 2.0 * w, hi + rest - 2.0 * w
-        if u0 * u1 <= 0.0:
+        if u0 * u1 < 0.0:  # the root lies inside the band: the integral has no sign
             return math.inf
+        if u0 * u1 == 0.0:  # at a band end: u1 / u0 runs to inf at the lower, to 0 at the upper
+            return math.copysign(math.inf, -(u0 + u1) * A)
         return far - math.log(u1 / u0) / A
 
     @classmethod
@@ -523,11 +525,13 @@ def increasing_root(
     ``fn(x)`` returns the value and the slope at x; ``x`` clipped into the
     bracket is the first iterate.  An end is evaluated only when a step would
     leave through it, and is returned when its value puts the root beyond it.
-    A step out through an evaluated end bisects.  Returns the last evaluated
-    ``x`` once the next step is below brentq's ``2e-12 + 4 eps |x|``.
+    A step out through an evaluated end bisects, and so does a step back over
+    the last one that does not halve it, which can cycle.  Returns the last
+    evaluated ``x`` once the next step is below brentq's ``2e-12 + 4 eps |x|``.
     """
     fresh = {lo, hi}  # the ends not evaluated yet
     x = min(max(x, lo), hi)
+    step = 0.0
     for _ in range(100):
         value, slope = fn(x)
         if math.isnan(value):
@@ -541,9 +545,11 @@ def increasing_root(
         if not lo < x_new < hi:
             end = lo if x_new <= lo else hi
             x_new = end if end in fresh else 0.5 * (lo + hi)
+        elif (x_new - x) * step < 0.0 and abs(x_new - x) > 0.5 * abs(step):
+            x_new = 0.5 * (lo + hi)
         if x_new not in fresh and abs(x_new - x) <= 2e-12 + 8.9e-16 * abs(x_new):
             return x
-        x = x_new
+        x, step = x_new, x_new - x
     raise NumericError(f"no root after 100 iterations in [{lo!r}, {hi!r}]")
 
 

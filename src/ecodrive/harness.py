@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True, help="average speed target, m/s")
     p.add_argument("--vsafe", type=float, default=math.inf, help="safety speed, m/s")
     p.add_argument("--delta", type=float, default=0.5, help="safety band width, m/s")
-    p.add_argument("--fine", action="store_true", help="refine at 0.01 m/s")
+    p.add_argument("--fine", action="store_true", help="refine the lower edge to 0.01 m/s")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a race scenario")

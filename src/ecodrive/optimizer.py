@@ -2,17 +2,15 @@
 
 At a prescribed average speed the cheapest long-run strategy oscillates
 between a lower and an upper speed with one engine switch-on per period.
-The band search follows a two-stage grid: a coarse list of lower-speed
-candidates (cheap enough to run in-race), then an optional fine refinement
-around the best coarse candidate.
+The band search tries a coarse list of lower-speed candidates (cheap enough
+to run in-race), then optionally refines the lower speed around the best one
+by Brent's bounded minimisation of the band's average cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import (
     ENDPOINT_MATCH_TOL,
@@ -31,7 +29,7 @@ from .errors import (
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
-# the fine stage searches this far either side of the best coarse candidate, m/s
+# the refinement searches this far either side of the best coarse candidate, m/s
 FINE_HALFWIDTH = 0.5
 
 
@@ -81,8 +79,8 @@ class GridSpec:
 
     The default offsets place four candidates 0.5 m/s apart below the target
     average speed.  A band misses the target average speed by at most
-    ``0.01 tol``; ``fine_step`` enables the refinement stage around the best
-    coarse candidate.
+    ``0.01 tol``.  ``fine_step`` enables the refinement of the best coarse
+    candidate and is the resolution, in m/s, of the refined lower speed.
     """
 
     lower_offsets: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
@@ -140,6 +138,8 @@ def band_from_limits(
     if any(frozen.mode_changes_sign(on, v_a, v_b) for on in (True, False)):
         raise InvalidSegmentError("mode acceleration changes sign strictly inside the segment")
     legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
+    if not all(map(math.isfinite, legs[0] + legs[1])):
+        raise InvalidSegmentError(f"band ({v_a}, {v_b}) ends at a rest speed it only approaches")
     return _band(frozen, v_a, v_b, dwell, legs)
 
 
@@ -228,12 +228,12 @@ def band_cost(
 
 
 def _saturated_band(frozen: FrozenDynamics, v_a: float, v_target: float) -> OscillationBand:
-    cycle = band_from_limits(frozen, v_a, frozen.v_high)
-    if not (math.isfinite(cycle.period) and math.isfinite(cycle.distance)):
+    if math.isinf(leg_time_distance(frozen, True, v_a, frozen.v_high)[0]):
         raise InfeasibleCandidateError(
             f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "
             "the top equilibrium is only approached asymptotically"
         )
+    cycle = band_from_limits(frozen, v_a, frozen.v_high)
     dwell = (v_target * cycle.period - cycle.distance) / (frozen.v_high - v_target)
     return band_from_limits(frozen, v_a, frozen.v_high, max(dwell, 0.0))
 
@@ -247,11 +247,11 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Evaluates every grid candidate, optionally refines around the best one,
-    and breaks cost ties toward the larger lower speed (fewer switches per
-    unit time).  If the winning band tops out above ``v_safe`` it is replaced
-    by the safety band (v_safe - delta, v_safe), which no longer meets the
-    average-speed constraint.
+    Evaluates every grid candidate, optionally refines the best one's lower
+    speed to ``grid.fine_step``, and breaks cost ties toward the larger lower
+    speed (fewer switches per unit time).  If the winning band tops out above
+    ``v_safe`` it is replaced by the safety band (v_safe - delta, v_safe),
+    which no longer meets the average-speed constraint.
     """
     grid = grid or GridSpec()
     if v_safe <= 0.0:
@@ -266,19 +266,20 @@ def optimal_band(
     best: OscillationBand | None = None
     failures: list[str] = []
 
-    def consider(v_a: float) -> None:
+    def consider(v_a: float) -> float:
         nonlocal best
         try:
             band = band_cost(frozen, v_a, v_target, grid.tol)
         except InfeasibleCandidateError as exc:
             failures.append(str(exc))
-            return
+            return math.inf
         if (
             best is None
             or band.avg_cost < best.avg_cost
             or (band.avg_cost == best.avg_cost and band.lower > best.lower)
         ):
             best = band
+        return band.avg_cost
 
     for cand in grid.candidates(v_target, frozen.v_low):
         consider(cand)
@@ -290,13 +291,45 @@ def optimal_band(
         center = best.lower
         lo = max(center - FINE_HALFWIDTH, frozen.v_low + 1e-9)
         hi = min(center + FINE_HALFWIDTH, v_target - 1e-9)
-        cands = np.arange(lo, hi + 0.5 * grid.fine_step, grid.fine_step)
-        for cand in cands[cands <= hi]:
-            consider(float(cand))
+        _brent_minimum(consider, lo, hi, center, best.avg_cost, grid.fine_step)
 
     if best.upper > v_safe:
         return safety_band(frozen, v_safe, delta)
     return best
+
+
+def _brent_minimum(cost, lo: float, hi: float, x: float, fx: float, xatol: float) -> None:
+    """Brent's search for a minimum of ``cost`` on [lo, hi] from ``x``, of cost ``fx``.
+
+    A step to the vertex of the parabola through the three best points, when
+    their costs are finite and the step is short and inside the bracket, else
+    a golden-section step; scipy's ``fminbound`` stopping rule.
+    """
+    v, fv, w, fw, d, e = x, fx, x, fx, 0.0, 0.0
+    while True:
+        m, tol = 0.5 * (lo + hi), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (hi - lo):
+            return
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (r - q)  # the vertex is p / q from x
+        parabolic = abs(e) > tol and math.isfinite(fx + fv + fw)
+        if parabolic and abs(p) < abs(0.5 * q * e) and lo < x + p / q < hi:
+            e, d = d, p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = tol if x <= m else -tol
+        else:
+            e = (lo if x >= m else hi) - x
+            d = 0.5 * (3.0 - math.sqrt(5.0)) * e
+        u = x + math.copysign(max(abs(d), tol), d)
+        if (fu := cost(u)) <= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (lo, u) if u >= x else (u, hi)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
 
 
 def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:

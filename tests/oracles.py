@@ -121,7 +121,7 @@ def coarse_band(target: float) -> tuple[float, float, float]:
 
 
 def fine_band(target: float, step: float = 0.01, halfwidth: float = 0.5):
-    """Coarse search then fine refinement, mirroring the two-stage grid."""
+    """Coarse search, then a scan at ``step`` around the best coarse candidate."""
     v_a0, _, cost0 = coarse_band(target)
     best = coarse_band(target)
     v = max(v_a0 - halfwidth, 1e-9)

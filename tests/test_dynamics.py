@@ -566,6 +566,20 @@ class TestClosedFormSlice:
             quadrature_legs.scan_mode_changes_sign(frozen, engine_on, lo, hi)
         )
 
+    def test_divergent_down_moment_is_positive(self, params, const_power):
+        # windless coasting that balances at 0+: f_off = -a s^2, so the down
+        # moment -int s / f_off ds = int ds / (a s) diverges to +inf, as the
+        # coast leg's distance from the top down to eps grows without bound
+        slope = -math.asin(params.solid_friction / params.gravity)
+        frozen = FrozenDynamics.from_conditions(params, const_power, slope)
+        assert frozen.v_low == 0.0 and frozen.v_low_is_root
+        assert frozen.moment_integrals()[2] == math.inf
+        tails = [frozen.leg_time_distance(False, frozen.v_high, eps)[1] for eps in (1e-3, 1e-6)]
+        assert 0.0 < tails[0] < tails[1]
+        item = check_assumptions(frozen).item("switching_cost_small")
+        assert item.passed is None
+        assert item.witness["rhs"] == math.inf
+
     def test_interior_engine_on_root_diverges(self, params, const_power):
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
         assert frozen.mode_changes_sign(True, 1.0, 3.0)
@@ -812,6 +826,9 @@ class TestIncreasingRoot:
     @example(1.0, 0.0, 0.0, 3.0, 0.0, 1.0, -5.0)
     # a start above the bracket and the root below it
     @example(1.0, 1.0, 1.0, -30.0, 0.0, 2.0, 9.0)
+    # Newton's steps on x + 2.9 tanh(x) from 3 alternate about the root at 0
+    # and hardly shrink: unguarded, 100 iterations end near +-2.416
+    @example(0.796875, 0.0, 2.3125, 0.0, -3.0, 6.0, 3.0)
     def test_matches_bisection(self, a, b, c, shift, lo, width, start):
         hi = lo + width
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import oracles
 from quadrature_legs import GeneralLawSlice, bisection_upper_limit, sqrt_top_slice
@@ -22,7 +23,7 @@ from ecodrive import (
     check_assumptions,
     optimal_band,
 )
-from ecodrive.errors import ExpansionInapplicableError
+from ecodrive.errors import ExpansionInapplicableError, InvalidSegmentError
 from ecodrive import optimizer
 from ecodrive.optimizer import leg_time_distance, safety_band
 
@@ -219,6 +220,42 @@ class TestBandCost:
         assert a.avg_cost != b.avg_cost
 
 
+def _recording(monkeypatch) -> list[float]:
+    """Patch ``optimizer.band_cost`` to record the lower speed of every call."""
+    lowers = []
+    inner = optimizer.band_cost
+
+    def recording_band_cost(frozen, v_a, v_target, tol):
+        lowers.append(v_a)
+        return inner(frozen, v_a, v_target, tol)
+
+    monkeypatch.setattr(optimizer, "band_cost", recording_band_cost)
+    return lowers
+
+
+def _window(frozen, center, v_target):
+    """The refinement window around ``center``, as ``optimal_band`` sets it."""
+    return (
+        max(center - optimizer.FINE_HALFWIDTH, frozen.v_low + 1e-9),
+        min(center + optimizer.FINE_HALFWIDTH, v_target - 1e-9),
+    )
+
+
+def _reference_lower(frozen, v_target, grid, window):
+    """scipy's bounded minimiser of the band cost on the window, infeasible at +inf."""
+
+    def cost(v_a):
+        try:
+            return band_cost(frozen, float(v_a), v_target, grid.tol).avg_cost
+        except InfeasibleCandidateError:
+            return math.inf
+
+    # scipy's parabola through an infinite cost subtracts inf from inf
+    with np.errstate(invalid="ignore"):
+        result = minimize_scalar(cost, bounds=window, method="bounded", options={"xatol": 1e-10})
+    return result.x
+
+
 class TestOptimalBand:
     def test_coarse_grid_picks_a_candidate(self, flat_slice):
         band = optimal_band(flat_slice, 7.0, v_safe=20.0)
@@ -306,9 +343,9 @@ class TestOptimalBand:
         assert band.avg_speed == pytest.approx(2.5, abs=1e-4)
 
     def test_fine_candidate_within_rounding_of_the_target_is_dropped(self, monkeypatch):
-        # the fine window ends at the target, and its last grid point lands
-        # 2e-14 below it: a band of no width, whose average only rounding
-        # puts on either side of the target
+        # the fine window ends at the target: a lower speed 2e-14 below it
+        # gives a band of no width, whose average only rounding puts on
+        # either side of the target
         params = VehicleParams(switch_cost=11.606590079166033, signed_drag=True)
         frozen = FrozenDynamics.from_conditions(
             params, PowerModel(kind="wheel_power"), -0.014367145702518992, -2.4915906971634723
@@ -316,17 +353,11 @@ class TestOptimalBand:
         target = 16.960964565912867
         with pytest.raises(InfeasibleCandidateError, match="rounding"):
             band_cost(frozen, 16.960964565912846, target)
-        lowers = []
-
-        def recording_band_cost(frozen, v_a, v_target, tol):
-            lowers.append(v_a)
-            return band_cost(frozen, v_a, v_target, tol)
-
-        # the fine grid is clipped to the window: no candidate reaches the target
-        monkeypatch.setattr(optimizer, "band_cost", recording_band_cost)
+        # the search stays inside the window: no candidate reaches the target
+        lowers = _recording(monkeypatch)
         band = optimal_band(frozen, target, 21.587702851415912, GridSpec(fine_step=0.01))
         assert band.avg_speed == pytest.approx(target, abs=1e-4)
-        assert len(lowers) > 50
+        assert len(lowers) <= 30
         assert all(v_a < target - 1e-9 for v_a in lowers)
 
     def test_grid_candidates_respect_window(self):
@@ -340,6 +371,131 @@ class TestOptimalBand:
         assert cands == [0.8]
 
 
+class TestBandRefinement:
+    """Brent's search for the refined lower speed."""
+
+    GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-3, 0.01])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: (x - 0.3) ** 2,
+            lambda x: math.cos(3.0 * x) + 0.1 * x,
+            lambda x: abs(x - 0.77) ** 1.5 + 0.2 * x,
+            lambda x: math.exp(x) - 2.0 * x,
+            lambda x: (x - 1.9) ** 4,
+        ],
+    )
+    def test_same_evaluations_as_scipys_fminbound(self, fn, xatol):
+        # started at scipy's first point, the search makes scipy's evaluations
+        ours, theirs = [], []
+        lo, hi = -0.5, 2.0
+        x = lo + self.GOLDEN * (hi - lo)
+
+        def cost(v):
+            ours.append(v)
+            return fn(v)
+
+        optimizer._brent_minimum(cost, lo, hi, x, cost(x), xatol)
+
+        def scipy_cost(v):
+            theirs.append(float(v))
+            return fn(float(v))
+
+        minimize_scalar(scipy_cost, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert ours == theirs
+
+    def test_search_closes_in_past_infinite_costs(self):
+        # infeasible below 1: no parabola through an infinite cost, and the
+        # search still closes in on the minimum at 1.2
+        seen = {}
+
+        def cost(v):
+            seen[v] = math.inf if v < 1.0 else (v - 1.2) ** 2
+            return seen[v]
+
+        optimizer._brent_minimum(cost, 0.0, 2.0, 1.9, cost(1.9), 1e-4)
+        assert min(seen, key=seen.get) == pytest.approx(1.2, abs=1e-4)
+        assert any(v < 1.0 for v in seen)
+
+    @pytest.mark.parametrize("target", [5.0, 7.0, 9.0])
+    def test_refined_optimize_makes_few_band_evaluations(self, flat_slice, target, monkeypatch):
+        coarse = optimal_band(flat_slice, target, v_safe=20.0)
+        lowers = _recording(monkeypatch)
+        grid = GridSpec(fine_step=0.01)
+        band = optimal_band(flat_slice, target, v_safe=20.0, grid=grid)
+        # four coarse candidates, then the search; the 0.01 m/s grid made 105
+        assert len(lowers) <= 15
+        assert band.avg_cost <= coarse.avg_cost
+        window = _window(flat_slice, coarse.lower, target)
+        assert band.lower == pytest.approx(
+            _reference_lower(flat_slice, target, grid, window), abs=grid.fine_step
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-6.0, max_value=6.0),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wheel=st.booleans(),
+        u_t=st.floats(min_value=0.02, max_value=0.98),
+    )
+    @example(False, 8.0, 0.015, False, 0.1764052399855324)  # the tailwind climb at about 2.5
+    @example(True, 2.5, 0.017578125, False, 0.9609375)  # scipy's reference meets infeasible edges
+    def test_refined_edge_matches_a_bounded_minimiser(self, signed, wind, slope, wheel, u_t):
+        power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
+        try:
+            frozen = FrozenDynamics.from_conditions(
+                VehicleParams(signed_drag=signed), power, slope, wind
+            )
+        except InfeasibleSliceError:
+            assume(False)
+        target = frozen.v_low + u_t * (frozen.v_high - frozen.v_low)
+        try:
+            coarse = optimal_band(frozen, target)
+        except InfeasibleCandidateError:
+            assume(False)
+        assume(not coarse.is_coast)
+        grid = GridSpec(fine_step=0.01)
+        band = optimal_band(frozen, target, grid=grid)
+        assert band.avg_cost <= coarse.avg_cost
+        assert abs(band.avg_speed - target) <= grid.tol
+        reference = _reference_lower(frozen, target, grid, _window(frozen, coarse.lower, target))
+        assert band.lower == pytest.approx(reference, abs=grid.fine_step)
+
+    def test_window_starting_in_infeasible_candidates(self, params, const_power, monkeypatch):
+        # climb into a tailwind: the window [1.5, 2.5) around the coarse
+        # winner 2.0 starts below the engine-on root near 1.83, where every
+        # candidate's legs cross it
+        frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
+        coarse = optimal_band(frozen, 2.5, 12.0)
+        assert coarse.lower == 2.0
+        lowers = _recording(monkeypatch)
+        grid = GridSpec(fine_step=0.01)
+        band = optimal_band(frozen, 2.5, 12.0, grid)
+        searched = lowers[4:]
+        assert any(v_a < 1.83 for v_a in searched)
+        assert all(1.5 <= v_a < 2.5 for v_a in searched)
+        assert band.lower > 1.83
+        assert band.avg_cost <= coarse.avg_cost
+        assert abs(band.avg_speed - 2.5) <= grid.tol
+        window = _window(frozen, coarse.lower, 2.5)
+        assert band.lower == pytest.approx(
+            _reference_lower(frozen, 2.5, grid, window), abs=grid.fine_step
+        )
+
+    def test_optimum_cost_is_convex_in_the_target(self, flat_slice):
+        # the paper's optimality claim on an autonomous slice: the cheapest
+        # one-band cost C at average speed v is convex in v, so sharing time
+        # between two bands never beats one band at the same average
+        targets = np.linspace(0.6, 16.53, 41)
+        grid = GridSpec(fine_step=1e-6)
+        costs = [optimal_band(flat_slice, float(v), grid=grid).avg_cost for v in targets]
+        second = np.diff(costs, 2) / (targets[1] - targets[0]) ** 2
+        assert np.all(second > 0.0), second
+
+
 class TestSaturatedUpperLimit:
     def test_dwell_at_the_top(self, params, const_power):
         frozen = sqrt_top_slice(params, const_power)
@@ -347,6 +503,33 @@ class TestSaturatedUpperLimit:
         assert band.upper == pytest.approx(10.0)
         assert band.dwell > 0.0
         assert band.avg_speed == pytest.approx(9.7, abs=1e-4)
+
+    def test_top_only_approached_is_infeasible(self, flat_slice):
+        with pytest.raises(InfeasibleCandidateError, match="asymptotically"):
+            optimizer._saturated_band(flat_slice, 6.0, 7.0)
+
+
+class TestBandFromLimits:
+    def test_band_ending_at_a_rest_speed_is_refused(self, wheel_power):
+        # v_high is 0.0099 m/s, so the band's top lies within 1e-9 m/s of
+        # it: the up leg only approaches its end, and the band's cost was
+        # inf / inf
+        frozen = FrozenDynamics.from_conditions(
+            VehicleParams(traction=0.22618, signed_drag=True), wheel_power, 0.023824, 7.9168
+        )
+        width = frozen.v_high - frozen.v_low
+        with pytest.raises(InvalidSegmentError, match="rest speed"):
+            band_from_limits(frozen, frozen.v_low + 1e-7 * width, frozen.v_high - 1e-7 * width)
+
+    def test_band_starting_at_the_coasting_rest_speed_is_refused(self, params, const_power):
+        # only the down leg is infinite: the band's cost was 0
+        downhill = FrozenDynamics.from_conditions(
+            params, const_power, slope=-math.asin(0.05 / params.gravity)
+        )
+        assert downhill.v_low_is_root
+        with pytest.raises(InvalidSegmentError, match="rest speed"):
+            band_from_limits(downhill, downhill.v_low + 1e-10, downhill.v_low + 1.0)
+        assert math.isfinite(band_from_limits(downhill, downhill.v_low + 1e-3, 7.0).avg_cost)
 
 
 class TestAsymptoticExpansion:
