@@ -51,7 +51,6 @@ from .robustness import (
     SpeedProfile,
     mean_speed,
     perturbation_series,
-    proportional_invariance_check,
     ratio_statistics,
 )
 from .scenario import Scenario, emit_report, load_scenario, write_scenario

@@ -124,6 +124,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return float(text)
+
+
+def _safety_speed(text: str) -> float:
+    return math.inf if float(text) == math.inf else _positive_float(text)
+
+
 def cmd_robustness(args) -> int:
     g = SpeedProfile.from_samples(*_read_profile_table(args.g))
     dg = SpeedProfile.from_samples(*_read_profile_table(args.dg))
@@ -221,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="params JSON file")
     p.add_argument("--slope", type=float, default=0.0, help="slope angle, rad")
     p.add_argument("--wind", type=float, default=0.0, help="wind speed along track, m/s")
-    p.add_argument("--target", type=float, required=True, help="average speed target, m/s")
-    p.add_argument("--vsafe", type=float, default=math.inf, help="safety speed, m/s")
-    p.add_argument("--delta", type=float, default=0.5, help="safety band width, m/s")
+    p.add_argument("--target", type=_positive_float, required=True, help="target average, m/s")
+    p.add_argument("--vsafe", type=_safety_speed, default=math.inf, help="safety speed or inf, m/s")
+    p.add_argument("--delta", type=_positive_float, default=0.5, help="safety band width, m/s")
     p.add_argument("--fine", action="store_true", help="refine the lower edge to 0.01 m/s")
     p.set_defaults(func=cmd_optimize)
 

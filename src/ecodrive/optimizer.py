@@ -3,8 +3,8 @@
 At a prescribed average speed the cheapest long-run strategy oscillates
 between a lower and an upper speed with one engine switch-on per period.
 The band search tries a coarse list of lower-speed candidates (cheap enough
-to run in-race), then optionally refines the lower speed around the best one
-by Brent's bounded minimisation of the band's average cost.
+to run in-race), then optionally bisects the lower speed on the sign of the
+paper's optimality certificate, the chord of the tradeoff -F (``_chord_residual``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import (
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
-# the refinement searches this far either side of the best coarse candidate, m/s
-FINE_HALFWIDTH = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,8 @@ class GridSpec:
 
     The default offsets place four candidates 0.5 m/s apart below the target
     average speed.  A band misses the target average speed by at most
-    ``0.01 tol``.  ``fine_step`` enables the refinement of the best coarse
-    candidate and is the resolution, in m/s, of the refined lower speed.
+    ``0.01 tol``.  ``fine_step`` enables the refinement of the lower speed on
+    (v_low, target) and is its resolution, in m/s.
     """
 
     lower_offsets: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
@@ -247,14 +245,14 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Evaluates every grid candidate, optionally refines the best one's lower
-    speed to ``grid.fine_step``, and breaks cost ties toward the larger lower
-    speed (fewer switches per unit time).  If the winning band tops out above
-    ``v_safe`` it is replaced by the safety band (v_safe - delta, v_safe),
-    which no longer meets the average-speed constraint.
+    Evaluates every grid candidate, optionally bisects the lower speed on
+    (v_low, target) to ``grid.fine_step``, and breaks cost ties toward the
+    larger lower speed (fewer switches per unit time).  If the winning band
+    tops out above ``v_safe`` it is replaced by the safety band (v_safe -
+    delta, v_safe), which no longer meets the average-speed constraint.
     """
     grid = grid or GridSpec()
-    if v_safe <= 0.0:
+    if not v_safe > 0.0:
         raise ValueError("v_safe must be strictly positive")
     if v_target >= frozen.v_high:
         raise InfeasibleTargetError(
@@ -266,70 +264,55 @@ def optimal_band(
     best: OscillationBand | None = None
     failures: list[str] = []
 
-    def consider(v_a: float) -> float:
+    def consider(v_a: float) -> OscillationBand | None:
         nonlocal best
         try:
             band = band_cost(frozen, v_a, v_target, grid.tol)
         except InfeasibleCandidateError as exc:
             failures.append(str(exc))
-            return math.inf
+            return None
         if (
             best is None
             or band.avg_cost < best.avg_cost
             or (band.avg_cost == best.avg_cost and band.lower > best.lower)
         ):
             best = band
-        return band.avg_cost
+        return band
 
-    for cand in grid.candidates(v_target, frozen.v_low):
-        consider(cand)
+    coarse = [(cand, consider(cand)) for cand in grid.candidates(v_target, frozen.v_low)]
     if best is None:
         raise InfeasibleCandidateError(
             "no grid candidate admits the target average speed: " + "; ".join(failures)
         )
     if grid.fine_step is not None:
-        center = best.lower
-        lo = max(center - FINE_HALFWIDTH, frozen.v_low + 1e-9)
-        hi = min(center + FINE_HALFWIDTH, v_target - 1e-9)
-        _brent_minimum(consider, lo, hi, center, best.avg_cost, grid.fine_step)
+
+        def below(band: OscillationBand | None) -> bool:  # an infeasible one lies below
+            return band is None or _chord_residual(frozen, band, v_target) < 0.0
+
+        lo, hi = frozen.v_low + 1e-9, v_target - 1e-9
+        for v_a, band in reversed(coarse):  # down to the first candidate below the optimum
+            if below(band):
+                lo = v_a
+                break
+            hi = v_a
+        while hi - lo > grid.fine_step:  # without a root, down to the rest-speed bound
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if below(consider(mid)) else (lo, mid)
 
     if best.upper > v_safe:
         return safety_band(frozen, v_safe, delta)
     return best
 
 
-def _brent_minimum(cost, lo: float, hi: float, x: float, fx: float, xatol: float) -> None:
-    """Brent's search for a minimum of ``cost`` on [lo, hi] from ``x``, of cost ``fx``.
+def _chord_residual(frozen: FrozenDynamics, band: OscillationBand, v_target: float) -> float:
+    """Cost less the chord of psi = -h f_off / f1 through the band's ends, at the target.
 
-    A step to the vertex of the parabola through the three best points, when
-    their costs are finite and the step is short and inside the bracket, else
-    a golden-section step; scipy's ``fminbound`` stopping rule.
+    Zero at an interior optimum, negative below it and positive above it.
     """
-    v, fv, w, fw, d, e = x, fx, x, fx, 0.0, 0.0
-    while True:
-        m, tol = 0.5 * (lo + hi), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
-        if abs(x - m) <= 2.0 * tol - 0.5 * (hi - lo):
-            return
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (r - q)  # the vertex is p / q from x
-        parabolic = abs(e) > tol and math.isfinite(fx + fv + fw)
-        if parabolic and abs(p) < abs(0.5 * q * e) and lo < x + p / q < hi:
-            e, d = d, p / q
-            if min(x + d - lo, hi - x - d) < 2.0 * tol:
-                d = tol if x <= m else -tol
-        else:
-            e = (lo if x >= m else hi) - x
-            d = 0.5 * (3.0 - math.sqrt(5.0)) * e
-        u = x + math.copysign(max(abs(d), tol), d)
-        if (fu := cost(u)) <= fx:
-            lo, hi = (x, hi) if u >= x else (lo, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            lo, hi = (lo, u) if u >= x else (u, hi)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
+    v_a, v_b, power = band.lower, band.upper, frozen.engine_power_at
+    lo, hi = power(v_a) * frozen.accel(v_a, False), power(v_b) * frozen.accel(v_b, False)
+    chord = lo + (hi - lo) * (v_target - v_a) / (v_b - v_a)  # of h f_off = -f1 psi
+    return band.avg_cost + chord / frozen.params.traction
 
 
 def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:

@@ -145,19 +145,6 @@ def perturbation_series(
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)
 
 
-def proportional_invariance_check(g: SpeedProfile, eps: float) -> float:
-    """Residual of the scale invariance F((1+eps) g) = F(g).
-
-    Exactly zero in exact arithmetic; bounded by quadrature precision
-    (~1e-10 m/s) for well-conditioned profiles.
-    """
-    if not abs(eps) < 1.0:
-        raise ValueError("eps must satisfy |eps| < 1")
-    if eps == 0.0:
-        return 0.0
-    return abs(mean_speed(g.scaled(1.0 + eps)) - mean_speed(g))
-
-
 def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
     """Mean and variance of dg/g over the band.
 

@@ -120,19 +120,35 @@ def coarse_band(target: float) -> tuple[float, float, float]:
     return best
 
 
-def fine_band(target: float, step: float = 0.01, halfwidth: float = 0.5):
-    """Coarse search, then a scan at ``step`` around the best coarse candidate."""
-    v_a0, _, cost0 = coarse_band(target)
-    best = coarse_band(target)
-    v = max(v_a0 - halfwidth, 1e-9)
-    while v <= min(v_a0 + halfwidth, target - 1e-9):
-        v_b = upper_for_target(v, target)
-        t1, _, e = period(v, v_b)
-        cost = e / t1
-        if cost < best[2] or (cost == best[2] and v > best[0]):
-            best = (v, v_b, cost)
-        v += step
-    return best
+def chord_residual(v_a: float, target: float) -> tuple[float, float, float]:
+    """(cost - chord, v_b, cost) of the band through ``v_a`` at the target average.
+
+    The chord is that of psi(v) = H (a v^2 + c) / f1 through the band's ends,
+    read at the target; at an interior optimum the band's cost equals it.
+    """
+    v_b = upper_for_target(v_a, target, tol=1e-13)
+    t1, _, e = period(v_a, v_b)
+    psi_a, psi_b = (H_CONST * (A_DRAG * v * v + C_FRICTION) / F1_TRACTION for v in (v_a, v_b))
+    chord = psi_a + (psi_b - psi_a) * (target - v_a) / (v_b - v_a)
+    return e / t1 - chord, v_b, e / t1
+
+
+def exact_band(target: float) -> tuple[float, float, float]:
+    """(v_a, v_b, avg_cost) of the optimal band: the root of the chord residual.
+
+    The residual is negative below the optimal lower speed and positive above
+    it; bisection on (0, target) resolves the root to 1e-12 m/s.
+    """
+    lo, hi = 1e-9, target - 1e-9
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if chord_residual(mid, target)[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v_a = 0.5 * (lo + hi)
+    _, v_b, cost = chord_residual(v_a, target)
+    return v_a, v_b, cost
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 ``SpeedSegment`` checks one leg's orientation and sign before handing it to
 the slice's own closed form; the thin wrappers read more easily in the tests
 than ``SpeedSegment.time_distance`` and the ``SpeedProfile`` constructor.
+``proportional_invariance_check`` measures the scale invariance of a
+profile's mean speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile
+from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile, mean_speed
 from ecodrive.dynamics import engine_energy
 from quadrature_legs import general_law
 
@@ -81,3 +83,16 @@ def acceleration_profile(
     """The mode acceleration of a slice as a profile on [lo, hi]."""
     law = general_law(frozen)
     return SpeedProfile(lo, hi, lambda s: law.accel_grid(s, engine_on))
+
+
+def proportional_invariance_check(g: SpeedProfile, eps: float) -> float:
+    """Residual of the scale invariance F((1+eps) g) = F(g).
+
+    Exactly zero in exact arithmetic; bounded by quadrature precision
+    (~1e-10 m/s) for well-conditioned profiles.
+    """
+    if not abs(eps) < 1.0:
+        raise ValueError("eps must satisfy |eps| < 1")
+    if eps == 0.0:
+        return 0.0
+    return abs(mean_speed(g.scaled(1.0 + eps)) - mean_speed(g))

@@ -17,6 +17,7 @@ from segments import (
     covered_length,
     elapsed_time,
     energy_used,
+    proportional_invariance_check,
 )
 from ecodrive import (
     GridSpec,
@@ -31,7 +32,6 @@ from ecodrive import (
     min_switch_interval,
     optimal_band,
     perturbation_series,
-    proportional_invariance_check,
 )
 from ecodrive import fixtures as fixture_lib
 

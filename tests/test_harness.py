@@ -15,6 +15,7 @@ from ecodrive import (
     TrackProfile,
     VehicleParams,
     WindField,
+    optimal_band,
     run_race,
 )
 from ecodrive import fixtures as fixture_lib
@@ -605,6 +606,49 @@ class TestCli:
             main(["robustness", "--g", missing, "--dg", missing, "--terms", terms])
         assert exc.value.code == 2
         assert f"--terms: expected a positive integer, got {terms!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--vsafe", "nan"),
+            ("--vsafe", "0"),
+            ("--vsafe", "-inf"),
+            ("--target", "-1"),
+            ("--target", "nan"),
+            ("--target", "inf"),
+            ("--delta", "-1"),
+            ("--delta", "0"),
+            ("--delta", "inf"),
+        ],
+    )
+    def test_optimize_refuses_bad_safety_inputs(self, tmp_path, capsys, flag, value):
+        # a usage error from argparse (exit 2), checked before any file is read
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--params", missing, "--target", "7", f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: expected a positive finite number, got {value!r}" in err
+
+    def test_optimize_refuses_a_non_number(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--params", missing, "--target", "7", "--vsafe", "fast"])
+        assert exc.value.code == 2
+        assert "--vsafe" in capsys.readouterr().err
+
+    def test_optimize_takes_an_infinite_safety_speed(self, short_scenario, capsys):
+        _, scenario_dir = short_scenario
+        params = str(scenario_dir / "params.json")
+        outputs = []
+        for extra in ([], ["--vsafe", "inf"]):
+            assert main(["optimize", "--params", params, "--target", "7", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_optimal_band_refuses_a_nan_safety_speed(self, flat_slice):
+        with pytest.raises(ValueError, match="v_safe"):
+            optimal_band(flat_slice, 7.0, v_safe=math.nan)
 
 
 # runs in a fresh interpreter: the race, slice and robustness commands, then a sampled profile

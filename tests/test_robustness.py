@@ -6,7 +6,13 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import oracles
-from segments import SpeedSegment, acceleration_profile, covered_length, elapsed_time
+from segments import (
+    SpeedSegment,
+    acceleration_profile,
+    covered_length,
+    elapsed_time,
+    proportional_invariance_check,
+)
 from ecodrive import (
     DivergenceRiskError,
     FrozenDynamics,
@@ -16,7 +22,6 @@ from ecodrive import (
     VehicleParams,
     mean_speed,
     perturbation_series,
-    proportional_invariance_check,
     ratio_statistics,
 )
 from ecodrive import robustness
