@@ -53,7 +53,7 @@ def _print_kv(key: str, value) -> None:
 def cmd_optimize(args) -> int:
     params, power = load_params(args.params)
     frozen = FrozenDynamics.from_conditions(params, power, args.slope, args.wind)
-    grid = GridSpec(fine_step=0.01 if args.fine else None)
+    grid = GridSpec(fine_step=0.01) if args.fine else None
     band = optimal_band(
         frozen, args.target, v_safe=args.vsafe, grid=grid, delta=args.delta
     )
@@ -122,6 +122,12 @@ def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return float(text)
 
 
 def _positive_float(text: str) -> float:
@@ -229,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimal oscillation band on a frozen slice")
     p.add_argument("--params", required=True, help="params JSON file")
-    p.add_argument("--slope", type=float, default=0.0, help="slope angle, rad")
-    p.add_argument("--wind", type=float, default=0.0, help="wind speed along track, m/s")
+    p.add_argument("--slope", type=_finite_float, default=0.0, help="slope angle, rad")
+    p.add_argument("--wind", type=_finite_float, default=0.0, help="wind speed along track, m/s")
     p.add_argument("--target", type=_positive_float, required=True, help="target average, m/s")
     p.add_argument("--vsafe", type=_safety_speed, default=math.inf, help="safety speed or inf, m/s")
     p.add_argument("--delta", type=_positive_float, default=0.5, help="safety band width, m/s")
-    p.add_argument("--fine", action="store_true", help="refine the lower edge to 0.01 m/s")
+    p.add_argument("--fine", action="store_true", help="lower edge to 0.01 m/s, not 0.5")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a race scenario")
@@ -245,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-assumptions", help="verify structural assumptions")
     p.add_argument("--params", required=True)
-    p.add_argument("--slope", type=float, default=0.0)
-    p.add_argument("--wind", type=float, default=0.0)
+    p.add_argument("--slope", type=_finite_float, default=0.0)
+    p.add_argument("--wind", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_check_assumptions)
 
     p = sub.add_parser("robustness", help="average-speed sensitivity to dynamics error")

@@ -2,9 +2,10 @@
 
 At a prescribed average speed the cheapest long-run strategy oscillates
 between a lower and an upper speed with one engine switch-on per period.
-The band search tries a coarse list of lower-speed candidates (cheap enough
-to run in-race), then optionally bisects the lower speed on the sign of the
-paper's optimality certificate, the chord of the tradeoff -F (``_chord_residual``).
+The band search bisects the lower speed on the sign of the paper's
+optimality certificate, the chord of the tradeoff -F (``_chord_residual``),
+to a resolution coarse enough to run at every replan or fine enough to
+resolve the optimum.
 """
 
 from __future__ import annotations
@@ -73,34 +74,18 @@ def coast_band(speed: float) -> OscillationBand:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate lower speeds for the band search, as offsets below the target.
+    """Resolution of the band search, in m/s, and tolerance of its average speed.
 
-    The default offsets place four candidates 0.5 m/s apart below the target
-    average speed.  A band misses the target average speed by at most
-    ``0.01 tol``.  ``fine_step`` enables the refinement of the lower speed on
-    (v_low, target) and is its resolution, in m/s.
+    The default ``fine_step`` makes four band evaluations on a 7 m/s window,
+    cheap enough for every replan.  A band misses the target average speed
+    by at most ``0.01 tol``.
     """
 
-    lower_offsets: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
     tol: float = 1e-4
-    fine_step: float | None = None
+    fine_step: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.lower_offsets:
-            raise ValueError("lower_offsets must be nonempty")
-        if not all(0.0 < o < math.inf for o in self.lower_offsets):
-            raise ValueError("lower_offsets must be finite and strictly positive")
-        require_positive(self, "tol")
-        if self.fine_step is not None:
-            require_positive(self, "fine_step")
-
-    def candidates(self, v_target: float, v_low: float) -> list[float]:
-        cands = sorted(v_target - o for o in self.lower_offsets)
-        cands = [c for c in cands if v_low + 1e-9 < c < v_target - 1e-9]
-        if not cands:
-            # narrow window between rest speed and target: fall back to midpoint
-            cands = [0.5 * (v_low + v_target)]
-        return cands
+        require_positive(self, "tol", "fine_step")
 
 
 def leg_time_distance(
@@ -176,14 +161,17 @@ def band_cost(
     almost the top equilibrium undershoots the target - possible only when
     the equilibrium is attained in finite time - the band saturates at the
     equilibrium and the balance is made up by dwelling there.  A candidate
-    within rounding of the target, or whose legs would cross a root of either
-    mode's acceleration, is infeasible: one check covers the whole bracket.
+    within rounding of the target or of a coasting rest speed, or whose legs
+    would cross a root of either mode's acceleration, is infeasible: one
+    check covers the whole bracket.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
             f"need v_low < v_a < target < v_high, got "
             f"({frozen.v_low:.6g}, {v_a:.6g}, {v_target:.6g}, {frozen.v_high:.6g})"
         )
+    if frozen.v_low_is_root and v_a <= frozen.v_low + ENDPOINT_MATCH_TOL:
+        raise InfeasibleCandidateError(f"v_a={v_a!r} is within rounding of the coasting rest speed")
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     if v_b_max <= v_target:
         raise InfeasibleCandidateError(
@@ -245,11 +233,12 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Evaluates every grid candidate, optionally bisects the lower speed on
-    (v_low, target) to ``grid.fine_step``, and breaks cost ties toward the
-    larger lower speed (fewer switches per unit time).  If the winning band
-    tops out above ``v_safe`` it is replaced by the safety band (v_safe -
-    delta, v_safe), which no longer meets the average-speed constraint.
+    Bisects the lower speed on (v_low, target), midpoint first, to
+    ``grid.fine_step`` on the sign of the chord certificate, an infeasible
+    lower speed counting as below the optimum; the cheapest band evaluated
+    wins, ties going to the larger lower speed (fewer switches per unit time).  If it tops out above
+    ``v_safe`` it is replaced by the safety band (v_safe - delta, v_safe),
+    which no longer meets the average-speed constraint.
     """
     grid = grid or GridSpec()
     if not v_safe > 0.0:
@@ -279,26 +268,18 @@ def optimal_band(
             best = band
         return band
 
-    coarse = [(cand, consider(cand)) for cand in grid.candidates(v_target, frozen.v_low)]
+    lo, hi = frozen.v_low + 1e-9, v_target - 1e-9
+    for _ in range(64):  # 64 halvings pass the float spacing, where a finer step would stall
+        mid = 0.5 * (lo + hi)
+        band = consider(mid)
+        below = band is None or _chord_residual(frozen, band, v_target) < 0.0
+        lo, hi = (mid, hi) if below else (lo, mid)
+        if hi - lo <= grid.fine_step:
+            break
     if best is None:
         raise InfeasibleCandidateError(
-            "no grid candidate admits the target average speed: " + "; ".join(failures)
+            "no lower speed admits the target average speed: " + "; ".join(failures)
         )
-    if grid.fine_step is not None:
-
-        def below(band: OscillationBand | None) -> bool:  # an infeasible one lies below
-            return band is None or _chord_residual(frozen, band, v_target) < 0.0
-
-        lo, hi = frozen.v_low + 1e-9, v_target - 1e-9
-        for v_a, band in reversed(coarse):  # down to the first candidate below the optimum
-            if below(band):
-                lo = v_a
-                break
-            hi = v_a
-        while hi - lo > grid.fine_step:  # without a root, down to the rest-speed bound
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if below(consider(mid)) else (lo, mid)
-
     if best.upper > v_safe:
         return safety_band(frozen, v_safe, delta)
     return best

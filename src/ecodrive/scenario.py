@@ -25,16 +25,6 @@ def _number(value: object) -> float:
     return float(value)
 
 
-def _optional_number(value: object) -> float | None:
-    return None if value is None else _number(value)
-
-
-def _numbers(value: object) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(_number(v) for v in value)
-
-
 def _flag(value: object) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -65,9 +55,8 @@ CONTROLLER_FIELDS = {
     "safety_margin_mps": ("controller", "safety_margin", _number),
     "hard_stop_factor": ("controller", "hard_stop_factor", _number),
     "trace_interval_s": ("controller", "trace_interval", _number),
-    "grid_offsets_mps": ("grid", "lower_offsets", _numbers),
     "grid_tol_mps": ("grid", "tol", _number),
-    "fine_step_mps": ("grid", "fine_step", _optional_number),
+    "fine_step_mps": ("grid", "fine_step", _number),
 }
 REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
 
@@ -169,16 +158,10 @@ def parse_override(item: str) -> tuple[str, object]:
     if key not in fields:
         raise ScenarioError(f"override key {key!r} is not recognized")
     raw = raw.strip()
-    if key == "grid_offsets_mps":
-        try:
-            value = [float(v) for v in raw.split(",")]
-        except ValueError as exc:
-            raise ScenarioError(f"override {item!r}: {exc}") from exc
-    else:
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings like power_model=wheel_power
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw  # bare strings like power_model=wheel_power
     return key, value
 
 

@@ -28,8 +28,6 @@ _K_UP = math.sqrt(A_DRAG / A_NET)
 _SQ_DN = math.sqrt(A_DRAG * C_FRICTION)
 _K_DN = math.sqrt(A_DRAG / C_FRICTION)
 
-COARSE_OFFSETS = (2.0, 1.5, 1.0, 0.5)
-
 
 def time_up(v0: float, v1: float) -> float:
     """Acceleration time v0 -> v1."""
@@ -104,22 +102,6 @@ def upper_for_target(v_a: float, target: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def coarse_band(target: float) -> tuple[float, float, float]:
-    """(v_a, v_b, avg_cost) of the best coarse-grid band, ties to larger v_a."""
-    candidates = sorted(target - off for off in COARSE_OFFSETS)
-    candidates = [v for v in candidates if v > 1e-9]
-    if not candidates:
-        candidates = [0.5 * target]
-    best = None
-    for v_a in candidates:
-        v_b = upper_for_target(v_a, target)
-        t1, _, e = period(v_a, v_b)
-        cost = e / t1
-        if best is None or cost < best[2] or (cost == best[2] and v_a > best[0]):
-            best = (v_a, v_b, cost)
-    return best
-
-
 def chord_residual(v_a: float, target: float) -> tuple[float, float, float]:
     """(cost - chord, v_b, cost) of the band through ``v_a`` at the target average.
 
@@ -149,6 +131,30 @@ def exact_band(target: float) -> tuple[float, float, float]:
     v_a = 0.5 * (lo + hi)
     _, v_b, cost = chord_residual(v_a, target)
     return v_a, v_b, cost
+
+
+def bisect_band(target: float, step: float = 0.5) -> tuple[float, float, float]:
+    """(v_a, v_b, avg_cost) of the band search resolved to ``step`` m/s.
+
+    Bisects the lower speed on (0, target) on the sign of the chord residual,
+    midpoint first, until the bracket is no wider than ``step``; a lower
+    speed with no band at the target counts as lying below the optimum.  The
+    cheapest band evaluated wins, ties going to the larger lower speed.
+    """
+    lo, hi = 1e-9, target - 1e-9
+    best = None
+    while True:
+        mid = 0.5 * (lo + hi)
+        try:
+            residual, v_b, cost = chord_residual(mid, target)
+        except ValueError:
+            residual = -math.inf
+        else:
+            if best is None or cost < best[2] or (cost == best[2] and mid > best[0]):
+                best = (mid, v_b, cost)
+        lo, hi = (mid, hi) if residual < 0.0 else (lo, mid)
+        if hi - lo <= step:
+            return best
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def event_race(
 ) -> dict:
     """Emulate the flat-race controller with exact leg solutions.
 
-    Reproduces the replan/hysteresis policy (same coarse grid, same target
+    Reproduces the replan/hysteresis policy (same band search, same target
     formula) but advances the state maneuver-by-maneuver with the closed
     forms above, so the total is startup energy plus per-period energies
     with no ODE stepping anywhere.
@@ -249,7 +255,7 @@ def event_race(
         elif target <= 0.0:
             v_a = v_b = target
         else:
-            v_a, v_b, _ = coarse_band(target)
+            v_a, v_b, _ = bisect_band(target)
             if v_b > v_safe:
                 v_b = v_safe
                 v_a = v_safe - delta

@@ -71,7 +71,6 @@ _NON_DEFAULT = {
     "safety_margin_mps": 0.25,
     "hard_stop_factor": 1.5,
     "trace_interval_s": 0.25,
-    "grid_offsets_mps": [1.25, 0.75],
     "grid_tol_mps": 1e-5,
     "fine_step_mps": 0.02,
 }
@@ -249,9 +248,19 @@ class TestOverrides:
 
     def test_controller_override(self, short_scenario):
         _, scenario_dir = short_scenario
-        scenario = load_scenario(scenario_dir, ("duration_s=300", "grid_offsets_mps=1.0,0.5"))
+        scenario = load_scenario(scenario_dir, ("duration_s=300", "fine_step_mps=0.25"))
         assert scenario.controller.race_duration == 300.0
-        assert scenario.controller.grid.lower_offsets == (1.0, 0.5)
+        assert scenario.controller.grid.fine_step == 0.25
+
+    def test_grid_offsets_key_refused(self, short_scenario):
+        # the band search bisects to a resolution, so there are no candidate
+        # offsets to set, in the file or on the command line
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError, match="not recognized"):
+            load_scenario(scenario_dir, ("grid_offsets_mps=1.0,0.5",))
+        _set_keys(scenario_dir / "controller.json", grid_offsets_mps=[2.0, 1.0])
+        with pytest.raises(ScenarioError, match=r"unknown keys \['grid_offsets_mps'\]"):
+            load_scenario(scenario_dir)
 
     def test_unknown_key_rejected(self, short_scenario):
         _, scenario_dir = short_scenario
@@ -282,8 +291,6 @@ class TestOverrides:
             "m=NaN",
             "alpha=-Infinity",
             "constant_watts=Infinity",
-            "grid_offsets_mps=1.0,nan",
-            "grid_offsets_mps=inf",
             "grid_tol_mps=NaN",
             "fine_step_mps=NaN",
             "fine_step_mps=Infinity",
@@ -347,12 +354,19 @@ class TestOverrides:
         assert str(err.value).startswith(f"{scenario_dir / 'params.json'}: signed_drag: expected")
         assert "override" not in str(err.value)
 
-    def test_json_booleans_and_null_accepted(self, short_scenario):
+    def test_json_booleans_accepted(self, short_scenario):
         _, scenario_dir = short_scenario
-        _set_keys(scenario_dir / "controller.json", fine_step_mps=0.02)
-        scenario = load_scenario(scenario_dir, ("signed_drag=true", "fine_step_mps=null"))
+        scenario = load_scenario(scenario_dir, ("signed_drag=true",))
         assert scenario.params.signed_drag is True
-        assert scenario.controller.grid.fine_step is None
+
+    def test_null_fine_step_refused(self, short_scenario):
+        # the search always has a resolution: null is not a number
+        _, scenario_dir = short_scenario
+        with pytest.raises(ScenarioError, match="fine_step_mps: expected a number"):
+            load_scenario(scenario_dir, ("fine_step_mps=null",))
+        _set_keys(scenario_dir / "controller.json", fine_step_mps=None)
+        with pytest.raises(ScenarioError, match="controller.json: fine_step_mps: expected"):
+            load_scenario(scenario_dir)
 
 
 class TestEmitReport:
@@ -630,6 +644,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{flag}: expected a positive finite number, got {value!r}" in err
 
+    @pytest.mark.parametrize("command", ["optimize", "check-assumptions"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--slope", "inf"), ("--slope", "nan"), ("--wind", "nan"), ("--wind", "-inf")],
+    )
+    def test_slice_commands_refuse_a_non_finite_slice(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # a usage error from argparse (exit 2), not a traceback from sin(inf)
+        # nor a misleading verdict on the slice
+        missing = str(tmp_path / "missing.json")
+        extra = ["--target", "7"] if command == "optimize" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--params", missing, *extra, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"{flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+
     def test_optimize_refuses_a_non_number(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit) as exc:
@@ -691,4 +722,4 @@ class TestStartUp:
         assert probe["scipy"] == []
         # the monotone cubic through the samples still interpolates them
         assert 0.05 < probe["value"] < 0.08
-        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 48
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 54

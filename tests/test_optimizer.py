@@ -254,14 +254,19 @@ def _reference_lower(frozen, v_target, grid, window):
 
 
 class TestOptimalBand:
-    def test_coarse_grid_picks_a_candidate(self, flat_slice):
-        band = optimal_band(flat_slice, 7.0, v_safe=20.0)
-        assert any(band.lower == pytest.approx(v) for v in (5.0, 5.5, 6.0, 6.5))
-        costs = {}
-        for v_a in (5.0, 5.5, 6.0, 6.5):
-            t1, _, e = oracles.period(v_a, oracles.upper_for_target(v_a, 7.0))
-            costs[v_a] = e / t1
-        assert band.lower == pytest.approx(min(costs, key=costs.get))
+    @pytest.mark.parametrize("target, evaluations", [(5.0, 4), (7.0, 4), (9.0, 5)])
+    def test_default_search_matches_the_oracle_bisection(
+        self, flat_slice, monkeypatch, target, evaluations
+    ):
+        # the 0.5 m/s resolution halves the window (0, target) until it is
+        # no wider: four midpoints at 5 and 7 m/s, five at 9 m/s
+        lowers = _recording(monkeypatch)
+        band = optimal_band(flat_slice, target, v_safe=20.0)
+        v_a, v_b, cost = oracles.bisect_band(target)
+        assert len(lowers) == evaluations
+        assert band.lower == v_a
+        assert band.upper == pytest.approx(v_b, abs=1e-5)
+        assert band.avg_cost == pytest.approx(cost, rel=1e-6)
 
     def test_refinement_never_costs_more(self, flat_slice):
         coarse = optimal_band(flat_slice, 7.0, v_safe=20.0)
@@ -352,15 +357,15 @@ class TestOptimalBand:
 
     def test_candidates_across_an_engine_on_root_are_dropped(self, params, const_power):
         # climb into a tailwind: the engine-on acceleration is negative below
-        # about 1.83 m/s, so the legs of candidates 0.5, 1.0 and 1.5 cross its
-        # root and only candidate 2.0 is left
+        # about 1.83 m/s, so the legs of lower speeds 0.5, 1.0 and 1.5 cross
+        # its root and only lower speeds above it are left
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
         for v_a in (0.5, 1.0, 1.5):
             with pytest.raises(InfeasibleCandidateError, match="sign"):
                 band_cost(frozen, v_a, 2.5)
         band = optimal_band(frozen, 2.5, 12.0)
-        assert band.lower == 2.0
-        assert band.upper == pytest.approx(3.47, abs=0.01)
+        assert band.lower > 1.83
+        assert band.upper == pytest.approx(2.94, abs=0.01)
         assert band.avg_cost == pytest.approx(157.3, abs=0.1)
         assert band.avg_speed == pytest.approx(2.5, abs=1e-4)
 
@@ -382,15 +387,26 @@ class TestOptimalBand:
         assert len(lowers) <= 30
         assert all(v_a < target - 1e-9 for v_a in lowers)
 
-    def test_grid_candidates_respect_window(self):
-        grid = GridSpec()
-        cands = grid.candidates(7.0, 0.0)
-        assert cands == [5.0, 5.5, 6.0, 6.5]
-        cands = grid.candidates(7.0, 5.8)
-        assert cands == [6.0, 6.5]
-        # everything filtered: falls back to the midpoint
-        cands = grid.candidates(1.0, 0.6)
-        assert cands == [0.8]
+    def test_window_narrower_than_the_step_gets_its_midpoint(
+        self, params, const_power, monkeypatch
+    ):
+        # downhill, v_low = 5.77: the window up to the target 6.0 is 0.23 m/s
+        # wide, under the 0.5 m/s resolution, and still gets one evaluation
+        slope = -math.asin(0.05 / params.gravity)
+        downhill = FrozenDynamics.from_conditions(params, const_power, slope=slope)
+        lowers = _recording(monkeypatch)
+        band = optimal_band(downhill, 6.0, v_safe=20.0)
+        assert lowers == [0.5 * (downhill.v_low + 1e-9 + 6.0 - 1e-9)]
+        assert band.lower == lowers[0]
+        assert band.avg_speed == pytest.approx(6.0, abs=1e-4)
+
+    def test_lower_speed_at_a_coasting_root_is_infeasible(self):
+        # unsigned drag on a descent: v_low = 16.64 is a root of the coasting
+        # law, which the down leg of a band ending there only approaches
+        frozen = FrozenDynamics.from_conditions(VehicleParams(), PowerModel(), -0.02, 0.0)
+        assert frozen.v_low_is_root
+        with pytest.raises(InfeasibleCandidateError, match="coasting rest speed"):
+            band_cost(frozen, frozen.v_low + 1e-9, 16.803898500227753)
 
 
 class TestBandRefinement:
@@ -402,8 +418,8 @@ class TestBandRefinement:
         lowers = _recording(monkeypatch)
         grid = GridSpec(fine_step=0.01)
         band = optimal_band(flat_slice, target, v_safe=20.0, grid=grid)
-        # four coarse candidates, then the search; the 0.01 m/s grid made 105
-        assert len(lowers) <= 15
+        # about log2(target / 0.01) midpoints
+        assert len(lowers) <= 10
         assert band.avg_cost <= coarse.avg_cost
         assert band.lower == pytest.approx(
             _reference_lower(flat_slice, target, grid, _window(flat_slice, target)),
@@ -442,20 +458,44 @@ class TestBandRefinement:
         reference = _reference_lower(frozen, target, grid, _window(frozen, target))
         assert band.lower == pytest.approx(reference, abs=grid.fine_step)
 
-    def test_window_starting_in_infeasible_candidates(self, params, const_power, monkeypatch):
-        # climb into a tailwind: the candidates 0.5, 1.0 and 1.5 lie below
-        # the engine-on root near 1.83, where every candidate's legs cross it
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-6.0, max_value=6.0),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wheel=st.booleans(),
+        u_t=st.floats(min_value=0.02, max_value=0.98),
+    )
+    def test_default_resolution_lies_near_the_optimum(self, signed, wind, slope, wheel, u_t):
+        # the in-race search stops on a bracket no wider than its 0.5 m/s
+        # resolution; a finer search repeats its midpoints before going on,
+        # so it can only find a cheaper band
+        power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
+        try:
+            frozen = FrozenDynamics.from_conditions(
+                VehicleParams(signed_drag=signed), power, slope, wind
+            )
+        except InfeasibleSliceError:
+            assume(False)
+        target = frozen.v_low + u_t * (frozen.v_high - frozen.v_low)
+        resolved_grid = GridSpec(fine_step=1e-6)
+        try:
+            band = optimal_band(frozen, target)
+            resolved = optimal_band(frozen, target, grid=resolved_grid)
+        except InfeasibleCandidateError:
+            assume(False)
+        assume(resolved.lower > frozen.v_low + resolved_grid.fine_step)  # interior optima only
+        assert band.lower == pytest.approx(resolved.lower, abs=GridSpec().fine_step)
+        assert band.avg_cost >= resolved.avg_cost
+
+    def test_window_starting_in_infeasible_candidates(self, params, const_power):
+        # climb into a tailwind: every lower speed below the engine-on root
+        # near 1.83 is infeasible, since its legs cross the root
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
         coarse = optimal_band(frozen, 2.5, 12.0)
-        assert coarse.lower == 2.0
-        lowers = _recording(monkeypatch)
+        assert coarse.lower > 1.83
         grid = GridSpec(fine_step=0.01)
         band = optimal_band(frozen, 2.5, 12.0, grid)
-        assert lowers[:4] == [0.5, 1.0, 1.5, 2.0]
-        searched = lowers[4:]
-        # the infeasible candidates count as lying below the optimum: the
-        # search never goes back below the highest of them
-        assert searched and all(1.5 < v_a < 2.5 for v_a in searched)
         assert band.lower > 1.83
         assert band.avg_cost <= coarse.avg_cost
         assert abs(band.avg_speed - 2.5) <= grid.tol
@@ -464,21 +504,29 @@ class TestBandRefinement:
         )
 
     def test_infeasible_midpoint_moves_the_bracket_up(self, params, const_power, monkeypatch):
-        # one candidate, 2.3, above the optimum near 2.16: the bisection
-        # starts on (v_low, 2.3) and its first midpoints, 1.15 and 1.725, lie
-        # below the engine-on root near 1.83
+        # the optimum lies near 2.16 on (v_low, target) = (0, 2.5): the
+        # first midpoint, 1.25, lies below the engine-on root near 1.83 and
+        # moves the bracket up to (1.25, 2.5); then 1.875 lies below the
+        # optimum and 2.1875 above it
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
         lowers = _recording(monkeypatch)
-        grid = GridSpec(lower_offsets=(0.2,), fine_step=0.01)
+        grid = GridSpec(fine_step=0.01)
         band = optimal_band(frozen, 2.5, 12.0, grid)
-        assert lowers[:3] == pytest.approx([2.3, 1.15, 1.725])
-        for v_a in lowers[1:3]:
-            with pytest.raises(InfeasibleCandidateError, match="sign"):
-                band_cost(frozen, v_a, 2.5)
-        assert all(v_a > 1.725 for v_a in lowers[3:])
+        assert lowers[:3] == pytest.approx([1.25, 1.875, 2.1875])
+        with pytest.raises(InfeasibleCandidateError, match="sign"):
+            band_cost(frozen, lowers[0], 2.5)
+        assert all(lowers[1] <= v_a <= lowers[2] for v_a in lowers[1:])
         assert band.lower == pytest.approx(
             _reference_lower(frozen, 2.5, grid, _window(frozen, 2.5)), abs=grid.fine_step
         )
+
+    def test_step_below_the_float_spacing_ends(self, flat_slice, monkeypatch):
+        # 1e-20 m/s is finer than the spacing of floats near 6 m/s, where a
+        # midpoint no longer splits the bracket; the search still ends
+        lowers = _recording(monkeypatch)
+        band = optimal_band(flat_slice, 7.0, grid=GridSpec(fine_step=1e-20))
+        assert len(lowers) == 64
+        assert band.lower == pytest.approx(oracles.exact_band(7.0)[0], abs=1e-6)
 
     def test_optimum_on_the_rest_speed_bound(self, monkeypatch):
         # a signed-drag climb whose residual is positive for every lower
