@@ -294,11 +294,16 @@ class TestOverrides:
             "grid_tol_mps=NaN",
             "fine_step_mps=NaN",
             "fine_step_mps=Infinity",
+            "grid_offsets_mps=1.0,nan",
+            "grid_offsets_mps=inf",
         ],
     )
     def test_non_finite_or_non_positive_value_rejected(self, short_scenario, item):
         _, scenario_dir = short_scenario
-        with pytest.raises(ScenarioError, match="finite"):
+        # the grid_offsets_mps key went with the candidate grid, so its
+        # non-finite offsets are refused before their value is read
+        refusal = "not recognized" if item.startswith("grid_offsets_mps=") else "finite"
+        with pytest.raises(ScenarioError, match=refusal):
             load_scenario(scenario_dir, (item,))
 
     # a value must have its JSON type: bool("False") would turn signed drag on
