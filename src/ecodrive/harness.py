@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_positive_float, required=True, help="target average, m/s")
     p.add_argument("--vsafe", type=_safety_speed, default=math.inf, help="safety speed or inf, m/s")
     p.add_argument("--delta", type=_positive_float, default=0.5, help="safety band width, m/s")
-    p.add_argument("--fine", action="store_true", help="lower edge to 0.01 m/s, not 0.5")
+    p.add_argument("--fine", action="store_true", help="fallback bisection to 0.01 m/s, not 0.5")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a race scenario")

@@ -2,10 +2,10 @@
 
 At a prescribed average speed the cheapest long-run strategy oscillates
 between a lower and an upper speed with one engine switch-on per period.
-The band search bisects the lower speed on the sign of the paper's
-optimality certificate, the chord of the tradeoff -F (``_chord_residual``),
-to a resolution coarse enough to run at every replan or fine enough to
-resolve the optimum.
+The band search solves by Newton's method for the band meeting the target
+and the paper's optimality certificate, the chord of the tradeoff -F
+(``_chord_residual``); failing that, it bisects the lower speed on the
+certificate's sign.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ def coast_band(speed: float) -> OscillationBand:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution of the band search, in m/s, and tolerance of its average speed.
+    """Resolution of the fallback bisection, in m/s, and tolerance of the average speed.
 
-    The default ``fine_step`` makes four band evaluations on a 7 m/s window,
-    cheap enough for every replan.  A band misses the target average speed
-    by at most ``0.01 tol``.
+    ``fine_step`` applies only where the Newton solve falls back; the default
+    makes four band evaluations on a 7 m/s window, cheap enough for every
+    replan.  A band misses the target average speed by at most ``0.01 tol``.
     """
 
     tol: float = 1e-4
@@ -233,11 +233,12 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Bisects the lower speed on (v_low, target), midpoint first, to
-    ``grid.fine_step`` on the sign of the chord certificate, an infeasible
-    lower speed counting as below the optimum; the cheapest band evaluated
-    wins, ties going to the larger lower speed (fewer switches per unit time).  If it tops out above
-    ``v_safe`` it is replaced by the safety band (v_safe - delta, v_safe),
+    Solves for the interior optimum (``_newton_band``), or else bisects the
+    lower speed on (v_low, target), midpoint first, to ``grid.fine_step`` on
+    the sign of the chord certificate, an infeasible lower speed counting as
+    below the optimum; the cheapest band evaluated wins, ties going to the
+    larger lower speed (fewer switches per unit time).  A band topping out
+    above ``v_safe`` is replaced by the safety band (v_safe - delta, v_safe),
     which no longer meets the average-speed constraint.
     """
     grid = grid or GridSpec()
@@ -249,7 +250,57 @@ def optimal_band(
         )
     if v_target <= frozen.v_low:
         return coast_band(v_target)
+    best = _newton_band(frozen, v_target, grid.tol) or _bisected_band(frozen, v_target, grid)
+    if best.upper > v_safe:
+        return safety_band(frozen, v_safe, delta)
+    return best
 
+
+def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> OscillationBand | None:
+    """The interior optimum, by Newton's method on the average and the chord certificate.
+
+    From the bisection's first lower speed, one pair of legs per iteration.  None when an
+    iterate leaves (rest speed, top) or crosses the target after halving its step to 1e-6,
+    a mode changes sign there, a leg or the Jacobian is not finite, or 12 iterations fail.
+    """
+    bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
+    v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
+    margin = max(1e-9, 1e-4 * (v_target - bound))
+    if any(frozen.mode_changes_sign(on, bound, v_b_max, margin) for on in (True, False)):
+        return None
+    accel, power = frozen.accel, frozen.engine_power_at
+    v_a = 0.5 * (frozen.v_low + v_target)
+    v_b = min(2.0 * v_target - v_a, 0.5 * (v_target + v_b_max))
+    for _ in range(12):
+        if not bound < v_a < v_target < v_b < v_b_max:
+            return None
+        legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
+        band = _band(frozen, v_a, v_b, 0.0, legs)
+        t, avg, cost = band.period, band.avg_speed, band.avg_cost
+        (psi_a, dpsi_a), (psi_b, dpsi_b) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
+        w, rise = (v_target - v_a) / (v_b - v_a), (psi_b - psi_a) / (v_b - v_a) ** 2
+        miss, residual = avg - v_target, cost - psi_a - (psi_b - psi_a) * w  # as _chord_residual
+        # raising an end v adds g = 1/f_on - 1/f_off to t, v g to the distance and h/f_on
+        # to the energy at v_b, and subtracts them at v_a
+        on_a, on_b = accel(v_a, True), accel(v_b, True)
+        g_a, g_b = 1.0 / on_a - 1.0 / accel(v_a, False), 1.0 / on_b - 1.0 / accel(v_b, False)
+        j11, j12 = (avg - v_a) * g_a / t, (v_b - avg) * g_b / t
+        j21 = (cost * g_a - power(v_a) / on_a) / t - dpsi_a * (1.0 - w) + rise * (v_b - v_target)
+        j22 = (power(v_b) / on_b - cost * g_b) / t - dpsi_b * w + rise * (v_target - v_a)
+        det = j11 * j22 - j12 * j21
+        if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
+            return None
+        step_a, step_b = (residual * j12 - miss * j22) / det, (miss * j21 - residual * j11) / det
+        if abs(step_a) <= 1e-11 * v_a and abs(step_b) <= 1e-11 * v_b:
+            return band if abs(miss) <= 0.01 * tol else None
+        scale = 1.0
+        while not v_a + scale * step_a < v_target < v_b + scale * step_b and scale >= 1e-6:
+            scale *= 0.5
+        v_a, v_b = v_a + scale * step_a, v_b + scale * step_b
+    return None
+
+
+def _bisected_band(frozen: FrozenDynamics, v_target: float, grid: GridSpec) -> OscillationBand:
     best: OscillationBand | None = None
     failures: list[str] = []
 
@@ -280,8 +331,6 @@ def optimal_band(
         raise InfeasibleCandidateError(
             "no lower speed admits the target average speed: " + "; ".join(failures)
         )
-    if best.upper > v_safe:
-        return safety_band(frozen, v_safe, delta)
     return best
 
 
@@ -290,10 +339,18 @@ def _chord_residual(frozen: FrozenDynamics, band: OscillationBand, v_target: flo
 
     Zero at an interior optimum, negative below it and positive above it.
     """
-    v_a, v_b, power = band.lower, band.upper, frozen.engine_power_at
-    lo, hi = power(v_a) * frozen.accel(v_a, False), power(v_b) * frozen.accel(v_b, False)
-    chord = lo + (hi - lo) * (v_target - v_a) / (v_b - v_a)  # of h f_off = -f1 psi
-    return band.avg_cost + chord / frozen.params.traction
+    v_a, v_b = band.lower, band.upper
+    (lo, _), (hi, _) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
+    return band.avg_cost - lo - (hi - lo) * (v_target - v_a) / (v_b - v_a)
+
+
+def _tradeoff(frozen: FrozenDynamics, v: float) -> tuple[float, float]:
+    """The tradeoff psi = -h f_off / f1 at speed v > 0, and its derivative in v."""
+    p, rel = frozen.params, v - frozen.wind_speed
+    h, f_off = frozen.engine_power_at(v), frozen.accel(v, False)
+    dh = engine_energy(0.0, 1.0, True, frozen.power, p)  # the draw per metre: m f1 or 0
+    df_off = -2.0 * p.drag_coeff * (abs(rel) if p.signed_drag else rel)
+    return -h * f_off / p.traction, -(dh * f_off + h * df_off) / p.traction
 
 
 def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:

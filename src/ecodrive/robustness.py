@@ -75,9 +75,6 @@ class SpeedProfile:
 
         return cls(float(x[0]), float(x[-1]), cubic, tuple(x.tolist()))
 
-    def scaled(self, factor: float) -> SpeedProfile:
-        return replace(self, fn=lambda s: factor * self.fn(s))
-
     def plus(self, other: SpeedProfile) -> SpeedProfile:
         _require_same_band(self, other)
         knots = np.unique(np.clip(self.knots + other.knots, self.lo, self.hi))

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from ecodrive import (
     ControllerConfig,
     DEFAULT_PARAMS,
@@ -52,6 +53,12 @@ def _race(scenario):
 @pytest.fixture(scope="session")
 def flat_race():
     return _race(fixture_lib.flat16500())
+
+
+@pytest.fixture(scope="session")
+def flat_oracle():
+    """The closed-form emulation of the flat race, about 3 s of exact band roots."""
+    return oracles.event_race(fixture_lib.RACE_LENGTH, fixture_lib.RACE_DURATION)
 
 
 @pytest.fixture(scope="session")

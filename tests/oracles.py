@@ -235,10 +235,10 @@ def event_race(
 ) -> dict:
     """Emulate the flat-race controller with exact leg solutions.
 
-    Reproduces the replan/hysteresis policy (same band search, same target
-    formula) but advances the state maneuver-by-maneuver with the closed
-    forms above, so the total is startup energy plus per-period energies
-    with no ODE stepping anywhere.
+    Reproduces the replan/hysteresis policy, with the same target formula
+    and each replan's band the exact optimum (``exact_band``), but advances
+    the state maneuver-by-maneuver with the closed forms above, so the total
+    is startup energy plus per-period energies with no ODE stepping anywhere.
     """
     t, x, v = 0.0, 0.0, 0.0
     on = True
@@ -255,7 +255,7 @@ def event_race(
         elif target <= 0.0:
             v_a = v_b = target
         else:
-            v_a, v_b, _ = bisect_band(target)
+            v_a, v_b, _ = exact_band(target)
             if v_b > v_safe:
                 v_b = v_safe
                 v_a = v_safe - delta

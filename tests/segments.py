@@ -3,13 +3,14 @@
 ``SpeedSegment`` checks one leg's orientation and sign before handing it to
 the slice's own closed form; the thin wrappers read more easily in the tests
 than ``SpeedSegment.time_distance`` and the ``SpeedProfile`` constructor.
+``scaled`` multiplies a profile by a constant, and
 ``proportional_invariance_check`` measures the scale invariance of a
 profile's mean speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile, mean_speed
 from ecodrive.dynamics import engine_energy
@@ -85,6 +86,11 @@ def acceleration_profile(
     return SpeedProfile(lo, hi, lambda s: law.accel_grid(s, engine_on))
 
 
+def scaled(profile: SpeedProfile, factor: float) -> SpeedProfile:
+    """The profile times a constant, on the same band and knots."""
+    return replace(profile, fn=lambda s: factor * profile.fn(s))
+
+
 def proportional_invariance_check(g: SpeedProfile, eps: float) -> float:
     """Residual of the scale invariance F((1+eps) g) = F(g).
 
@@ -95,4 +101,4 @@ def proportional_invariance_check(g: SpeedProfile, eps: float) -> float:
         raise ValueError("eps must satisfy |eps| < 1")
     if eps == 0.0:
         return 0.0
-    return abs(mean_speed(g.scaled(1.0 + eps)) - mean_speed(g))
+    return abs(mean_speed(scaled(g, 1.0 + eps)) - mean_speed(g))

@@ -59,8 +59,8 @@ def test_criterion_01_band_reproduction(flat_slice):
     )
 
 
-def test_criterion_02_energy_figure(flat_race):
-    oracle = oracles.event_race(fixture_lib.RACE_LENGTH, fixture_lib.RACE_DURATION)
+def test_criterion_02_energy_figure(flat_race, flat_oracle):
+    oracle = flat_oracle
     # the published figure neglects the standing start; the comparison adds
     # the start-up climb energy to it explicitly
     reference = 104_189.0 + oracle["startup_energy"]

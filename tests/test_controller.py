@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import oracles
 from ecodrive import (
     ControllerConfig,
     FrozenDynamics,
@@ -286,18 +285,18 @@ class TestRunRace:
 
 
 class TestFullRaces:
-    def test_flat_race_reference_energy(self, flat_race):
+    def test_flat_race_reference_energy(self, flat_race, flat_oracle):
         # the reference figure neglects the standing start, so the comparison
         # adds the start-up climb energy to it explicitly
-        oracle = oracles.event_race(fixture_lib.RACE_LENGTH, fixture_lib.RACE_DURATION)
+        oracle = flat_oracle
         reference = 104_189.0 + oracle["startup_energy"]
         assert flat_race.total_energy == pytest.approx(reference, rel=0.10)
         target = fixture_lib.RACE_LENGTH / fixture_lib.RACE_DURATION
         assert flat_race.avg_speed == pytest.approx(target, rel=5e-3)
 
-    def test_flat_race_matches_event_oracle(self, flat_race):
-        oracle = oracles.event_race(fixture_lib.RACE_LENGTH, fixture_lib.RACE_DURATION)
-        # exact legs and an exact upper-limit root leave only rounding
+    def test_flat_race_matches_event_oracle(self, flat_race, flat_oracle):
+        oracle = flat_oracle
+        # exact legs and exact band roots on both sides leave only rounding
         assert flat_race.total_energy == pytest.approx(oracle["energy"], rel=1e-6)
         assert flat_race.switches == oracle["switches"]
 

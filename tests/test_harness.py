@@ -727,4 +727,4 @@ class TestStartUp:
         assert probe["scipy"] == []
         # the monotone cubic through the samples still interpolates them
         assert 0.05 < probe["value"] < 0.08
-        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 54
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 56

@@ -233,6 +233,11 @@ def _recording(monkeypatch) -> list[float]:
     return lowers
 
 
+def _bisection_only(monkeypatch) -> None:
+    """Patch out the Newton solve, so that ``optimal_band`` runs its fallback bisection."""
+    monkeypatch.setattr(optimizer, "_newton_band", lambda frozen, v_target, tol: None)
+
+
 def _window(frozen, v_target):
     """The whole interval of lower speeds that ``optimal_band`` refines over."""
     return frozen.v_low + 1e-9, v_target - 1e-9
@@ -258,15 +263,23 @@ class TestOptimalBand:
     def test_default_search_matches_the_oracle_bisection(
         self, flat_slice, monkeypatch, target, evaluations
     ):
-        # the 0.5 m/s resolution halves the window (0, target) until it is
-        # no wider: four midpoints at 5 and 7 m/s, five at 9 m/s
-        lowers = _recording(monkeypatch)
+        # the default search solves for the certificate's root, the oracle's
+        # exact band
         band = optimal_band(flat_slice, target, v_safe=20.0)
+        v_a, v_b, cost = oracles.exact_band(target)
+        assert band.lower == pytest.approx(v_a, abs=1e-9)
+        assert band.upper == pytest.approx(v_b, abs=1e-9)
+        assert band.avg_cost == pytest.approx(cost, rel=1e-12)
+        # its fallback at the 0.5 m/s resolution halves the window (0, target)
+        # until it is no wider: four midpoints at 5 and 7 m/s, five at 9 m/s
+        _bisection_only(monkeypatch)
+        lowers = _recording(monkeypatch)
+        fallback = optimal_band(flat_slice, target, v_safe=20.0)
         v_a, v_b, cost = oracles.bisect_band(target)
         assert len(lowers) == evaluations
-        assert band.lower == v_a
-        assert band.upper == pytest.approx(v_b, abs=1e-5)
-        assert band.avg_cost == pytest.approx(cost, rel=1e-6)
+        assert fallback.lower == v_a
+        assert fallback.upper == pytest.approx(v_b, abs=1e-5)
+        assert fallback.avg_cost == pytest.approx(cost, rel=1e-6)
 
     def test_refinement_never_costs_more(self, flat_slice):
         coarse = optimal_band(flat_slice, 7.0, v_safe=20.0)
@@ -394,6 +407,7 @@ class TestOptimalBand:
         # wide, under the 0.5 m/s resolution, and still gets one evaluation
         slope = -math.asin(0.05 / params.gravity)
         downhill = FrozenDynamics.from_conditions(params, const_power, slope=slope)
+        _bisection_only(monkeypatch)
         lowers = _recording(monkeypatch)
         band = optimal_band(downhill, 6.0, v_safe=20.0)
         assert lowers == [0.5 * (downhill.v_low + 1e-9 + 6.0 - 1e-9)]
@@ -414,6 +428,7 @@ class TestBandRefinement:
 
     @pytest.mark.parametrize("target", [5.0, 7.0, 9.0])
     def test_refined_optimize_makes_few_band_evaluations(self, flat_slice, target, monkeypatch):
+        _bisection_only(monkeypatch)
         coarse = optimal_band(flat_slice, target, v_safe=20.0)
         lowers = _recording(monkeypatch)
         grid = GridSpec(fine_step=0.01)
@@ -467,9 +482,9 @@ class TestBandRefinement:
         u_t=st.floats(min_value=0.02, max_value=0.98),
     )
     def test_default_resolution_lies_near_the_optimum(self, signed, wind, slope, wheel, u_t):
-        # the in-race search stops on a bracket no wider than its 0.5 m/s
-        # resolution; a finer search repeats its midpoints before going on,
-        # so it can only find a cheaper band
+        # where the Newton solve falls back, the in-race bisection stops on a
+        # bracket no wider than its 0.5 m/s resolution; a finer one repeats
+        # its midpoints before going on, so it can only find a cheaper band
         power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
         try:
             frozen = FrozenDynamics.from_conditions(
@@ -509,6 +524,7 @@ class TestBandRefinement:
         # moves the bracket up to (1.25, 2.5); then 1.875 lies below the
         # optimum and 2.1875 above it
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
+        _bisection_only(monkeypatch)
         lowers = _recording(monkeypatch)
         grid = GridSpec(fine_step=0.01)
         band = optimal_band(frozen, 2.5, 12.0, grid)
@@ -523,6 +539,7 @@ class TestBandRefinement:
     def test_step_below_the_float_spacing_ends(self, flat_slice, monkeypatch):
         # 1e-20 m/s is finer than the spacing of floats near 6 m/s, where a
         # midpoint no longer splits the bracket; the search still ends
+        _bisection_only(monkeypatch)
         lowers = _recording(monkeypatch)
         band = optimal_band(flat_slice, 7.0, grid=GridSpec(fine_step=1e-20))
         assert len(lowers) == 64
@@ -597,6 +614,85 @@ class TestBandRefinement:
         # 60 slices), while its steps between adjacent targets were at least
         # 0.009 W s/m on 300 slices
         assert all(b >= a - 10.0 * grid.fine_step for a, b in zip(slopes, slopes[1:])), slopes
+
+
+class TestNewtonBand:
+    """Newton's method on the average and the certificate, with the bisection as fallback."""
+
+    @pytest.mark.parametrize("target", [5.0, 7.0, 9.0])
+    def test_flat_slice_solves_to_the_exact_band(self, flat_slice, target, monkeypatch):
+        legs = []
+        inner = optimizer.leg_time_distance
+
+        def counting(frozen, engine_on, v0, v1):
+            legs.append(engine_on)
+            return inner(frozen, engine_on, v0, v1)
+
+        monkeypatch.setattr(optimizer, "leg_time_distance", counting)
+        band = optimal_band(flat_slice, target, v_safe=20.0)
+        v_a, _, cost = oracles.exact_band(target)
+        assert len(legs) <= 2 * 8  # leg pairs; the 0.5 m/s bisection makes about 15
+        assert band.lower == pytest.approx(v_a, abs=1e-9)
+        assert band.avg_cost == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case", ["coasting-root descent", "saturated top", "climb into a tailwind"]
+    )
+    def test_fallbacks_are_the_bisection(self, params, const_power, case, monkeypatch):
+        if case == "coasting-root descent":
+            # unsigned drag, slope -0.02: v_low = 16.64 is a root of the coasting
+            # law, and at the target 16.68 the residual is positive for every
+            # lower speed, so the optimum is the rest-speed bound, where the
+            # certificate does not hold
+            frozen = FrozenDynamics.from_conditions(params, const_power, -0.02, 0.0)
+            target = 16.68
+        elif case == "saturated top":
+            # v_high = 10 is attained in finite time: the band dwells there
+            frozen, target = sqrt_top_slice(params, const_power), 9.7
+        else:
+            # the engine-on acceleration changes sign near 1.83, inside the window
+            frozen, target = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0), 2.5
+        assert optimizer._newton_band(frozen, target, GridSpec().tol) is None
+        band = optimal_band(frozen, target, v_safe=30.0)
+        _bisection_only(monkeypatch)
+        assert band == optimal_band(frozen, target, v_safe=30.0)
+        if case == "coasting-root descent":
+            assert frozen.v_low_is_root
+            assert optimizer._chord_residual(frozen, band, target) > 0.0
+        elif case == "saturated top":
+            assert band.dwell > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signed=st.booleans(),
+        wind=st.floats(min_value=-6.0, max_value=6.0),
+        slope=st.floats(min_value=-0.02, max_value=0.02),
+        wheel=st.booleans(),
+        u_t=st.floats(min_value=0.02, max_value=0.98),
+    )
+    def test_solved_band_is_certified_and_no_dearer_than_the_fine_bisection(
+        self, signed, wind, slope, wheel, u_t
+    ):
+        # the bounded-minimiser test's slice ranges: wherever the Newton solve
+        # returns a band, the certificate holds on it and the bisection
+        # resolved to 1e-6 m/s finds no cheaper band
+        power = PowerModel(kind="wheel_power" if wheel else "constant_electrical")
+        try:
+            frozen = FrozenDynamics.from_conditions(
+                VehicleParams(signed_drag=signed), power, slope, wind
+            )
+        except InfeasibleSliceError:
+            assume(False)
+        target = frozen.v_low + u_t * (frozen.v_high - frozen.v_low)
+        grid = GridSpec(fine_step=1e-6)
+        band = optimizer._newton_band(frozen, target, grid.tol)
+        assume(band is not None)
+        assert abs(optimizer._chord_residual(frozen, band, target)) <= 1e-9 * band.avg_cost
+        assert abs(band.avg_speed - target) <= 0.01 * grid.tol
+        with pytest.MonkeyPatch.context() as patch:
+            _bisection_only(patch)
+            resolved = optimal_band(frozen, target, grid=grid)
+        assert band.avg_cost <= resolved.avg_cost * (1.0 + 1e-9)
 
 
 class TestSaturatedUpperLimit:

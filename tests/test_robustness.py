@@ -12,6 +12,7 @@ from segments import (
     covered_length,
     elapsed_time,
     proportional_invariance_check,
+    scaled,
 )
 from ecodrive import (
     DivergenceRiskError,
@@ -100,7 +101,7 @@ class TestMeanSpeed:
         )
 
     def test_scaling_cancels(self, accel_profile):
-        assert mean_speed(accel_profile.scaled(3.0)) == pytest.approx(
+        assert mean_speed(scaled(accel_profile, 3.0)) == pytest.approx(
             mean_speed(accel_profile), rel=1e-12
         )
 
@@ -108,7 +109,7 @@ class TestMeanSpeed:
     def test_scale_invariance_property(self, factor):
         frozen = FrozenDynamics.from_conditions(VehicleParams(), PowerModel())
         g = acceleration_profile(frozen, True, 6.1, 7.94)
-        assert abs(mean_speed(g.scaled(factor)) - mean_speed(g)) <= 1e-10
+        assert abs(mean_speed(scaled(g, factor)) - mean_speed(g)) <= 1e-10
 
     def test_vanishing_profile_rejected(self):
         g = SpeedProfile(6.1, 7.94, lambda s: s - 7.0)
@@ -165,7 +166,7 @@ class TestMonotoneCubic:
         smooth = SpeedProfile(6.0, 8.0, lambda s: 0.01 * s)
         assert g.knots == (6.0, 6.5, 7.0, 8.0)
         assert smooth.knots == (6.0, 8.0)
-        assert g.scaled(2.0).knots == g.knots
+        assert scaled(g, 2.0).knots == g.knots
         assert g.plus(dg).knots == (6.0, 6.5, 7.0, 7.5, 8.0)
         assert g.plus(smooth).knots == g.knots
         assert smooth.plus(dg).knots == dg.knots
@@ -190,7 +191,7 @@ class TestPerturbationSeries:
         assert perturbation_series(accel_profile, dg) == pytest.approx(0.0, abs=1e-12)
 
     def test_proportional_perturbation_gives_zero_every_depth(self, accel_profile):
-        dg = accel_profile.scaled(0.25)
+        dg = scaled(accel_profile, 0.25)
         for n in (1, 2, 4, 8):
             assert perturbation_series(accel_profile, dg, n) == pytest.approx(0.0, abs=1e-9)
 
@@ -298,7 +299,7 @@ class TestPerturbationSeries:
         assert dg_sizes.count(robustness._VALIDATION_GRID) == 2
 
     def test_divergence_risk_rejected(self, accel_profile):
-        dg = accel_profile.scaled(1.05)
+        dg = scaled(accel_profile, 1.05)
         with pytest.raises(DivergenceRiskError):
             perturbation_series(accel_profile, dg)
 
@@ -324,7 +325,7 @@ class TestFirstTermStructure:
         mean, var = ratio_statistics(accel_profile, dg)
         assert 0.0 < mean < 0.3
         assert var > 0.0
-        dg_prop = accel_profile.scaled(0.3)
+        dg_prop = scaled(accel_profile, 0.3)
         _, var_prop = ratio_statistics(accel_profile, dg_prop)
         assert var_prop == pytest.approx(0.0, abs=1e-15)
 
@@ -333,4 +334,4 @@ class TestFirstTermStructure:
         g = SpeedProfile(6.1, 7.94, lambda s: s - 7.0001)
         assert not np.any(g(np.linspace(6.1, 7.94, robustness._VALIDATION_GRID)) == 0.0)
         with pytest.raises(InvalidProfileError):
-            ratio_statistics(g, g.scaled(0.1))
+            ratio_statistics(g, scaled(g, 0.1))
