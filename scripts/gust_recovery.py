@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Show schedule recovery through the mid-race headwind gust.
 
-Prints the replanned target around the gust window and the final summary.
+Prints every replan around the gust window, with its target and band, and the
+final summary.
 """
 
 import sys
@@ -17,14 +18,13 @@ def main() -> int:
     )
     print("replan targets around the gust window "
           f"[{GUST_START:.0f}, {GUST_START + GUST_DURATION:.0f}] s:")
-    print("t_s  target_mps  band_lower  band_upper")
+    print("     t_s  target_mps  band_lower  band_upper")
     for record in result.replans:
         if GUST_START - 60.0 <= record.t <= GUST_START + GUST_DURATION + 120.0:
-            if int(record.t) % 30 == 0:
-                print(
-                    f"{record.t:6.0f}  {record.target:9.4f}  "
-                    f"{record.band.lower:9.4f}  {record.band.upper:9.4f}"
-                )
+            print(
+                f"{record.t:8.2f}  {record.target:9.4f}  "
+                f"{record.band.lower:9.4f}  {record.band.upper:9.4f}"
+            )
     target = scenario.controller.race_length / scenario.controller.race_duration
     print(f"\nfinish time  {result.finish_time:.1f} s")
     print(f"avg speed    {result.avg_speed:.4f} m/s vs plan {target:.4f} m/s "

@@ -1,13 +1,14 @@
 """Receding-horizon race controller with hysteresis on/off switching.
 
-Every few seconds the controller refreshes the target average speed from the
-remaining distance and time, freezes the dynamics at the current position,
-and recomputes the oscillation band.  Between replans a hysteresis machine
-switches the engine off at the band top and on at the band bottom.  A hard
-safety override forces the engine off whenever the speed exceeds the local
-safety limit.  Between decisions the state jumps from event to event along
-closed-form legs, so every switch lands exactly on its threshold; the dense
-trace is read off the running leg.
+Where the plan can change (a period of the band starts, or a track or wind
+cell edge changes the slice) the controller refreshes the target average
+speed from the remaining distance and time, freezes the dynamics at the
+current position, and recomputes the oscillation band.  Between replans a
+hysteresis machine switches the engine off at the band top and on at the
+band bottom.  A hard safety override forces the engine off whenever the speed
+exceeds the local safety limit.  Between decisions the state jumps from event
+to event along closed-form legs, so every switch lands exactly on its
+threshold; the dense trace is read off the running leg.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ FLAG_STALLED = "stalled"
 FLAG_DNF = "did_not_finish"
 FLAG_FINISH = "finish"
 
+# seconds between re-checks of a band that misses its target: flagged, coast or clamped
+RECHECK_INTERVAL = 3.0
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
     race_length: float                      # m
     race_duration: float                    # s
-    replan_interval: float = 3.0            # s
     safety_margin: float = 0.5              # m/s below the safety speed
     grid: GridSpec = GridSpec()
     hard_stop_factor: float = 1.2           # simulation cap at factor * duration
@@ -61,9 +64,7 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.race_length < math.inf:
             raise ValueError("race_length must be finite and nonnegative")
-        require_positive(
-            self, "race_duration", "replan_interval", "safety_margin", "trace_interval"
-        )
+        require_positive(self, "race_duration", "safety_margin", "trace_interval")
         if not 1.0 <= self.hard_stop_factor < math.inf:
             raise ValueError("hard_stop_factor must be finite and at least 1")
 
@@ -139,13 +140,14 @@ def replan(
     power: PowerModel,
     cfg: ControllerConfig,
 ) -> ReplanRecord:
-    """Refresh the oscillation band from the remaining-distance target.
+    """The oscillation band for the remaining-distance target at ``state``.
 
     The target is remaining distance over remaining time.  Targets at or
     above the local top equilibrium cannot be met through this section; the
-    controller then rides the maximal band and flags the sample rather than
+    controller then rides the maximal band and flags the record rather than
     aborting.  An infeasible slice (e.g. a climb too steep for the engine)
-    falls back to a full-effort band.
+    falls back to full effort: both edges at the safety speed, so the engine
+    is switched on wherever the speed lies below it.
     """
     remaining_d = cfg.race_length - state.position
     remaining_t = cfg.race_duration - state.t
@@ -155,13 +157,8 @@ def replan(
         frozen = freeze(track, wind, params, power, state.position, state.t)
     except InfeasibleSliceError as exc:
         band = OscillationBand(
-            lower=0.0,
-            upper=v_safe,
-            dwell=0.0,
-            period=math.nan,
-            distance=math.nan,
-            energy=math.nan,
-            avg_cost=math.nan,
+            lower=v_safe, upper=v_safe, dwell=0.0,
+            period=math.nan, distance=math.nan, energy=math.nan, avg_cost=math.nan,
         )
         reason = f"{type(exc).__name__}: {exc}"
         return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE, reason)
@@ -203,10 +200,12 @@ def run_race(
     """Simulate a full race under the receding-horizon hysteresis strategy.
 
     Starts from rest with the engine just switched on (one switch counted,
-    one switching cost charged).  Replans every replan interval and, in
-    between, jumps from event to event along exact constant-mode legs, with
-    telemetry at every replan and switch.  The dense trace is read off the
-    running leg (at an event, its state).  Stops at the finish or hard cap.
+    one switching cost charged), then jumps from event to event along exact
+    constant-mode legs.  Replans are events too: at the start, at each cell
+    edge, where a coasting leg reaches the band bottom (once per switch-on: a
+    met target holds for whole periods) and ``RECHECK_INTERVAL`` after a band
+    that misses it.  Telemetry is taken at every replan and switch; the dense
+    trace is read off the running leg.  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
         raise ScenarioError(
@@ -229,7 +228,8 @@ def run_race(
     switch_times: list[float] = [0.0]
     flags: list[str] = []
     band: OscillationBand | None = None
-    stall_since: float | None = None
+    replan_at = 0.0       # time of the next replan that is not a period start
+    period_due = True     # a switch-on since the last replan at a period start
 
     def note_flag(flag: str) -> None:
         if flag and flag not in flags:
@@ -253,55 +253,56 @@ def run_race(
 
     take_sample("", trace)
     next_trace = cfg.trace_interval
-    n_replan = 0
     while x1 < race_len - 1e-9 and t < t_hard - 1e-12:
-        state = RaceState(t, x1, x2, engine_on, switches, e_power + alpha * switches)
-        record = replan(state, track, wind, params, power, cfg)
-        band = record.band
-        replans.append(record)
-        note_flag(record.flag)
-        take_sample(record.flag or FLAG_REPLAN, samples)
-        n_replan += 1
-        window_end = min(n_replan * cfg.replan_interval, t_hard)
-
-        while t < window_end - 1e-12 and x1 < race_len - 1e-9:
-            if switch_logic(engine_on, x2, band) != engine_on:
-                engine_on = not engine_on
-                if engine_on:
-                    switches += 1
-                switch_times.append(t)
-                take_sample(FLAG_SWITCH_ON if engine_on else FLAG_SWITCH_OFF, samples)
-            if engine_on and x2 >= track.safe_speed_at(x1):
-                engine_on = False
-                switch_times.append(t)
-                note_flag(FLAG_SAFETY)
-                take_sample(FLAG_SAFETY, samples)
-            if engine_on and x2 <= 0.0:
-                if stall_since is None:
-                    stall_since = t
-                elif t - stall_since > cfg.replan_interval and FLAG_STALLED not in flags:
-                    note_flag(FLAG_STALLED)
-                    take_sample(FLAG_STALLED, samples)
-            else:
-                stall_since = None
-            leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
-            t_new, x_new, x2 = _next_event(
-                leg, t, x1, band.upper if engine_on else band.lower,
-                min(window_end, wind.next_boundary_t(t)),
-                min(track.next_boundary(x1), wind.next_boundary_s(x1), race_len),
-                track if engine_on else None,
-            )
-            while next_trace < t_new - 1e-12:
-                tau = next_trace - t
-                d = leg.distance(tau)
-                e_at = e_power + engine_energy(tau, d, engine_on, power, params)
-                take_sample("", trace, (next_trace, x1 + d, leg.speed(tau), e_at))
-                next_trace += cfg.trace_interval
-            e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
-            t, x1 = t_new, x_new
-            if t >= next_trace - 1e-12:
-                take_sample("", trace)
-                next_trace += cfg.trace_interval
+        # the coasting leg landed on the band bottom: the next period starts
+        period_start = period_due and not engine_on and x2 == band.lower
+        if period_start or t >= replan_at:
+            state = RaceState(t, x1, x2, engine_on, switches, e_power + alpha * switches)
+            record = replan(state, track, wind, params, power, cfg)
+            band = record.band
+            replans.append(record)
+            note_flag(record.flag)
+            take_sample(record.flag or FLAG_REPLAN, samples)
+            period_due = period_due and not period_start
+            stop_gap = record.flag or band.is_coast or band.upper >= track.safe_speed_at(x1)
+            replan_at = t + RECHECK_INTERVAL if stop_gap else math.inf
+        if switch_logic(engine_on, x2, band) != engine_on:
+            engine_on = not engine_on
+            if engine_on:
+                switches += 1
+                period_due = True
+            switch_times.append(t)
+            take_sample(FLAG_SWITCH_ON if engine_on else FLAG_SWITCH_OFF, samples)
+        if engine_on and x2 >= track.safe_speed_at(x1):
+            engine_on = False
+            switch_times.append(t)
+            note_flag(FLAG_SAFETY)
+            take_sample(FLAG_SAFETY, samples)
+        leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
+        stuck = engine_on and leg.v0 == 0.0 and leg.b <= leg.A * leg.wind_speed**2
+        if stuck and FLAG_STALLED not in flags:  # the engine cannot leave rest
+            note_flag(FLAG_STALLED)
+            take_sample(FLAG_STALLED, samples)
+        s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
+        t_edge = wind.next_boundary_t(t)
+        t_new, x_new, x2 = _next_event(
+            leg, t, x1, band.upper if engine_on else band.lower,
+            min(replan_at, t_edge, t_hard), min(s_edge, race_len),
+            track if engine_on else None,
+        )
+        while next_trace < t_new - 1e-12:
+            tau = next_trace - t
+            d = leg.distance(tau)
+            e_at = e_power + engine_energy(tau, d, engine_on, power, params)
+            take_sample("", trace, (next_trace, x1 + d, leg.speed(tau), e_at))
+            next_trace += cfg.trace_interval
+        e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
+        t, x1 = t_new, x_new
+        if t >= next_trace - 1e-12:
+            take_sample("", trace)
+            next_trace += cfg.trace_interval
+        if x1 >= s_edge or t >= t_edge:
+            replan_at = t  # the slice changes here
 
     finished = x1 >= race_len - 1e-9
     take_sample(FLAG_FINISH if finished else FLAG_DNF, samples)

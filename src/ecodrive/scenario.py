@@ -51,7 +51,6 @@ PARAM_FIELDS = {
 }
 CONTROLLER_FIELDS = {
     "duration_s": ("controller", "race_duration", _number),
-    "replan_interval_s": ("controller", "replan_interval", _number),
     "safety_margin_mps": ("controller", "safety_margin", _number),
     "hard_stop_factor": ("controller", "hard_stop_factor", _number),
     "trace_interval_s": ("controller", "trace_interval", _number),

@@ -228,17 +228,21 @@ def expansion(v: float, t2: float) -> float:
 def event_race(
     length: float,
     duration: float,
-    replan_interval: float = 3.0,
     v_safe: float = 12.0,
     delta: float = 0.5,
     hard_stop_factor: float = 1.2,
+    recheck: float = 3.0,
 ) -> dict:
     """Emulate the flat-race controller with exact leg solutions.
 
     Reproduces the replan/hysteresis policy, with the same target formula
-    and each replan's band the exact optimum (``exact_band``), but advances
-    the state maneuver-by-maneuver with the closed forms above, so the total
-    is startup energy plus per-period energies with no ODE stepping anywhere.
+    and each replan's band the exact optimum (``exact_band``).  The flat
+    windless track has no cell edge, so a race replans at the start, where
+    the coasting leg reaches the lower speed after a switch-on (a period
+    starts there), and every ``recheck`` seconds after a band that misses
+    its target: flagged, or clamped to the safety speed.  The state advances
+    leg by leg with the closed forms above, so the total is startup energy
+    plus per-period energies with no ODE stepping anywhere.
     """
     t, x, v = 0.0, 0.0, 0.0
     on = True
@@ -246,52 +250,55 @@ def event_race(
     e_power = 0.0
     startup_energy = None
     t_hard = hard_stop_factor * duration
-    n = 0
+    replan_at = 0.0
+    period_due = True   # a switch-on since the last replan at a period start
+    arrived = False     # the coasting leg has just reached the lower speed
     while x < length - 1e-9 and t < t_hard - 1e-12:
-        target = (length - x) / (duration - t) if t < duration else math.inf
-        if target >= V_TOP:
-            v_b = min(V_TOP * (1.0 - 1e-6), v_safe)
-            v_a = v_b - delta
-        elif target <= 0.0:
-            v_a = v_b = target
-        else:
-            v_a, v_b, _ = exact_band(target)
-            if v_b > v_safe:
-                v_b = v_safe
-                v_a = v_safe - delta
-        n += 1
-        window_end = min(n * replan_interval, t_hard)
-        while t < window_end - 1e-12 and x < length - 1e-9:
-            budget = window_end - t
-            if on:
-                tau_switch = time_up(v, v_b) if v < v_b else 0.0
-                tau = min(tau_switch, budget)
-                v_new = speed_up_after_time(v, tau)
-                if x + dist_up(v, v_new) >= length:
-                    v_line = speed_up_after_dist(v, length - x)
-                    tau = time_up(v, v_line)
-                    e_power += H_CONST * tau
-                    t, x, v = t + tau, length, v_line
-                    break
-                e_power += H_CONST * tau
-                t, x, v = t + tau, x + dist_up(v, v_new), v_new
-                if tau == tau_switch and tau < budget:
-                    on = False
-                    if startup_energy is None:
-                        startup_energy = e_power
+        period_start = period_due and arrived
+        if period_start or t >= replan_at:
+            target = (length - x) / (duration - t) if t < duration else math.inf
+            if target >= V_TOP:
+                v_b = min(V_TOP * (1.0 - 1e-6), v_safe)
+                v_a, missed = v_b - delta, True
+            elif target <= 0.0:
+                v_a = v_b = target
+                missed = True
             else:
-                tau_switch = time_down(v, v_a) if v > v_a else 0.0
-                tau = min(tau_switch, budget)
-                v_new = speed_down_after_time(v, tau)
-                if x + dist_down(v, v_new) >= length:
-                    v_line = speed_down_after_dist(v, length - x)
-                    tau = time_down(v, v_line)
-                    t, x, v = t + tau, length, v_line
-                    break
-                t, x, v = t + tau, x + dist_down(v, v_new), v_new
-                if tau == tau_switch and tau < budget:
-                    on = True
-                    switches += 1
+                v_a, v_b, _ = exact_band(target)
+                missed = v_b > v_safe
+                if missed:
+                    v_a, v_b = v_safe - delta, v_safe
+            replan_at = t + recheck if missed else math.inf
+            period_due = period_due and not period_start
+        if on and v >= v_b:
+            on = False
+            if startup_energy is None:
+                startup_energy = e_power
+        elif not on and v <= v_a:
+            on = True
+            switches += 1
+            period_due = True
+        # the leg runs to the band edge ahead, the replan time or the hard stop
+        t_stop = min(replan_at, t_hard)
+        if on:
+            v_edge, leg_time, leg_dist = v_b, time_up, dist_up
+            after_time, after_dist = speed_up_after_time, speed_up_after_dist
+        else:
+            v_edge, leg_time, leg_dist = v_a, time_down, dist_down
+            after_time, after_dist = speed_down_after_time, speed_down_after_dist
+        tau = leg_time(v, v_edge)
+        reached = tau <= t_stop - t
+        v_new = v_edge if reached else after_time(v, t_stop - t)
+        if x + leg_dist(v, v_new) >= length:
+            v_line = after_dist(v, length - x)
+            tau = leg_time(v, v_line)
+            e_power += H_CONST * tau if on else 0.0
+            t, x, v = t + tau, length, v_line
+            break
+        t_new = t + tau if reached else t_stop
+        e_power += H_CONST * (t_new - t) if on else 0.0
+        t, x, v = t_new, x + leg_dist(v, v_new), v_new
+        arrived = reached and not on
     return {
         "finish_time": t,
         "finished": x >= length - 1e-9,

@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecodrive import (
@@ -61,6 +61,8 @@ class TestConfig:
             ControllerConfig(race_length=100.0, race_duration=100.0, trace_interval=0.0)
         with pytest.raises(TypeError):  # legs are exact: there is no time step
             ControllerConfig(race_length=100.0, race_duration=100.0, dt=1e-3)
+        with pytest.raises(TypeError):  # replans are events: there is no replan clock
+            ControllerConfig(race_length=100.0, race_duration=100.0, replan_interval=3.0)
         with pytest.raises(ValueError):
             ControllerConfig(race_length=100.0, race_duration=100.0, hard_stop_factor=0.5)
 
@@ -69,7 +71,12 @@ class TestConfig:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        # replan_interval went with the replan clock: it is refused as a name
+        if field == "replan_interval":
+            refusal = pytest.raises(TypeError, match="unexpected keyword")
+        else:
+            refusal = pytest.raises(ValueError, match="finite")
+        with refusal:
             ControllerConfig(**{"race_length": 100.0, "race_duration": 100.0, field: value})
 
 
@@ -120,8 +127,26 @@ class TestReplan:
         state = RaceState(0.0, 0.0, 0.0, True, 1, 10.0)
         record = replan(state, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_INFEASIBLE
-        assert record.band.lower == 0.0
+        # full effort: an engine that is off below the safety speed switches on
+        assert record.band.lower == record.band.upper == 12.0
+        assert switch_logic(False, 5.0, record.band)
         assert record.reason.startswith("InfeasibleSliceError: ")
+
+    def test_too_steep_climb_entered_coasting_switches_the_engine_on(
+        self, params, const_power, zero_wind
+    ):
+        # the climb starts at 300 m; coasting into it, the vehicle must not
+        # roll to a stop with the engine off
+        steep = math.asin(0.25 / params.gravity)
+        track = TrackProfile((0.0, 300.0, 400.0), (0.0, steep, steep), (12.0, 12.0, 12.0))
+        cfg = ControllerConfig(race_length=400.0, race_duration=60.0)
+        result = run_race(track, zero_wind, params, const_power, cfg)
+        at_climb = next(r for r in result.replans if r.position == 300.0)
+        assert at_climb.flag == FLAG_INFEASIBLE
+        i = next(i for i, s in enumerate(result.samples) if s.position == 300.0)
+        entry, after = result.samples[i], result.samples[i + 1]
+        assert entry.flag == FLAG_INFEASIBLE and not entry.engine_on and entry.speed > 0.0
+        assert after.flag == "switch_on" and after.t == entry.t
 
     def test_band_search_error_is_recorded(
         self, params, const_power, zero_wind, monkeypatch
@@ -259,9 +284,9 @@ class TestRunRace:
         assert FLAG_STALLED in result.flags
         assert "did_not_finish" in result.flags
         assert min_switch_interval(result) is None  # never switched after start
-        # stuck from the start, the stall is noted at the first replan more
-        # than one replan interval later, whatever the trace grid
-        assert [s.t for s in result.samples if s.flag == FLAG_STALLED] == [6.0]
+        # stuck from the start, the stall is noted once, at its onset,
+        # whatever the trace grid
+        assert [s.t for s in result.samples if s.flag == FLAG_STALLED] == [0.0]
 
     def test_doubling_switch_cost_does_not_shrink_the_gap(
         self, const_power, zero_wind, short_cfg
@@ -400,21 +425,90 @@ class TestNextEvent:
         assert x_new == pytest.approx(x1 + leg.distance(tau), abs=1e-12)
 
 
-def _windy_scenario(arcs, slopes, safe_speeds, u1, u2, signed_drag, duration):
-    """Wheel-power race with ``u1`` on the first half of the track from t = 60 s
-    on, ``u2`` on the second half before then, and calm elsewhere."""
+def _windy_scenario(arcs, slopes, safe_speeds, u1, u2, signed_drag, duration, power="wheel_power"):
+    """Race with ``u1`` on the first half of the track from t = 60 s on, ``u2``
+    on the second half before then, and calm elsewhere."""
     half = arcs[-1] / 2
     wind = WindField((0.0, half), (0.0, 60.0), ((0.0, u1), (u2, 0.0)))
     cfg = ControllerConfig(race_length=arcs[-1], race_duration=duration)
     return (
         TrackProfile(arcs, slopes, safe_speeds), wind, VehicleParams(signed_drag=signed_drag),
-        PowerModel("wheel_power"), cfg,
+        PowerModel(power), cfg,
     )
+
+
+@st.composite
+def random_races(draw):
+    """``_windy_scenario`` arguments: a 300-1500 m track of 2-6 cells, each
+    breakpoint flat or of slope U(-0.02, 0.03) and with a safety speed
+    U(4, 12), winds U(-2, 2), either drag law and power model, and a target
+    average speed U(4, 8)."""
+    length = draw(st.floats(300.0, 1500.0))
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              min_size=1, max_size=5, unique=True))
+    arcs = (0.0, *sorted(length * f for f in fractions), length)
+    assume(all(b > a for a, b in zip(arcs, arcs[1:])))
+    n = len(arcs)
+    slope = st.one_of(st.just(0.0), st.floats(-0.02, 0.03))
+    slopes = tuple(draw(st.lists(slope, min_size=n, max_size=n)))
+    safe_speeds = tuple(draw(st.lists(st.floats(4.0, 12.0), min_size=n, max_size=n)))
+    u1, u2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    signed_drag = draw(st.booleans())
+    duration = length / draw(st.floats(4.0, 8.0))
+    power = draw(st.sampled_from(("constant_electrical", "wheel_power")))
+    return arcs, slopes, safe_speeds, u1, u2, signed_drag, duration, power
 
 
 def _fixture_race(make):
     scenario = make()
     return scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
+
+
+# ``_windy_scenario`` arguments of two races whose trace samples used to end
+# legs.  A coast band under a falling safety speed: 0.5 s and 0.07 s grids
+# gave 5 and 28 switches.
+COAST_UNDER_FALLING_SAFETY = (
+    (0.0, 83.8, 278.1, 338.5, 528.0, 585.6), (0.0103, 0.0, -0.0104, 0.007, 0.0, 0.0),
+    (10.94, 8.19, 9.93, 9.37, 4.51, 10.07), 0.36, -0.79, True, 99.4,
+)
+# unsigned drag into a headwind; 6 against 31 switches
+HEADWIND_CLIMB = (
+    (0.0, 141.9, 228.0, 389.3, 588.2, 1112.6), (0.0092, -0.0146, -0.0036, 0.0217, 0.0, 0.0),
+    (11.03, 11.36, 4.91, 7.64, 10.93, 4.59), -1.61, -1.93, False, 158.4,
+)
+
+
+class TestRandomRaces:
+    # a coasting leg that lands on the band bottom under a falling safety
+    # speed: replanning at every such landing made 3,000+ replans in 1e-12 s
+    ZENO_TRAP = (
+        (0.0, 94.46830247159686, 299.7542274391755, 322.4334396481245, 1267.3289556824914),
+        (0.0018834109816266605, -0.01750910263425825, 0.0, -0.0020023107257231484,
+         0.023856245191789537),
+        (6.604438690303762, 6.544802869648873, 10.541539531428423, 8.855458341612803,
+         4.560230147293768),
+        0.2970473001388605, 1.5644410476876351, False, 184.72848380643248,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=random_races())
+    @example(args=ZENO_TRAP)
+    @example(args=COAST_UNDER_FALLING_SAFETY)
+    @example(args=HEADWIND_CLIMB)
+    def test_replans_are_bounded_by_the_events_that_call_them(self, args):
+        track, wind, params, power, cfg = _windy_scenario(*args)
+        result = run_race(track, wind, params, power, cfg)
+        end = result.samples[-1]
+        # every race ends, at the finish or at the hard stop
+        assert result.finished or end.t >= cfg.hard_stop_factor * cfg.race_duration - 1e-12
+        edges = {*track.arclength[1:], *wind.arclength[1:]}
+        cells = sum(1 for s in edges if s <= end.position)
+        cells += sum(1 for t in wind.time[1:] if t <= end.t)
+        rechecks = sum(
+            1 for a, b in zip(result.replans, result.replans[1:])
+            if b.t == a.t + controller.RECHECK_INTERVAL
+        )
+        assert len(result.replans) <= 1 + result.switches + cells + rechecks
 
 
 class TestTraceGrid:
@@ -424,17 +518,8 @@ class TestTraceGrid:
         "flat16500": lambda: _fixture_race(fixture_lib.flat16500),
         "hill": lambda: _fixture_race(fixture_lib.hill),
         "gust": lambda: _fixture_race(fixture_lib.gust),
-        # a coast band under a falling safety speed: when trace samples ended
-        # legs, 0.5 s and 0.07 s grids gave 5 and 28 switches
-        "coast_under_falling_safety": lambda: _windy_scenario(
-            (0.0, 83.8, 278.1, 338.5, 528.0, 585.6), (0.0103, 0.0, -0.0104, 0.007, 0.0, 0.0),
-            (10.94, 8.19, 9.93, 9.37, 4.51, 10.07), 0.36, -0.79, True, 99.4,
-        ),
-        # unsigned drag into a headwind; 6 against 31 switches
-        "headwind_climb": lambda: _windy_scenario(
-            (0.0, 141.9, 228.0, 389.3, 588.2, 1112.6), (0.0092, -0.0146, -0.0036, 0.0217, 0.0, 0.0),
-            (11.03, 11.36, 4.91, 7.64, 10.93, 4.59), -1.61, -1.93, False, 158.4,
-        ),
+        "coast_under_falling_safety": lambda: _windy_scenario(*COAST_UNDER_FALLING_SAFETY),
+        "headwind_climb": lambda: _windy_scenario(*HEADWIND_CLIMB),
     }
 
     @pytest.mark.parametrize("name", sorted(RACES))

@@ -67,7 +67,6 @@ _NON_DEFAULT = {
     "power_model": "wheel_power",
     "constant_watts": 150.0,
     "duration_s": 250.0,
-    "replan_interval_s": 2.0,
     "safety_margin_mps": 0.25,
     "hard_stop_factor": 1.5,
     "trace_interval_s": 0.25,
@@ -300,9 +299,11 @@ class TestOverrides:
     )
     def test_non_finite_or_non_positive_value_rejected(self, short_scenario, item):
         _, scenario_dir = short_scenario
-        # the grid_offsets_mps key went with the candidate grid, so its
-        # non-finite offsets are refused before their value is read
-        refusal = "not recognized" if item.startswith("grid_offsets_mps=") else "finite"
+        # the grid_offsets_mps key went with the candidate grid, and the
+        # replan_interval_s key with the replan clock, so their non-finite
+        # values are refused before they are read
+        removed = item.startswith(("grid_offsets_mps=", "replan_interval_s="))
+        refusal = "not recognized" if removed else "finite"
         with pytest.raises(ScenarioError, match=refusal):
             load_scenario(scenario_dir, (item,))
 
@@ -337,11 +338,15 @@ class TestOverrides:
 
     @pytest.mark.parametrize("item", ["m=-1", "replan_interval_s=0", "c=0.5"])
     def test_out_of_range_override_is_blamed_on_the_override(self, short_scenario, item):
-        # the files hold valid values; the error must name the override
+        # the files hold valid values; the error must name the override, or
+        # the key of the removed replan clock, which is refused unread
         _, scenario_dir = short_scenario
         with pytest.raises(ScenarioError) as err:
             load_scenario(scenario_dir, (item,))
-        assert str(err.value).startswith(f"override {item!r}: ")
+        if item.startswith("replan_interval_s="):
+            assert str(err.value) == "override key 'replan_interval_s' is not recognized"
+        else:
+            assert str(err.value).startswith(f"override {item!r}: ")
         assert ".json" not in str(err.value)
 
     def test_out_of_range_file_value_is_blamed_on_the_file(self, short_scenario):
@@ -727,4 +732,4 @@ class TestStartUp:
         assert probe["scipy"] == []
         # the monotone cubic through the samples still interpolates them
         assert 0.05 < probe["value"] < 0.08
-        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 56
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 57
