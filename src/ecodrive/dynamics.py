@@ -779,18 +779,23 @@ def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
         diagnostic = {"diagnostic": "divergent integral", **sides}
         items.append(AssumptionItem("switching_cost_small", None, diagnostic))
 
-    # -- strict curvature of F: F'' has the sign of -s(v) L(v), with s = sgn(v - w)
-    # under signed drag, else 1, and L = 3v - 2w under wheel power, else 1
-    margin = 1e-4 * (v_hi - v_lo)
-    ends = (v_lo + margin, v_hi - margin)
+    verdict = tradeoff_curvature(frozen)
+    items.append(AssumptionItem("tradeoff_curvature", verdict != "neither", {"verdict": verdict}))
+    return AssumptionReport(tuple(items), verdict, lhs, rhs)
+
+
+def tradeoff_curvature(frozen: FrozenDynamics) -> str:
+    """Strict curvature of F = h f_off / f1 on the slice, or "neither" where it changes."""
+    # F'' has the sign of -s(v) L(v), with s = sgn(v - w) under signed drag, else 1,
+    # and L = 3v - 2w under wheel power, else 1
+    p, w = frozen.params, frozen.wind_speed
+    margin = 1e-4 * (frozen.v_high - frozen.v_low)
+    ends = (frozen.v_low + margin, frozen.v_high - margin)
     wheel = frozen.power.kind == WHEEL_POWER
     signs = {
         -(_sgn(v - w) if p.signed_drag else 1.0) * (_sgn(3.0 * v - 2.0 * w) if wheel else 1.0)
         for v in ends
     }
     if len(signs) > 1 or 0.0 in signs or p.signed_drag and ends[0] < w < ends[1]:
-        verdict = "neither"
-    else:
-        verdict = "strictly_convex" if signs == {1.0} else "strictly_concave"
-    items.append(AssumptionItem("tradeoff_curvature", verdict != "neither", {"verdict": verdict}))
-    return AssumptionReport(tuple(items), verdict, lhs, rhs)
+        return "neither"
+    return "strictly_convex" if signs == {1.0} else "strictly_concave"

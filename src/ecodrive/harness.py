@@ -18,7 +18,7 @@ from . import fixtures as fixtures_mod
 from .controller import run_race
 from .dynamics import FrozenDynamics, check_assumptions, read_csv_rows
 from .errors import EcodriveError, ScenarioError
-from .optimizer import GridSpec, optimal_band
+from .optimizer import optimal_band
 from .robustness import (
     SpeedProfile,
     mean_speed,
@@ -53,10 +53,7 @@ def _print_kv(key: str, value) -> None:
 def cmd_optimize(args) -> int:
     params, power = load_params(args.params)
     frozen = FrozenDynamics.from_conditions(params, power, args.slope, args.wind)
-    grid = GridSpec(fine_step=0.01) if args.fine else None
-    band = optimal_band(
-        frozen, args.target, v_safe=args.vsafe, grid=grid, delta=args.delta
-    )
+    band = optimal_band(frozen, args.target, v_safe=args.vsafe, delta=args.delta)
     _print_kv("v_low_mps", frozen.v_low)
     _print_kv("v_high_mps", frozen.v_high)
     _print_kv("lower_mps", band.lower)
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_positive_float, required=True, help="target average, m/s")
     p.add_argument("--vsafe", type=_safety_speed, default=math.inf, help="safety speed or inf, m/s")
     p.add_argument("--delta", type=_positive_float, default=0.5, help="safety band width, m/s")
-    p.add_argument("--fine", action="store_true", help="fallback bisection to 0.01 m/s, not 0.5")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a race scenario")

@@ -4,8 +4,9 @@ At a prescribed average speed the cheapest long-run strategy oscillates
 between a lower and an upper speed with one engine switch-on per period.
 The band search solves by Newton's method for the band meeting the target
 and the paper's optimality certificate, the chord of the tradeoff -F
-(``_chord_residual``); failing that, it bisects the lower speed on the
-certificate's sign.
+(``_certificate``), and accepts the solve only at a minimum of the cost;
+failing that, it takes the certificate's rising root in the lower speed, or
+the rest-speed bound where that is cheaper.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .dynamics import (
     engine_energy,
     increasing_root,
     require_positive,
+    tradeoff_curvature,
 )
 from .errors import (
     ExpansionInapplicableError,
@@ -74,18 +76,17 @@ def coast_band(speed: float) -> OscillationBand:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution of the fallback bisection, in m/s, and tolerance of the average speed.
+    """Tolerance of the average speed: a band misses the target by at most ``0.01 tol``.
 
-    ``fine_step`` applies only where the Newton solve falls back; the default
-    makes four band evaluations on a 7 m/s window, cheap enough for every
-    replan.  A band misses the target average speed by at most ``0.01 tol``.
+    Nothing reads ``fine_step``; it stays because the benchmark builds
+    ``GridSpec(fine_step=0.01)`` (perfbench/workloads.py).
     """
 
     tol: float = 1e-4
     fine_step: float = 0.5
 
     def __post_init__(self) -> None:
-        require_positive(self, "tol", "fine_step")
+        require_positive(self, "tol")
 
 
 def leg_time_distance(
@@ -233,66 +234,73 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Solves for the interior optimum (``_newton_band``), or else bisects the
-    lower speed on (v_low, target), midpoint first, to ``grid.fine_step`` on
-    the sign of the chord certificate, an infeasible lower speed counting as
-    below the optimum; the cheapest band evaluated wins, ties going to the
-    larger lower speed (fewer switches per unit time).  A band topping out
-    above ``v_safe`` is replaced by the safety band (v_safe - delta, v_safe),
-    which no longer meets the average-speed constraint.
+    Solves for the interior optimum (``_newton_band``); where that fails, or where F's
+    curvature changes sign and a cheaper minimum can sit on the rest-speed bound,
+    ``_rooted_band`` compares the bound too.  A band topping out above ``v_safe`` is
+    replaced by the safety band (v_safe - delta, v_safe), which misses the target.
     """
     grid = grid or GridSpec()
-    if not v_safe > 0.0:
-        raise ValueError("v_safe must be strictly positive")
+    if not v_safe > 0.0 or math.isnan(v_target):
+        raise ValueError(f"need v_safe > 0 and a number v_target, got {v_safe!r} and {v_target!r}")
     if v_target >= frozen.v_high:
         raise InfeasibleTargetError(
             f"target {v_target:.6g} m/s is not below v_high {frozen.v_high:.6g} m/s"
         )
     if v_target <= frozen.v_low:
         return coast_band(v_target)
-    best = _newton_band(frozen, v_target, grid.tol) or _bisected_band(frozen, v_target, grid)
+    best = _newton_band(frozen, v_target, grid.tol)
+    if best is None or tradeoff_curvature(frozen) == "neither":
+        best = _rooted_band(frozen, v_target, grid.tol, best)
     if best.upper > v_safe:
         return safety_band(frozen, v_safe, delta)
     return best
 
 
+def _certificate(frozen: FrozenDynamics, band: OscillationBand, v_target: float):
+    """``(miss, residual), (j11, j12, j21, j22)``: the band's two equations and their Jacobian.
+
+    The miss of the target, and the residual of the certificate: the cost less the chord of
+    psi through the band's ends, read at the target, which is zero at an interior optimum.
+    """
+    v_a, v_b, t, avg, cost = band.lower, band.upper, band.period, band.avg_speed, band.avg_cost
+    accel, power = frozen.accel, frozen.engine_power_at
+    (psi_a, dpsi_a), (psi_b, dpsi_b) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
+    w, rise = (v_target - v_a) / (v_b - v_a), (psi_b - psi_a) / (v_b - v_a) ** 2
+    # raising an end v adds g = 1/f_on - 1/f_off to t, v g to the distance and h/f_on
+    # to the energy at v_b, and subtracts them at v_a
+    on_a, on_b = accel(v_a, True), accel(v_b, True)
+    g_a, g_b = 1.0 / on_a - 1.0 / accel(v_a, False), 1.0 / on_b - 1.0 / accel(v_b, False)
+    j11, j12 = (avg - v_a) * g_a / t, (v_b - avg) * g_b / t
+    j21 = (cost * g_a - power(v_a) / on_a) / t - dpsi_a * (1.0 - w) + rise * (v_b - v_target)
+    j22 = (power(v_b) / on_b - cost * g_b) / t - dpsi_b * w + rise * (v_target - v_a)
+    return (avg - v_target, cost - psi_a - (psi_b - psi_a) * w), (j11, j12, j21, j22)
+
+
 def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> OscillationBand | None:
     """The interior optimum, by Newton's method on the average and the chord certificate.
 
-    From the bisection's first lower speed, one pair of legs per iteration.  None when an
-    iterate leaves (rest speed, top) or crosses the target after halving its step to 1e-6,
-    a mode changes sign there, a leg or the Jacobian is not finite, or 12 iterations fail.
+    From the target -/+ half the smaller room to the rest speed or the top, one pair of legs
+    per iteration.  None when an iterate leaves (rest speed, top) or crosses the target after
+    halving its step to 1e-6, a leg or the Jacobian is not finite (a band across a mode's
+    root), 12 iterations fail, or the solve ends where the residual's slope along avg =
+    target, ``j21 - j22 j11 / j12``, is not positive: at a maximum of the cost.
     """
     bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
-    margin = max(1e-9, 1e-4 * (v_target - bound))
-    if any(frozen.mode_changes_sign(on, bound, v_b_max, margin) for on in (True, False)):
-        return None
-    accel, power = frozen.accel, frozen.engine_power_at
-    v_a = 0.5 * (frozen.v_low + v_target)
-    v_b = min(2.0 * v_target - v_a, 0.5 * (v_target + v_b_max))
+    half = 0.5 * min(v_target - frozen.v_low, v_b_max - v_target)
+    v_a, v_b = v_target - half, v_target + half
     for _ in range(12):
         if not bound < v_a < v_target < v_b < v_b_max:
             return None
         legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
         band = _band(frozen, v_a, v_b, 0.0, legs)
-        t, avg, cost = band.period, band.avg_speed, band.avg_cost
-        (psi_a, dpsi_a), (psi_b, dpsi_b) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
-        w, rise = (v_target - v_a) / (v_b - v_a), (psi_b - psi_a) / (v_b - v_a) ** 2
-        miss, residual = avg - v_target, cost - psi_a - (psi_b - psi_a) * w  # as _chord_residual
-        # raising an end v adds g = 1/f_on - 1/f_off to t, v g to the distance and h/f_on
-        # to the energy at v_b, and subtracts them at v_a
-        on_a, on_b = accel(v_a, True), accel(v_b, True)
-        g_a, g_b = 1.0 / on_a - 1.0 / accel(v_a, False), 1.0 / on_b - 1.0 / accel(v_b, False)
-        j11, j12 = (avg - v_a) * g_a / t, (v_b - avg) * g_b / t
-        j21 = (cost * g_a - power(v_a) / on_a) / t - dpsi_a * (1.0 - w) + rise * (v_b - v_target)
-        j22 = (power(v_b) / on_b - cost * g_b) / t - dpsi_b * w + rise * (v_target - v_a)
+        (miss, residual), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
         det = j11 * j22 - j12 * j21
         if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
             return None
         step_a, step_b = (residual * j12 - miss * j22) / det, (miss * j21 - residual * j11) / det
         if abs(step_a) <= 1e-11 * v_a and abs(step_b) <= 1e-11 * v_b:
-            return band if abs(miss) <= 0.01 * tol else None
+            return band if abs(miss) <= 0.01 * tol and j21 - j22 * j11 / j12 > 0.0 else None
         scale = 1.0
         while not v_a + scale * step_a < v_target < v_b + scale * step_b and scale >= 1e-6:
             scale *= 0.5
@@ -300,48 +308,43 @@ def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> Oscilla
     return None
 
 
-def _bisected_band(frozen: FrozenDynamics, v_target: float, grid: GridSpec) -> OscillationBand:
-    best: OscillationBand | None = None
-    failures: list[str] = []
+def _rooted_band(
+    frozen: FrozenDynamics, v_target: float, tol: float, solved: OscillationBand | None
+) -> OscillationBand:
+    """The cheaper of the solved band, or else the certificate's rising root, and the bound.
 
-    def consider(v_a: float) -> OscillationBand | None:
-        nonlocal best
-        try:
-            band = band_cost(frozen, v_a, v_target, grid.tol)
-        except InfeasibleCandidateError as exc:
-            failures.append(str(exc))
-            return None
-        if (
-            best is None
-            or band.avg_cost < best.avg_cost
-            or (band.avg_cost == best.avg_cost and band.lower > best.lower)
-        ):
-            best = band
-        return band
-
-    lo, hi = frozen.v_low + 1e-9, v_target - 1e-9
-    for _ in range(64):  # 64 halvings pass the float spacing, where a finer step would stall
-        mid = 0.5 * (lo + hi)
-        band = consider(mid)
-        below = band is None or _chord_residual(frozen, band, v_target) < 0.0
-        lo, hi = (mid, hi) if below else (lo, mid)
-        if hi - lo <= grid.fine_step:
-            break
-    if best is None:
-        raise InfeasibleCandidateError(
-            "no lower speed admits the target average speed: " + "; ".join(failures)
-        )
-    return best
-
-
-def _chord_residual(frozen: FrozenDynamics, band: OscillationBand, v_target: float) -> float:
-    """Cost less the chord of psi = -h f_off / f1 through the band's ends, at the target.
-
-    Zero at an interior optimum, negative below it and positive above it.
+    ``increasing_root`` on the residual of ``band_cost``'s band over the lower speeds (rest
+    speed, target), with its slope along the curve.  A lower speed whose band is infeasible,
+    unresolved or saturated counts as below the optimum, the target as above it, and a
+    residual within 1e-9 of the cost, as ``band_cost`` resolves it, as 0.
     """
-    v_a, v_b = band.lower, band.upper
-    (lo, _), (hi, _) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
-    return band.avg_cost - lo - (hi - lo) * (v_target - v_a) / (v_b - v_a)
+    bands = {} if solved is None else {solved.lower: solved}  # or why not, by lower speed
+
+    def residual(v_a: float) -> tuple[float, float]:
+        if v_a == v_target:  # a band of no width pays its switch-on at every instant
+            return math.inf, 0.0
+        try:
+            band = bands[v_a] = band_cost(frozen, v_a, v_target, tol)
+        except (InfeasibleCandidateError, NumericError) as exc:
+            bands[v_a] = str(exc)  # not the error, whose traceback holds this frame
+            return -math.inf, 0.0
+        if band.upper == frozen.v_high:  # saturated: wider bands dwell at the top too
+            return -math.inf, 0.0
+        (_, r), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
+        return (0.0 if abs(r) <= 1e-9 * band.avg_cost else r), j21 - j22 * j11 / j12
+
+    lo = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0) + 1e-9
+    if solved is None:
+        increasing_root(residual, lo, v_target, 0.5 * (lo + v_target))
+    if lo not in bands:
+        residual(lo)
+    feasible = [band for band in bands.values() if isinstance(band, OscillationBand)]
+    if not feasible:
+        raise InfeasibleCandidateError(
+            "no lower speed admits the target average speed: "
+            + "; ".join(bands.values())
+        )
+    return min(feasible, key=lambda band: band.avg_cost)
 
 
 def _tradeoff(frozen: FrozenDynamics, v: float) -> tuple[float, float]:

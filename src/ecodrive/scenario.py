@@ -55,7 +55,6 @@ CONTROLLER_FIELDS = {
     "hard_stop_factor": ("controller", "hard_stop_factor", _number),
     "trace_interval_s": ("controller", "trace_interval", _number),
     "grid_tol_mps": ("grid", "tol", _number),
-    "fine_step_mps": ("grid", "fine_step", _number),
 }
 REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
 

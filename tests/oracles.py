@@ -133,30 +133,6 @@ def exact_band(target: float) -> tuple[float, float, float]:
     return v_a, v_b, cost
 
 
-def bisect_band(target: float, step: float = 0.5) -> tuple[float, float, float]:
-    """(v_a, v_b, avg_cost) of the band search resolved to ``step`` m/s.
-
-    Bisects the lower speed on (0, target) on the sign of the chord residual,
-    midpoint first, until the bracket is no wider than ``step``; a lower
-    speed with no band at the target counts as lying below the optimum.  The
-    cheapest band evaluated wins, ties going to the larger lower speed.
-    """
-    lo, hi = 1e-9, target - 1e-9
-    best = None
-    while True:
-        mid = 0.5 * (lo + hi)
-        try:
-            residual, v_b, cost = chord_residual(mid, target)
-        except ValueError:
-            residual = -math.inf
-        else:
-            if best is None or cost < best[2] or (cost == best[2] and mid > best[0]):
-                best = (mid, v_b, cost)
-        lo, hi = (mid, hi) if residual < 0.0 else (lo, mid)
-        if hi - lo <= step:
-            return best
-
-
 # ---------------------------------------------------------------------------
 # large-period two-switch minimum at fixed average speed (m_V^2(T2))
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from segments import (
     proportional_invariance_check,
 )
 from ecodrive import (
-    GridSpec,
     RaceState,
     SpeedProfile,
     TrackProfile,
@@ -44,7 +43,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_band_reproduction(flat_slice):
     start = time.perf_counter()
-    band = optimal_band(flat_slice, 7.0, v_safe=20.0, grid=GridSpec(fine_step=0.01))
+    band = optimal_band(flat_slice, 7.0, v_safe=20.0)
     elapsed = time.perf_counter() - start
     ok = (
         abs(band.lower - 6.1) <= 0.1

@@ -71,7 +71,6 @@ _NON_DEFAULT = {
     "hard_stop_factor": 1.5,
     "trace_interval_s": 0.25,
     "grid_tol_mps": 1e-5,
-    "fine_step_mps": 0.02,
 }
 
 
@@ -247,12 +246,12 @@ class TestOverrides:
 
     def test_controller_override(self, short_scenario):
         _, scenario_dir = short_scenario
-        scenario = load_scenario(scenario_dir, ("duration_s=300", "fine_step_mps=0.25"))
+        scenario = load_scenario(scenario_dir, ("duration_s=300", "grid_tol_mps=2e-4"))
         assert scenario.controller.race_duration == 300.0
-        assert scenario.controller.grid.fine_step == 0.25
+        assert scenario.controller.grid.tol == 2e-4
 
     def test_grid_offsets_key_refused(self, short_scenario):
-        # the band search bisects to a resolution, so there are no candidate
+        # the band search solves for the optimum, so there are no candidate
         # offsets to set, in the file or on the command line
         _, scenario_dir = short_scenario
         with pytest.raises(ScenarioError, match="not recognized"):
@@ -299,10 +298,11 @@ class TestOverrides:
     )
     def test_non_finite_or_non_positive_value_rejected(self, short_scenario, item):
         _, scenario_dir = short_scenario
-        # the grid_offsets_mps key went with the candidate grid, and the
-        # replan_interval_s key with the replan clock, so their non-finite
-        # values are refused before they are read
-        removed = item.startswith(("grid_offsets_mps=", "replan_interval_s="))
+        # the grid_offsets_mps key went with the candidate grid, the
+        # replan_interval_s key with the replan clock and the fine_step_mps key
+        # with the bisection, so their non-finite values are refused before
+        # they are read
+        removed = item.startswith(("grid_offsets_mps=", "replan_interval_s=", "fine_step_mps="))
         refusal = "not recognized" if removed else "finite"
         with pytest.raises(ScenarioError, match=refusal):
             load_scenario(scenario_dir, (item,))
@@ -324,7 +324,10 @@ class TestOverrides:
     )
     def test_mistyped_value_rejected(self, short_scenario, item):
         _, scenario_dir = short_scenario
-        with pytest.raises(ScenarioError, match=f"{item.split('=')[0]}: (expected|int too large)"):
+        key = item.split("=")[0]
+        # the removed fine_step_mps key is refused before its value is read
+        refusal = "not recognized" if key == "fine_step_mps" else f"{key}: (expected|int too large)"
+        with pytest.raises(ScenarioError, match=refusal):
             load_scenario(scenario_dir, (item,))
 
     def test_mistyped_override_is_blamed_on_the_override(self, short_scenario):
@@ -370,12 +373,13 @@ class TestOverrides:
         assert scenario.params.signed_drag is True
 
     def test_null_fine_step_refused(self, short_scenario):
-        # the search always has a resolution: null is not a number
+        # the band search has no resolution to set, in the file or on the
+        # command line: the key is refused, whatever its value
         _, scenario_dir = short_scenario
-        with pytest.raises(ScenarioError, match="fine_step_mps: expected a number"):
+        with pytest.raises(ScenarioError, match="not recognized"):
             load_scenario(scenario_dir, ("fine_step_mps=null",))
         _set_keys(scenario_dir / "controller.json", fine_step_mps=None)
-        with pytest.raises(ScenarioError, match="controller.json: fine_step_mps: expected"):
+        with pytest.raises(ScenarioError, match=r"unknown keys \['fine_step_mps'\]"):
             load_scenario(scenario_dir)
 
 
@@ -459,21 +463,18 @@ class TestOutDirPrecedence:
 class TestCli:
     def test_optimize_in_process(self, short_scenario, capsys):
         _, scenario_dir = short_scenario
-        rc = main(
-            [
-                "optimize",
-                "--params",
-                str(scenario_dir / "params.json"),
-                "--target",
-                "7",
-                "--fine",
-            ]
-        )
+        command = ["optimize", "--params", str(scenario_dir / "params.json"), "--target", "7"]
+        rc = main(command)
         out = capsys.readouterr().out
         assert rc == 0
         values = dict(line.split() for line in out.splitlines())
         assert float(values["lower_mps"]) == pytest.approx(6.15, abs=0.02)
         assert float(values["upper_mps"]) == pytest.approx(7.89, abs=0.02)
+        # the search is exact, so there is no finer one to ask for
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--fine"])
+        assert exit_info.value.code == 2
+        assert "--fine" in capsys.readouterr().err
 
     def test_simulate_and_report_subcommands(self, short_scenario, tmp_path, capsys):
         _, scenario_dir = short_scenario
@@ -700,7 +701,7 @@ from ecodrive.harness import main
 scenario, out, g, dg = sys.argv[1:5]
 params = scenario + "/params.json"
 assert main(["simulate", "--scenario", scenario, "--out", out]) == 0
-assert main(["optimize", "--params", params, "--target", "7", "--fine"]) == 0
+assert main(["optimize", "--params", params, "--target", "7"]) == 0
 assert main(["check-assumptions", "--params", params, "--slope", "0.002"]) == 0
 assert main(["robustness", "--g", g, "--dg", dg]) == 0
 profile = ecodrive.SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
