@@ -8,7 +8,7 @@ Output directory defaults to ./out/flat16500 (or ECODRIVE_OUT).
 import sys
 from pathlib import Path
 
-from ecodrive import run_race
+from ecodrive import min_switch_interval, run_race
 from ecodrive.fixtures import flat16500
 from ecodrive.scenario import default_out_dir, emit_report
 
@@ -25,7 +25,7 @@ def main() -> int:
     print(f"total energy  {result.total_energy:.0f} J")
     print(f"switches      {result.switches}")
     print(f"avg speed     {result.avg_speed:.4f} m/s (target {target:.4f})")
-    print(f"min gap       {result.min_switch_gap:.2f} s")
+    print(f"min gap       {min_switch_interval(result):.2f} s")
     for name, path in paths.items():
         print(f"{name:12s}  {path}")
     return 0

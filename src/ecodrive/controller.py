@@ -5,15 +5,16 @@ cell edge changes the slice) the controller refreshes the target average
 speed from the remaining distance and time, freezes the dynamics at the
 current position, and recomputes the oscillation band.  Between replans a
 hysteresis machine switches the engine off at the band top and on at the
-band bottom.  A hard safety override forces the engine off whenever the speed
-exceeds the local safety limit.  Between decisions the state jumps from event
-to event along closed-form legs, so every switch lands exactly on its
-threshold; the dense trace is read off the running leg.
+band bottom, and keeps it off wherever the speed reaches the local safety
+speed: one rule for both.  Between decisions the state jumps from event to
+event along closed-form legs, so every switch lands exactly on its threshold;
+the dense trace is read off the running leg.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .dynamics import (
@@ -47,6 +48,7 @@ FLAG_INFEASIBLE = "infeasible_slice"
 FLAG_STALLED = "stalled"
 FLAG_DNF = "did_not_finish"
 FLAG_FINISH = "finish"
+SWITCH_FLAGS = (FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_SAFETY)  # one telemetry sample per switch
 
 # seconds between re-checks of a band that misses its target: flagged, coast or clamped
 RECHECK_INTERVAL = 3.0
@@ -101,7 +103,6 @@ class RaceResult:
     samples: tuple[TelemetrySample, ...]
     trace: tuple[TelemetrySample, ...]
     replans: tuple[ReplanRecord, ...]
-    switch_times: tuple[float, ...]
     finished: bool
     finish_time: float | None
     total_energy: float
@@ -109,27 +110,26 @@ class RaceResult:
     avg_speed: float
     flags: tuple[str, ...]
 
-    @property
-    def min_switch_gap(self) -> float | None:
-        return min_switch_interval(self)
-
     def summary_dict(self) -> dict:
         return {
             "finish_time_s": self.finish_time,
             "total_energy_J": self.total_energy,
             "switches": self.switches,
-            "min_switch_gap_s": self.min_switch_gap,
+            "min_switch_gap_s": min_switch_interval(self),
             "avg_speed_mps": self.avg_speed,
             "flags": list(self.flags),
         }
 
 
+def min_switch_gap(events: Iterable[tuple[float, str]]) -> float | None:
+    """Smallest gap between the switches of ``(t, flag)`` events and the start at t = 0."""
+    times = [0.0] + [t for t, flag in events if flag in SWITCH_FLAGS]
+    return min((b - a for a, b in zip(times, times[1:])), default=None)
+
+
 def min_switch_interval(result: RaceResult) -> float | None:
     """Smallest gap between consecutive engine switches, None below 2 events."""
-    times = result.switch_times
-    if len(times) < 2:
-        return None
-    return min(b - a for a, b in zip(times, times[1:]))
+    return min_switch_gap((s.t, s.flag) for s in result.samples)
 
 
 def replan(
@@ -177,17 +177,19 @@ def replan(
     return ReplanRecord(state.t, state.position, target, band, flag, reason)
 
 
-def switch_logic(engine_on: bool, speed: float, band: OscillationBand) -> bool:
-    """Hysteresis switching at the band edges: the new engine state.
+def switch_logic(
+    engine_on: bool, speed: float, band: OscillationBand, v_safe: float | Callable[[], float]
+) -> bool:
+    """The new engine state: on only where the band's hysteresis holds it on
+    (off at or above the top, on at or below the bottom, else unchanged) and
+    the speed is below the safety speed ``v_safe``.
 
-    Engine on and speed at or above the top: switch off.  Engine off and
-    speed at or below the bottom: switch on.  Anything else keeps the engine
-    state, including speeds outside the band after a safety clamp.  Counting
-    switches and charging their cost is the caller's job.
+    ``v_safe`` may be a function that reads it, called only where the
+    hysteresis holds the engine on.  Counting switches and charging their
+    cost is the caller's job.
     """
-    if engine_on:
-        return speed < band.upper
-    return speed <= band.lower
+    held = speed < band.upper if engine_on else speed <= band.lower
+    return held and speed < (v_safe() if callable(v_safe) else v_safe)
 
 
 def run_race(
@@ -225,7 +227,6 @@ def run_race(
     samples: list[TelemetrySample] = []
     trace: list[TelemetrySample] = []
     replans: list[ReplanRecord] = []
-    switch_times: list[float] = [0.0]
     flags: list[str] = []
     band: OscillationBand | None = None
     replan_at = 0.0       # time of the next replan that is not a period start
@@ -266,18 +267,18 @@ def run_race(
             period_due = period_due and not period_start
             stop_gap = record.flag or band.is_coast or band.upper >= track.safe_speed_at(x1)
             replan_at = t + RECHECK_INTERVAL if stop_gap else math.inf
-        if switch_logic(engine_on, x2, band) != engine_on:
+        if switch_logic(engine_on, x2, band, lambda: track.safe_speed_at(x1)) != engine_on:
             engine_on = not engine_on
             if engine_on:
                 switches += 1
                 period_due = True
-            switch_times.append(t)
-            take_sample(FLAG_SWITCH_ON if engine_on else FLAG_SWITCH_OFF, samples)
-        if engine_on and x2 >= track.safe_speed_at(x1):
-            engine_on = False
-            switch_times.append(t)
-            note_flag(FLAG_SAFETY)
-            take_sample(FLAG_SAFETY, samples)
+                flag = FLAG_SWITCH_ON
+            elif x2 >= band.upper:
+                flag = FLAG_SWITCH_OFF
+            else:  # an off-switch below the band top is the safety speed's
+                flag = FLAG_SAFETY
+                note_flag(flag)
+            take_sample(flag, samples)
         leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
         stuck = engine_on and leg.v0 == 0.0 and leg.b <= leg.A * leg.wind_speed**2
         if stuck and FLAG_STALLED not in flags:  # the engine cannot leave rest
@@ -313,7 +314,6 @@ def run_race(
         samples=tuple(samples),
         trace=tuple(trace),
         replans=tuple(replans),
-        switch_times=tuple(switch_times),
         finished=finished,
         finish_time=t if finished else None,
         total_energy=e_power + alpha * switches,

@@ -13,7 +13,8 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .controller import ControllerConfig, RaceResult
+from .controller import FLAG_FINISH, FLAG_REPLAN, FLAG_SWITCH_OFF, FLAG_SWITCH_ON
+from .controller import ControllerConfig, RaceResult, min_switch_gap
 from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
 from .errors import ScenarioError
 from .optimizer import GridSpec
@@ -276,18 +277,13 @@ def recompute_summary_from_telemetry(out_dir: str | Path) -> dict:
     if not rows:
         raise ScenarioError(f"{path}: no telemetry rows")
     t_end, x_end, _, _, switches, energy, _, _, last_flag = rows[-1]
-    switch_flags = {"switch_on", "switch_off", "safety_override"}
-    switch_times = [0.0] + [row[0] for row in rows if row[-1] in switch_flags]
-    min_gap = min((b - a for a, b in zip(switch_times, switch_times[1:])), default=None)
-    flags = []
-    for *_, fl in rows:
-        if fl and fl not in ("replan", "switch_on", "switch_off", "finish") and fl not in flags:
-            flags.append(fl)
+    routine = ("", FLAG_REPLAN, FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_FINISH)
+    flags = list(dict.fromkeys(fl for *_, fl in rows if fl not in routine))
     return {
-        "finish_time_s": t_end if last_flag == "finish" else None,
+        "finish_time_s": t_end if last_flag == FLAG_FINISH else None,
         "total_energy_J": energy,
         "switches": switches,
-        "min_switch_gap_s": min_gap,
+        "min_switch_gap_s": min_switch_gap((row[0], row[-1]) for row in rows),
         "avg_speed_mps": x_end / t_end if t_end > 0 else 0.0,
         "flags": flags,
     }

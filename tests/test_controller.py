@@ -29,6 +29,7 @@ from ecodrive.controller import (
     FLAG_INFEASIBLE,
     FLAG_SAFETY,
     FLAG_STALLED,
+    FLAG_SWITCH_ON,
     FLAG_UNREACHABLE,
 )
 
@@ -129,7 +130,7 @@ class TestReplan:
         assert record.flag == FLAG_INFEASIBLE
         # full effort: an engine that is off below the safety speed switches on
         assert record.band.lower == record.band.upper == 12.0
-        assert switch_logic(False, 5.0, record.band)
+        assert switch_logic(False, 5.0, record.band, track.safe_speed_at(0.0))
         assert record.reason.startswith("InfeasibleSliceError: ")
 
     def test_too_steep_climb_entered_coasting_switches_the_engine_on(
@@ -175,15 +176,15 @@ class TestReplan:
 
 class TestSwitchLogic:
     def test_reaching_the_top_switches_off(self):
-        assert switch_logic(True, 7.94, _band(6.1, 7.94)) is False
+        assert switch_logic(True, 7.94, _band(6.1, 7.94), math.inf) is False
 
     def test_coasting_inside_the_band(self):
-        assert switch_logic(False, 7.0, _band(6.1, 7.94)) is False
+        assert switch_logic(False, 7.0, _band(6.1, 7.94), math.inf) is False
 
     def test_reaching_the_bottom_switches_on_and_charges(
         self, params, const_power, zero_wind, short_cfg
     ):
-        assert switch_logic(False, 6.1, _band(6.1, 7.94)) is True
+        assert switch_logic(False, 6.1, _band(6.1, 7.94), math.inf) is True
         # the race counts each switch-on once and charges its cost at once
         track = TrackProfile.flat(2_000.0, 12.0)
         result = run_race(track, zero_wind, params, const_power, short_cfg)
@@ -198,17 +199,25 @@ class TestSwitchLogic:
     @given(
         speed=st.floats(min_value=0.0, max_value=17.0),
         engine_on=st.booleans(),
+        v_safe=st.one_of(st.just(math.inf), st.floats(min_value=0.1, max_value=20.0)),
     )
-    def test_total_function(self, speed, engine_on):
+    # at the band bottom and at the safety speed at once: the engine stays off
+    @example(speed=6.1, engine_on=False, v_safe=6.1)
+    def test_total_function(self, speed, engine_on, v_safe):
         band = _band(6.1, 7.94)
-        out = switch_logic(engine_on, speed, band)
+        out = switch_logic(engine_on, speed, band, v_safe)
         assert out in (True, False)
-        if speed >= band.upper:
+        if speed >= band.upper or speed >= v_safe:
             assert out is False
         elif speed <= band.lower:
             assert out is True
         else:
             assert out is engine_on
+        # a safety speed read by a function is read only where the hysteresis
+        # holds the engine on, and gives the same state
+        reads = []
+        assert switch_logic(engine_on, speed, band, lambda: reads.append(v_safe) or v_safe) is out
+        assert len(reads) == (speed < band.upper if engine_on else speed <= band.lower)
 
 
 class TestRunRace:
@@ -490,14 +499,37 @@ class TestRandomRaces:
         0.2970473001388605, 1.5644410476876351, False, 184.72848380643248,
     )
 
+    # coasting legs that reach the band bottom at or above the safety speed, at
+    # t = 62.26 s and 69.21 s: an override after the hysteresis switched the
+    # engine on and off at each, 4 switches and 2,728.678 J against 2 and 2α less
+    SWITCH_ON_AT_SAFETY = (
+        (0.0, 422.51087354761887, 518.5581948498799, 665.1112107599179),
+        (-0.018464981969940973, 0.022694490670857433, -0.0032449420704726423,
+         0.0055917856458476585),
+        (5.257209434350833, 10.334494149528538, 5.949312875789389, 8.653569870876314),
+        1.0494358904663996, -1.9642681767345773, False, 99.67001916926476,
+        "constant_electrical",
+    )
+
     @settings(max_examples=100, deadline=None)
     @given(args=random_races())
     @example(args=ZENO_TRAP)
     @example(args=COAST_UNDER_FALLING_SAFETY)
     @example(args=HEADWIND_CLIMB)
+    @example(args=SWITCH_ON_AT_SAFETY)
     def test_replans_are_bounded_by_the_events_that_call_them(self, args):
         track, wind, params, power, cfg = _windy_scenario(*args)
         result = run_race(track, wind, params, power, cfg)
+        # one switching rule: no switch-on is overridden at its own instant
+        overrides = {s.t for s in result.samples if s.flag == FLAG_SAFETY}
+        assert not any(s.flag == FLAG_SWITCH_ON and s.t in overrides for s in result.samples)
+        gap = min_switch_interval(result)
+        assert gap is None or gap > 0.0
+        # the trace grid is read off the legs: a finer one changes no event
+        fine = run_race(track, wind, params, power, replace(cfg, trace_interval=0.07))
+        assert fine.samples == result.samples
+        assert fine.total_energy == result.total_energy
+        assert fine.flags == result.flags
         end = result.samples[-1]
         # every race ends, at the finish or at the hard stop
         assert result.finished or end.t >= cfg.hard_stop_factor * cfg.race_duration - 1e-12
@@ -530,7 +562,6 @@ class TestTraceGrid:
             for dt in (0.5, 0.07)
         )
         assert fine.samples == coarse.samples
-        assert fine.switch_times == coarse.switch_times
         assert fine.total_energy == coarse.total_energy
         assert fine.flags == coarse.flags
         assert len(fine.trace) > len(coarse.trace)
