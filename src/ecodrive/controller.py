@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import (
     Leg,
@@ -83,8 +84,7 @@ class ReplanRecord:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(NamedTuple):
     t: float
     position: float
     speed: float
@@ -236,21 +236,10 @@ def run_race(
         if flag and flag not in flags:
             flags.append(flag)
 
-    def take_sample(flag: str, into: list[TelemetrySample], at: tuple | None = None) -> None:
-        t_at, x_at, v_at, e_at = at or (t, x1, x2, e_power)
-        into.append(
-            TelemetrySample(
-                t=t_at,
-                position=x_at,
-                speed=v_at,
-                engine_on=engine_on,
-                switches=switches,
-                energy=e_at + alpha * switches,
-                band_lower=band.lower if band is not None else 0.0,
-                band_upper=band.upper if band is not None else 0.0,
-                flag=flag,
-            )
-        )
+    def take_sample(flag: str, into: list[TelemetrySample]) -> None:
+        lower, upper = (band.lower, band.upper) if band is not None else (0.0, 0.0)
+        energy = e_power + alpha * switches
+        into.append(TelemetrySample(t, x1, x2, engine_on, switches, energy, lower, upper, flag))
 
     take_sample("", trace)
     next_trace = cfg.trace_interval
@@ -291,11 +280,15 @@ def run_race(
             min(replan_at, t_edge, t_hard), min(s_edge, race_len),
             track if engine_on else None,
         )
+        charged = alpha * switches
         while next_trace < t_new - 1e-12:
             tau = next_trace - t
             d = leg.distance(tau)
-            e_at = e_power + engine_energy(tau, d, engine_on, power, params)
-            take_sample("", trace, (next_trace, x1 + d, leg.speed(tau), e_at))
+            e_at = e_power + engine_energy(tau, d, engine_on, power, params) + charged
+            trace.append(TelemetrySample(
+                next_trace, x1 + d, leg.speed(tau), engine_on, switches, e_at,
+                band.lower, band.upper, "",
+            ))
             next_trace += cfg.trace_interval
         e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
         t, x1 = t_new, x_new

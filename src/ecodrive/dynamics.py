@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -610,14 +610,15 @@ class Leg:
         rate = b - A * r0 * r0
         if v0 == 0.0 and rate <= 0.0:
             return cls(0.0, params.drag_coeff, 0.0, 0.0)
-        leg = cls(b, A, wind_speed, v0, math.sqrt(abs(b / A)), _sgn(b * A))
+        k, sigma = math.sqrt(abs(b / A)), _sgn(b * A)
         if rate < 0.0:
             r_end = max(-wind_speed, 0.0) if params.signed_drag and r0 > 0.0 else -wind_speed
         elif rate > 0.0 and params.signed_drag and r0 < 0.0:
             r_end = 0.0
         else:
-            return leg
-        return replace(leg, end_speed=wind_speed + r_end, end_time=_branch_time(b, A, r0, r_end))
+            return cls(b, A, wind_speed, v0, k, sigma)
+        end_time = _branch_time(b, A, r0, r_end)
+        return cls(b, A, wind_speed, v0, k, sigma, wind_speed + r_end, end_time)
 
     def time_to(self, v1: float) -> float:
         """Time until the speed reaches ``v1`` on this leg, inf if it never does."""

@@ -256,8 +256,14 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
 
     trace_path = out_dir / "speed_trace.csv"
     lines = [TRACE_HEADER]
+    # the band and engine change only at replans and switches: format them once
+    # per run of rows holding the same objects (0.0 == -0.0 and nan != nan)
+    lower = upper = on = tail = object()  # matches no row
     for s in result.trace:
-        lines.append(f"{s.t!r},{s.speed!r},{s.band_lower!r},{s.band_upper!r},{int(s.engine_on)}")
+        if s.band_lower is not lower or s.band_upper is not upper or s.engine_on is not on:
+            lower, upper, on = s.band_lower, s.band_upper, s.engine_on
+            tail = f"{lower!r},{upper!r},{int(on)}"
+        lines.append(f"{s.t!r},{s.speed!r},{tail}")
     trace_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.json"

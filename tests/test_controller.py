@@ -15,6 +15,7 @@ from ecodrive import (
     PowerModel,
     RaceState,
     ScenarioError,
+    TelemetrySample,
     TrackProfile,
     VehicleParams,
     WindField,
@@ -218,6 +219,20 @@ class TestSwitchLogic:
         reads = []
         assert switch_logic(engine_on, speed, band, lambda: reads.append(v_safe) or v_safe) is out
         assert len(reads) == (speed < band.upper if engine_on else speed <= band.lower)
+
+
+class TestTelemetrySample:
+    def test_fields_in_positional_order(self):
+        # run_race builds samples positionally, so the order is the contract
+        assert TelemetrySample._fields == (
+            "t", "position", "speed", "engine_on", "switches",
+            "energy", "band_lower", "band_upper", "flag",
+        )
+
+    def test_immutable(self):
+        sample = TelemetrySample(0.0, 0.0, 0.0, True, 1, 10.0, 0.0, 0.0, "")
+        with pytest.raises(AttributeError):
+            sample.speed = 1.0
 
 
 class TestRunRace:

@@ -11,7 +11,9 @@ import ecodrive
 from ecodrive import (
     ControllerConfig,
     PowerModel,
+    RaceResult,
     ScenarioError,
+    TelemetrySample,
     TrackProfile,
     VehicleParams,
     WindField,
@@ -444,6 +446,56 @@ class TestEmitReport:
         lines = paths["speed_trace"].read_text().splitlines()
         assert lines[0] == "t_s,x2_mps,Va_mps,Vb_mps,u"
         assert len(lines) > 100
+
+
+def _per_row_trace(trace) -> list[str]:
+    """The speed trace formatted row by row, with no cache."""
+    return ["t_s,x2_mps,Va_mps,Vb_mps,u"] + [
+        f"{s.t!r},{s.speed!r},{s.band_lower!r},{s.band_upper!r},{int(s.engine_on)}"
+        for s in trace
+    ]
+
+
+class TestSpeedTraceFormat:
+    def test_synthetic_rows_match_the_per_row_format(self, tmp_path):
+        # rows share their band's float objects, as run_race's do; each edge
+        # change below keeps the rest of the row's band and engine state
+        zero, neg_zero, nan = 0.0, -0.0, math.nan
+        lower, upper = 6.1, 7.94
+        edges = [
+            (zero, zero, True),          # the start, before the first band
+            (neg_zero, zero, True),      # 0.0 -> -0.0, which compare equal
+            (neg_zero, neg_zero, True),
+            (lower, upper, True),        # a band change, engine unchanged
+            (lower, upper, True),
+            (lower, upper, False),       # an engine change, band unchanged
+            (lower, upper, False),
+            (nan, upper, False),         # a NaN edge, equal to nothing
+            (nan, upper, False),
+            (math.nan, upper, False),    # another NaN object
+            (lower, nan, True),
+            (lower, upper, True),
+            (float("6.1"), upper, True),  # an equal edge in a new object
+        ]
+        trace = tuple(
+            TelemetrySample(0.5 * i, 0.7 * i, 0.3 * i, on, 1, 10.0, lo, up, "")
+            for i, (lo, up, on) in enumerate(edges)
+        )
+        result = RaceResult(
+            samples=(trace[-1]._replace(flag="finish"),), trace=trace, replans=(),
+            finished=True, finish_time=trace[-1].t, total_energy=10.0, switches=1,
+            avg_speed=1.4, flags=(),
+        )
+        paths = emit_report(result, fixture_lib.flat16500(), tmp_path / "out")
+        assert paths["speed_trace"].read_text().splitlines() == _per_row_trace(trace)
+
+    def test_race_rows_match_the_per_row_format(self, short_scenario, tmp_path):
+        scenario, _ = short_scenario
+        result = run_race(
+            scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
+        )
+        paths = emit_report(result, scenario, tmp_path / "out")
+        assert paths["speed_trace"].read_text().splitlines() == _per_row_trace(result.trace)
 
 
 class TestOutDirPrecedence:
