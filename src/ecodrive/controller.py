@@ -142,12 +142,12 @@ def replan(
 ) -> ReplanRecord:
     """The oscillation band for the remaining-distance target at ``state``.
 
-    The target is remaining distance over remaining time.  Targets at or
-    above the local top equilibrium cannot be met through this section; the
-    controller then rides the maximal band and flags the record rather than
-    aborting.  An infeasible slice (e.g. a climb too steep for the engine)
-    falls back to full effort: both edges at the safety speed, so the engine
-    is switched on wherever the speed lies below it.
+    The target is remaining distance over remaining time, and ``optimal_band``
+    picks the band; only the fallbacks are picked here.  An infeasible slice
+    (e.g. a climb too steep for the engine) gets full effort: both edges at the
+    safety speed, so the engine is on wherever the speed lies below it.  Where
+    the band search raises, the flagged record rides the safety band, or full
+    effort where no safety band can be built; its reason names each error.
     """
     remaining_d = cfg.race_length - state.position
     remaining_t = cfg.race_duration - state.t
@@ -156,25 +156,23 @@ def replan(
     try:
         frozen = freeze(track, wind, params, power, state.position, state.t)
     except InfeasibleSliceError as exc:
-        band = OscillationBand(
-            lower=v_safe, upper=v_safe, dwell=0.0,
-            period=math.nan, distance=math.nan, energy=math.nan, avg_cost=math.nan,
-        )
-        reason = f"{type(exc).__name__}: {exc}"
+        band, reason = _full_effort(v_safe), f"{type(exc).__name__}: {exc}"
         return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE, reason)
-    flag, reason = "", ""
-    if target >= frozen.v_high:
-        flag = FLAG_UNREACHABLE
-        reason = f"target {target:.6g} m/s at or above the top equilibrium {frozen.v_high:.6g} m/s"
-    if flag or target >= v_safe:
-        band = safety_band(frozen, v_safe, cfg.safety_margin)
-    else:
+    try:
+        band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
+    except EcodriveError as exc:
+        reason = f"{type(exc).__name__}: {exc}"
         try:
-            band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
-        except EcodriveError as exc:
             band = safety_band(frozen, v_safe, cfg.safety_margin)
-            flag, reason = FLAG_UNREACHABLE, f"{type(exc).__name__}: {exc}"
-    return ReplanRecord(state.t, state.position, target, band, flag, reason)
+        except EcodriveError as unsafe:
+            band, reason = _full_effort(v_safe), f"{reason}; {type(unsafe).__name__}: {unsafe}"
+        return ReplanRecord(state.t, state.position, target, band, FLAG_UNREACHABLE, reason)
+    return ReplanRecord(state.t, state.position, target, band, "")
+
+
+def _full_effort(v_safe: float) -> OscillationBand:
+    """Both edges at the safety speed and no period: the engine is on wherever it is below."""
+    return OscillationBand(v_safe, v_safe, 0.0, math.nan, math.nan, math.nan, math.nan)
 
 
 def switch_logic(

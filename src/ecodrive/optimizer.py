@@ -39,7 +39,10 @@ class OscillationBand:
     """A periodic two-switch strategy: oscillate between lower and upper.
 
     A coast band (engine never on) is encoded with lower == upper and an
-    infinite period at zero average cost.
+    infinite period at zero average cost.  ``dwell`` is always 0.0: no slice
+    of the model reaches its top equilibrium in finite time, so no band can
+    hold it.  The field stays because ``optimize`` prints it as ``dwell_s``
+    and the benchmark hashes that output.
     """
 
     lower: float
@@ -100,46 +103,37 @@ def leg_time_distance(
     return frozen.leg_time_distance(engine_on, v0, v1)
 
 
-def band_from_limits(
-    frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float = 0.0
-) -> OscillationBand:
-    """One period oscillating between v_a and v_b: up leg, dwell at the top, down leg.
+def band_from_limits(frozen: FrozenDynamics, v_a: float, v_b: float) -> OscillationBand:
+    """One period oscillating between v_a and v_b: the up leg, then the down leg.
 
     The engine turns on once per period, so the switching cost is charged
-    once.  A dwell is only meaningful at the engine-on equilibrium, where the
-    speed can be held without changing mode.  Neither mode's acceleration may
-    change sign strictly inside the band.
+    once.  Neither mode's acceleration may change sign strictly inside the band.
     """
-    if not frozen.v_low < v_a < v_b <= frozen.v_high + ENDPOINT_MATCH_TOL:
+    if not frozen.v_low < v_a < v_b < frozen.v_high:
         raise InvalidSegmentError(
             f"band ({v_a}, {v_b}) must satisfy "
-            f"v_low < v_a < v_b <= v_high = ({frozen.v_low}, {frozen.v_high})"
+            f"v_low < v_a < v_b < v_high = ({frozen.v_low}, {frozen.v_high})"
         )
-    if dwell < 0.0:
-        raise InvalidSegmentError("dwell must be nonnegative")
-    if dwell > 0.0 and abs(v_b - frozen.v_high) > ENDPOINT_MATCH_TOL:
-        raise InvalidSegmentError("dwell is only possible at the top equilibrium")
     if any(frozen.mode_changes_sign(on, v_a, v_b) for on in (True, False)):
         raise InvalidSegmentError("mode acceleration changes sign strictly inside the segment")
     legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
     if not all(map(math.isfinite, legs[0] + legs[1])):
         raise InvalidSegmentError(f"band ({v_a}, {v_b}) ends at a rest speed it only approaches")
-    return _band(frozen, v_a, v_b, dwell, legs)
+    return _band(frozen, v_a, v_b, legs)
 
 
-def _band(frozen: FrozenDynamics, v_a: float, v_b: float, dwell: float, legs) -> OscillationBand:
+def _band(frozen: FrozenDynamics, v_a: float, v_b: float, legs) -> OscillationBand:
     """The band of the legs ``((t_up, d_up), (t_down, d_down))`` between v_a and v_b."""
     (t_up, d_up), (t_down, d_down) = legs
-    # the dwell holds v_b with the engine on, so it extends the up leg's draw
-    on_energy = engine_energy(t_up + dwell, d_up + v_b * dwell, True, frozen.power, frozen.params)
+    on_energy = engine_energy(t_up, d_up, True, frozen.power, frozen.params)
     energy = on_energy + frozen.params.switch_cost
-    period = t_up + dwell + t_down
+    period = t_up + t_down
     return OscillationBand(
         lower=v_a,
         upper=v_b,
-        dwell=dwell,
+        dwell=0.0,
         period=period,
-        distance=d_up + v_b * dwell + d_down,
+        distance=d_up + d_down,
         energy=energy,
         avg_cost=energy / period,
     )
@@ -158,10 +152,8 @@ def band_cost(
     limit, ``(v_b - avg)(1/f_on(v_b) - 1/f_off(v_b))/T``, finds where the
     average meets the target inside [target, top], from ``2 target - v_a``;
     the band at that root is returned when its average misses the target by
-    at most ``0.01 tol`` and raises otherwise.  When even a band reaching
-    almost the top equilibrium undershoots the target - possible only when
-    the equilibrium is attained in finite time - the band saturates at the
-    equilibrium and the balance is made up by dwelling there.  A candidate
+    at most ``0.01 tol`` and raises otherwise, as it does where even the band
+    reaching almost the top equilibrium undershoots the target.  A candidate
     within rounding of the target or of a coasting rest speed, or whose legs
     would cross a root of either mode's acceleration, is infeasible: one
     check covers the whole bracket.
@@ -203,26 +195,18 @@ def band_cost(
         raise InfeasibleCandidateError(
             f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
         )
-    band = _band(frozen, v_a, v_b, 0.0, legs)
+    band = _band(frozen, v_a, v_b, legs)
     missed = band.avg_speed - v_target
     if v_b == v_b_max and missed < 0.0:
-        return _saturated_band(frozen, v_a, v_target)
+        raise InfeasibleCandidateError(
+            f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "
+            "the top equilibrium is only approached asymptotically"
+        )
     if not abs(missed) <= 0.01 * tol:
         raise NumericError(
             f"upper limit {v_b:.9g} misses the target {v_target:.6g} by more than {0.01 * tol:.3g}"
         )
     return band
-
-
-def _saturated_band(frozen: FrozenDynamics, v_a: float, v_target: float) -> OscillationBand:
-    if math.isinf(leg_time_distance(frozen, True, v_a, frozen.v_high)[0]):
-        raise InfeasibleCandidateError(
-            f"no upper limit achieves average {v_target:.6g} from v_a={v_a:.6g}: "
-            "the top equilibrium is only approached asymptotically"
-        )
-    cycle = band_from_limits(frozen, v_a, frozen.v_high)
-    dwell = (v_target * cycle.period - cycle.distance) / (frozen.v_high - v_target)
-    return band_from_limits(frozen, v_a, frozen.v_high, max(dwell, 0.0))
 
 
 def optimal_band(
@@ -234,10 +218,13 @@ def optimal_band(
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
-    Solves for the interior optimum (``_newton_band``); where that fails, or where F's
-    curvature changes sign and a cheaper minimum can sit on the rest-speed bound,
-    ``_rooted_band`` compares the bound too.  A band topping out above ``v_safe`` is
-    replaced by the safety band (v_safe - delta, v_safe), which misses the target.
+    The one place that picks a band, in this order: a target at or above the top
+    equilibrium raises ``InfeasibleTargetError``; one at or above ``v_safe`` gets the
+    safety band (v_safe - delta, v_safe), which misses it; one at or below the rest
+    speed gets the coast band.  Otherwise it solves for the interior optimum
+    (``_newton_band``); where that fails, or where F's curvature changes sign and a
+    cheaper minimum can sit on the rest-speed bound, ``_rooted_band`` compares the
+    bound too.  A band topping out above ``v_safe`` is replaced by the safety band.
     """
     grid = grid or GridSpec()
     if not v_safe > 0.0 or math.isnan(v_target):
@@ -246,14 +233,14 @@ def optimal_band(
         raise InfeasibleTargetError(
             f"target {v_target:.6g} m/s is not below v_high {frozen.v_high:.6g} m/s"
         )
+    if v_target >= v_safe:
+        return safety_band(frozen, v_safe, delta)
     if v_target <= frozen.v_low:
         return coast_band(v_target)
     best = _newton_band(frozen, v_target, grid.tol)
     if best is None or tradeoff_curvature(frozen) == "neither":
         best = _rooted_band(frozen, v_target, grid.tol, best)
-    if best.upper > v_safe:
-        return safety_band(frozen, v_safe, delta)
-    return best
+    return safety_band(frozen, v_safe, delta) if best.upper > v_safe else best
 
 
 def _certificate(frozen: FrozenDynamics, band: OscillationBand, v_target: float):
@@ -293,7 +280,7 @@ def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> Oscilla
         if not bound < v_a < v_target < v_b < v_b_max:
             return None
         legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
-        band = _band(frozen, v_a, v_b, 0.0, legs)
+        band = _band(frozen, v_a, v_b, legs)
         (miss, residual), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
         det = j11 * j22 - j12 * j21
         if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
@@ -314,9 +301,9 @@ def _rooted_band(
     """The cheaper of the solved band, or else the certificate's rising root, and the bound.
 
     ``increasing_root`` on the residual of ``band_cost``'s band over the lower speeds (rest
-    speed, target), with its slope along the curve.  A lower speed whose band is infeasible,
-    unresolved or saturated counts as below the optimum, the target as above it, and a
-    residual within 1e-9 of the cost, as ``band_cost`` resolves it, as 0.
+    speed, target), with its slope along the curve.  A lower speed whose band is infeasible
+    or unresolved counts as below the optimum, the target as above it, and a residual
+    within 1e-9 of the cost, as ``band_cost`` resolves it, as 0.
     """
     bands = {} if solved is None else {solved.lower: solved}  # or why not, by lower speed
 
@@ -327,8 +314,6 @@ def _rooted_band(
             band = bands[v_a] = band_cost(frozen, v_a, v_target, tol)
         except (InfeasibleCandidateError, NumericError) as exc:
             bands[v_a] = str(exc)  # not the error, whose traceback holds this frame
-            return -math.inf, 0.0
-        if band.upper == frozen.v_high:  # saturated: wider bands dwell at the top too
             return -math.inf, 0.0
         (_, r), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
         return (0.0 if abs(r) <= 1e-9 * band.avg_cost else r), j21 - j22 * j11 / j12

@@ -29,7 +29,7 @@ from ecodrive.dynamics import (
     engine_energy,
 )
 from ecodrive.errors import InfeasibleCandidateError
-from ecodrive.optimizer import UPPER_BRACKET_MARGIN, _saturated_band
+from ecodrive.optimizer import UPPER_BRACKET_MARGIN
 from ecodrive.quadrature import ABS_FLOOR, adaptive_quadrature
 
 # truncation offset near a vanishing endpoint, as a fraction of the band width
@@ -244,7 +244,7 @@ def sqrt_top_slice(params, power) -> SqrtTopSlice:
 
 def bisection_upper_limit(
     frozen: FrozenDynamics, v_a: float, v_target: float, tol: float = 1e-4
-) -> tuple[float, float]:
+) -> float:
     """Upper limit by 60 halvings of [target, top], stopping within ``0.01 tol``."""
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError("need v_low < v_a < target < v_high")
@@ -266,8 +266,7 @@ def bisection_upper_limit(
         return (d_fixed + d_up + d_dn) / (t_fixed + t_up + t_dn)
 
     if average(v_b_max) < v_target:
-        band = _saturated_band(frozen, v_a, v_target)
-        return band.upper, band.dwell
+        raise InfeasibleCandidateError("the top equilibrium is only approached asymptotically")
     lo, hi = v_target, v_b_max
     mid = 0.5 * (lo + hi)
     for _ in range(60):
@@ -279,7 +278,7 @@ def bisection_upper_limit(
             lo = mid
         else:
             hi = mid
-    return mid, 0.0
+    return mid
 
 
 def scan_check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:

@@ -119,6 +119,8 @@ class TestReplan:
         record = replan(state, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_UNREACHABLE
         assert record.band.upper < 6.0  # rides just under the local equilibrium
+        # the band search, not the controller, compares the target with the top
+        assert record.reason.startswith("InfeasibleTargetError: ")
 
     def test_infeasible_slice_falls_back_to_full_effort(
         self, params, const_power, zero_wind
@@ -150,6 +152,23 @@ class TestReplan:
         assert entry.flag == FLAG_INFEASIBLE and not entry.engine_on and entry.speed > 0.0
         assert after.flag == "switch_on" and after.t == entry.t
 
+    def test_no_safety_band_falls_back_to_full_effort(self, params, const_power):
+        # a climb into a tailwind: the engine-on acceleration changes sign near
+        # 1.83 m/s, so no band meets the target of 1.67, and the safety band
+        # (1.7, 2.2) would span that root too: full effort, and the race runs on
+        track = TrackProfile((0.0, 1_000.0), (0.015, 0.015), (2.2, 2.2))
+        wind = WindField((0.0,), (0.0,), ((8.0,),))
+        cfg = ControllerConfig(race_length=1_000.0, race_duration=600.0)
+        state = RaceState(0.0, 0.0, 0.0, True, 1, 10.0)
+        record = replan(state, track, wind, params, const_power, cfg)
+        assert record.flag == FLAG_UNREACHABLE
+        assert record.band.lower == record.band.upper == 2.2
+        assert record.reason.startswith("InfeasibleCandidateError: ")
+        assert "; InvalidSegmentError: " in record.reason
+        result = run_race(track, wind, params, const_power, cfg)
+        assert not result.finished
+        assert result.replans[0].reason == record.reason
+
     def test_band_search_error_is_recorded(
         self, params, const_power, zero_wind, monkeypatch
     ):
@@ -173,6 +192,27 @@ class TestReplan:
         record = replan(state, track, zero_wind, params, const_power, cfg)
         assert record.band.upper == pytest.approx(6.5)
         assert record.band.lower == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("safe, duration", [(6.5, 2_357.0), (12.0, 500.0)])
+    def test_every_target_goes_to_the_band_search(
+        self, params, const_power, zero_wind, monkeypatch, safe, duration
+    ):
+        # targets of 7.0 above the safety speed and of 33 above the top: the
+        # controller asks optimal_band once and compares neither bound itself
+        calls = []
+        inner = controller.optimal_band
+
+        def recording(frozen, target, *args):
+            calls.append(target)
+            return inner(frozen, target, *args)
+
+        monkeypatch.setattr(controller, "optimal_band", recording)
+        track = TrackProfile.flat(16_500.0, safe)
+        cfg = ControllerConfig(race_length=16_500.0, race_duration=duration)
+        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
+        record = replan(state, track, zero_wind, params, const_power, cfg)
+        assert calls == [record.target]
+        assert record.band.upper <= safe
 
 
 class TestSwitchLogic:

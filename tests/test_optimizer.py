@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 import oracles
-from quadrature_legs import GeneralLawSlice, bisection_upper_limit, sqrt_top_slice
+from quadrature_legs import GeneralLawSlice, bisection_upper_limit
 from ecodrive import (
     FrozenDynamics,
     GridSpec,
@@ -30,7 +30,7 @@ from ecodrive.optimizer import leg_time_distance, safety_band
 
 
 class TestUpperLimit:
-    """The upper limit and dwell of ``band_cost``'s band."""
+    """The upper limit of ``band_cost``'s band."""
 
     def test_reference_candidate(self, flat_slice):
         band = band_cost(flat_slice, 6.1, 7.0)
@@ -135,7 +135,7 @@ class TestUpperLimitOnRandomSlices:
         v_b = band.upper
         assert band.dwell == 0.0
         assert abs(band_from_limits(frozen, v_a, v_b).avg_speed - v_target) <= 0.01 * tol
-        assert v_b == pytest.approx(bisection_upper_limit(frozen, v_a, v_target, tol)[0], abs=tol)
+        assert v_b == pytest.approx(bisection_upper_limit(frozen, v_a, v_target, tol), abs=tol)
         for engine_on, v0, v1 in ((True, v_a, v_b), (False, v_b, v_a)):
             kink = [frozen.wind_speed] if signed and v_a < frozen.wind_speed < v_b else None
 
@@ -162,7 +162,7 @@ class TestUpperLimitOnRandomSlices:
             band = band_cost(frozen, v_a, v_target)
         except InfeasibleCandidateError:
             assume(False)
-        again = band_from_limits(frozen, v_a, band.upper, band.dwell)
+        again = band_from_limits(frozen, v_a, band.upper)
         assert band == again  # field for field
 
     @settings(max_examples=60, deadline=None)
@@ -192,7 +192,7 @@ class TestUpperLimitOnRandomSlices:
             if "changes sign" in str(exc):
                 # the bisection only runs once the bracket's own check passed
                 assert pair_rejects(v_b_max) or pair_rejects(
-                    bisection_upper_limit(frozen, v_a, v_target)[0]
+                    bisection_upper_limit(frozen, v_a, v_target)
                 )
             else:  # rejected before the band was checked
                 assert not pair_rejects(v_b_max)
@@ -390,6 +390,23 @@ class TestOptimalBand:
         for v_safe in (6.0, 7.5, 9.0, 12.0):
             band = optimal_band(flat_slice, 7.0, v_safe=v_safe)
             assert band.upper <= v_safe + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(**RANDOM_SLICES, safe=st.floats(min_value=0.5, max_value=1.5))
+    # a descent whose coasting rest speed, 16.64 m/s, lies above the target of
+    # 10 m/s: a coast band at the target would top out above the safety speed of 8
+    @example(False, 0.0, -0.02, False, 0.40478481423506435, 0.8)
+    def test_no_band_tops_out_above_the_safety_speed(self, signed, wind, slope, wheel, u_t, safe):
+        # the target is the fraction u_t of v_high, so on descents it can lie at
+        # or below the rest speed, and the safety speed lies on either side of it
+        frozen, _ = _random_slice(signed, wind, slope, wheel, u_t)
+        target = u_t * frozen.v_high
+        v_safe = safe * target
+        try:
+            band = optimal_band(frozen, target, v_safe)
+        except (InfeasibleCandidateError, InvalidSegmentError):
+            return  # no band at all: the controller's fallbacks take over
+        assert band.upper <= v_safe
 
     def test_safety_band_tops_out_below_the_equilibrium(self, flat_slice):
         # a safety speed just under v_high is still clamped strictly below it
@@ -637,18 +654,6 @@ class TestNewtonBand:
         band = optimal_band(frozen, 2.5, v_safe=30.0)
         assert band.avg_cost <= _reference_band(frozen, 2.5).avg_cost * (1.0 + 1e-9)
 
-    def test_saturated_band_at_the_bound_is_a_candidate(self, params, const_power):
-        # v_high = 10 is attained in finite time, so the band from the rest speed
-        # saturates and dwells there; it has no slope at the top, and the search
-        # still compares it
-        frozen, target = sqrt_top_slice(params, const_power), 9.7
-        assert optimizer._newton_band(frozen, target, GridSpec().tol) is None
-        saturated = band_cost(frozen, frozen.v_low + 1e-9, target)
-        assert saturated.dwell > 0.0
-        band = optimal_band(frozen, target, v_safe=30.0)
-        assert band.avg_cost <= saturated.avg_cost
-        assert abs(band.avg_speed - target) <= 0.01 * GridSpec().tol
-
     @settings(max_examples=200, deadline=None)
     @given(**RANDOM_SLICES)
     @example(*SLICE_A)
@@ -672,16 +677,11 @@ class TestNewtonBand:
 
 
 class TestSaturatedUpperLimit:
-    def test_dwell_at_the_top(self, params, const_power):
-        frozen = sqrt_top_slice(params, const_power)
-        band = band_cost(frozen, 2.0, 9.7)
-        assert band.upper == pytest.approx(10.0)
-        assert band.dwell > 0.0
-        assert band.avg_speed == pytest.approx(9.7, abs=1e-4)
-
     def test_top_only_approached_is_infeasible(self, flat_slice):
+        # from 0.5 m/s even the band reaching 1e-6 below the top of 16.83 m/s
+        # averages only 12.83: the root stops at the end of its bracket
         with pytest.raises(InfeasibleCandidateError, match="asymptotically"):
-            optimizer._saturated_band(flat_slice, 6.0, 7.0)
+            band_cost(flat_slice, 0.5, 16.8)
 
 
 class TestBandFromLimits:

@@ -345,10 +345,9 @@ class TestPeriodStats:
     def test_band_validation(self, flat_slice):
         with pytest.raises(InvalidSegmentError):
             band_from_limits(flat_slice, 7.94, 6.1)
-        with pytest.raises(InvalidSegmentError):
-            band_from_limits(flat_slice, 6.1, 7.94, dwell=-1.0)
-        with pytest.raises(InvalidSegmentError):
-            band_from_limits(flat_slice, 6.1, 7.94, dwell=5.0)  # dwell below the top
+        # no band reaches the top equilibrium, which each leg only approaches
+        with pytest.raises(InvalidSegmentError, match="v_b < v_high"):
+            band_from_limits(flat_slice, 6.1, flat_slice.v_high)
 
     def test_band_across_an_engine_on_root_rejected(self, params, const_power):
         # climb into a tailwind: the engine-on acceleration changes sign near 1.83 m/s
@@ -370,16 +369,3 @@ class TestSaturatingSlice:
         seg = SpeedSegment(frozen, True, 0.0, 10.0)
         # int_0^10 dx / (0.2 sqrt((10-x)/10)) = 2 * 10 / 0.2 = 100 s
         assert elapsed_time(seg) == pytest.approx(100.0, rel=1e-6)
-
-    def test_dwell_balances_average(self, params, const_power):
-        frozen = sqrt_top_slice(params, const_power)
-        band = band_from_limits(frozen, 2.0, 10.0, dwell=30.0)
-        up = SpeedSegment(frozen, True, 2.0, 10.0)
-        down = SpeedSegment(frozen, False, 10.0, 2.0)
-        t_osc = elapsed_time(up) + elapsed_time(down)
-        d_osc = covered_length(up) + covered_length(down)
-        assert band.period == pytest.approx(t_osc + 30.0, rel=1e-8)
-        assert band.distance == pytest.approx(d_osc + 300.0, rel=1e-8)
-        assert band.energy == pytest.approx(
-            energy_used(up) + 161.0 * 30.0 + 10.0, rel=1e-8
-        )
