@@ -8,7 +8,7 @@ hysteresis machine switches the engine off at the band top and on at the
 band bottom, and keeps it off wherever the speed reaches the local safety
 speed: one rule for both.  Between decisions the state jumps from event to
 event along closed-form legs, so every switch lands exactly on its threshold;
-the dense trace is read off the running leg.
+the race records its legs, and the report reads the trace off them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ControllerConfig:
     safety_margin: float = 0.5              # m/s below the safety speed
     grid: GridSpec = GridSpec()
     hard_stop_factor: float = 1.2           # simulation cap at factor * duration
-    trace_interval: float = 0.5             # s between dense trace rows
+    trace_interval: float = 0.5             # s between speed trace rows
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.race_length < math.inf:
@@ -96,12 +96,25 @@ class TelemetrySample(NamedTuple):
     flag: str
 
 
+class LegRecord(NamedTuple):
+    """One constant-mode leg of a race: its start, its law and band, and the event ending it."""
+
+    t: float
+    position: float
+    energy: float               # at the start, switch charges included
+    leg: Leg
+    engine_on: bool
+    band: OscillationBand
+    t_end: float
+    speed_end: float            # the speed the event landed on
+
+
 @dataclass(frozen=True)
 class RaceResult:
-    """Telemetry series plus summary statistics of one simulated run."""
+    """Telemetry series, the legs run, and summary statistics of one simulated run."""
 
     samples: tuple[TelemetrySample, ...]
-    trace: tuple[TelemetrySample, ...]
+    legs: tuple[LegRecord, ...]
     replans: tuple[ReplanRecord, ...]
     finished: bool
     finish_time: float | None
@@ -130,6 +143,21 @@ def min_switch_gap(events: Iterable[tuple[float, str]]) -> float | None:
 def min_switch_interval(result: RaceResult) -> float | None:
     """Smallest gap between consecutive engine switches, None below 2 events."""
     return min_switch_gap((s.t, s.flag) for s in result.samples)
+
+
+def trace_rows(legs: Iterable[LegRecord], interval: float) -> list[tuple]:
+    """Speed trace rows ``(t, speed, band_lower, band_upper, engine_on)`` read off ``legs``: one
+    at rest, then one every ``interval`` s; an event up to 1e-12 s past it takes its row."""
+    rows, next_t = [(0.0, 0.0, 0.0, 0.0, True)], interval
+    for t0, _, _, leg, on, band, t_end, speed_end in legs:
+        speed, lower, upper = leg.speed, band.lower, band.upper
+        while next_t < t_end - 1e-12:
+            rows.append((next_t, speed(next_t - t0), lower, upper, on))
+            next_t += interval
+        if t_end >= next_t - 1e-12:
+            rows.append((t_end, speed_end, lower, upper, on))
+            next_t += interval
+    return rows
 
 
 def replan(
@@ -204,26 +232,22 @@ def run_race(
     constant-mode legs.  Replans are events too: at the start, at each cell
     edge, where a coasting leg reaches the band bottom (once per switch-on: a
     met target holds for whole periods) and ``RECHECK_INTERVAL`` after a band
-    that misses it.  Telemetry is taken at every replan and switch; the dense
-    trace is read off the running leg.  Stops at the finish or hard cap.
+    that misses it.  Telemetry is taken at every replan and switch; the race records
+    its legs, and the report reads the trace off them.  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
-        raise ScenarioError(
-            f"race length {cfg.race_length} exceeds track length {track.length}"
-        )
+        raise ScenarioError(f"race length {cfg.race_length} exceeds track length {track.length}")
     race_len = cfg.race_length
     t_hard = cfg.hard_stop_factor * cfg.race_duration
     alpha = params.switch_cost
 
-    t = 0.0
-    x1 = 0.0
-    x2 = 0.0
+    t = x1 = x2 = 0.0
     engine_on = True
     switches = 1          # the initial start from rest is an off->on switch
     e_power = 0.0
 
     samples: list[TelemetrySample] = []
-    trace: list[TelemetrySample] = []
+    legs: list[LegRecord] = []
     replans: list[ReplanRecord] = []
     flags: list[str] = []
     band: OscillationBand | None = None
@@ -234,13 +258,11 @@ def run_race(
         if flag and flag not in flags:
             flags.append(flag)
 
-    def take_sample(flag: str, into: list[TelemetrySample]) -> None:
+    def take_sample(flag: str) -> None:
         lower, upper = (band.lower, band.upper) if band is not None else (0.0, 0.0)
         energy = e_power + alpha * switches
-        into.append(TelemetrySample(t, x1, x2, engine_on, switches, energy, lower, upper, flag))
+        samples.append(TelemetrySample(t, x1, x2, engine_on, switches, energy, lower, upper, flag))
 
-    take_sample("", trace)
-    next_trace = cfg.trace_interval
     while x1 < race_len - 1e-9 and t < t_hard - 1e-12:
         # the coasting leg landed on the band bottom: the next period starts
         period_start = period_due and not engine_on and x2 == band.lower
@@ -250,7 +272,7 @@ def run_race(
             band = record.band
             replans.append(record)
             note_flag(record.flag)
-            take_sample(record.flag or FLAG_REPLAN, samples)
+            take_sample(record.flag or FLAG_REPLAN)
             period_due = period_due and not period_start
             stop_gap = record.flag or band.is_coast or band.upper >= track.safe_speed_at(x1)
             replan_at = t + RECHECK_INTERVAL if stop_gap else math.inf
@@ -265,12 +287,12 @@ def run_race(
             else:  # an off-switch below the band top is the safety speed's
                 flag = FLAG_SAFETY
                 note_flag(flag)
-            take_sample(flag, samples)
+            take_sample(flag)
         leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
         stuck = engine_on and leg.v0 == 0.0 and leg.b <= leg.A * leg.wind_speed**2
         if stuck and FLAG_STALLED not in flags:  # the engine cannot leave rest
             note_flag(FLAG_STALLED)
-            take_sample(FLAG_STALLED, samples)
+            take_sample(FLAG_STALLED)
         s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
         t_edge = wind.next_boundary_t(t)
         t_new, x_new, x2 = _next_event(
@@ -278,38 +300,25 @@ def run_race(
             min(replan_at, t_edge, t_hard), min(s_edge, race_len),
             track if engine_on else None,
         )
-        charged = alpha * switches
-        while next_trace < t_new - 1e-12:
-            tau = next_trace - t
-            d = leg.distance(tau)
-            e_at = e_power + engine_energy(tau, d, engine_on, power, params) + charged
-            trace.append(TelemetrySample(
-                next_trace, x1 + d, leg.speed(tau), engine_on, switches, e_at,
-                band.lower, band.upper, "",
-            ))
-            next_trace += cfg.trace_interval
+        legs.append(LegRecord(t, x1, e_power + alpha * switches, leg, engine_on, band, t_new, x2))
         e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
         t, x1 = t_new, x_new
-        if t >= next_trace - 1e-12:
-            take_sample("", trace)
-            next_trace += cfg.trace_interval
         if x1 >= s_edge or t >= t_edge:
             replan_at = t  # the slice changes here
 
     finished = x1 >= race_len - 1e-9
-    take_sample(FLAG_FINISH if finished else FLAG_DNF, samples)
+    take_sample(FLAG_FINISH if finished else FLAG_DNF)
     if not finished:
         note_flag(FLAG_DNF)
-    avg_speed = x1 / t if t > 0.0 else 0.0
     return RaceResult(
         samples=tuple(samples),
-        trace=tuple(trace),
+        legs=tuple(legs),
         replans=tuple(replans),
         finished=finished,
         finish_time=t if finished else None,
         total_energy=e_power + alpha * switches,
         switches=switches,
-        avg_speed=avg_speed,
+        avg_speed=x1 / t if t > 0.0 else 0.0,
         flags=tuple(flags),
     )
 

@@ -325,9 +325,10 @@ def _rooted_band(
         residual(lo)
     feasible = [band for band in bands.values() if isinstance(band, OscillationBand)]
     if not feasible:
+        refused = list(bands.values())  # each a message, as no band is feasible
         raise InfeasibleCandidateError(
-            "no lower speed admits the target average speed: "
-            + "; ".join(bands.values())
+            f"no lower speed admits the target average speed ({len(refused)} refused); "
+            f"first: {refused[0]}; last: {refused[-1]}"
         )
     return min(feasible, key=lambda band: band.avg_cost)
 

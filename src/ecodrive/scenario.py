@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .controller import FLAG_FINISH, FLAG_REPLAN, FLAG_SWITCH_OFF, FLAG_SWITCH_ON
-from .controller import ControllerConfig, RaceResult, min_switch_gap
+from .controller import ControllerConfig, RaceResult, min_switch_gap, trace_rows
 from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
 from .errors import ScenarioError
 from .optimizer import GridSpec
@@ -259,11 +259,11 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
     # the band and engine change only at replans and switches: format them once
     # per run of rows holding the same objects (0.0 == -0.0 and nan != nan)
     lower = upper = on = tail = object()  # matches no row
-    for s in result.trace:
-        if s.band_lower is not lower or s.band_upper is not upper or s.engine_on is not on:
-            lower, upper, on = s.band_lower, s.band_upper, s.engine_on
+    for t, speed, lo, up, engine_on in trace_rows(result.legs, scenario.controller.trace_interval):
+        if lo is not lower or up is not upper or engine_on is not on:
+            lower, upper, on = lo, up, engine_on
             tail = f"{lower!r},{upper!r},{int(on)}"
-        lines.append(f"{s.t!r},{s.speed!r},{tail}")
+        lines.append(f"{t!r},{speed!r},{tail}")
     trace_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.json"

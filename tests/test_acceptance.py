@@ -11,6 +11,7 @@ import numpy as np
 
 import oracles
 import stepper
+from dense_trace import dense_trace
 from segments import (
     SpeedSegment,
     acceleration_profile,
@@ -242,9 +243,11 @@ def test_criterion_10_no_zeno_and_safety(flat_race, hill_race, gust_race):
         bound = scenario.params.switch_cost / max(costs)
         gap = min_switch_interval(result)
         track = scenario.track
+        interval = scenario.controller.trace_interval
+        trace = dense_trace(result, interval, scenario.power, scenario.params)
         over = max(
             s.speed - track.safe_speed_at(min(s.position, track.length))
-            for s in result.trace + result.samples
+            for s in trace + result.samples
         )
         ok = gap > bound and over <= 0.2
         all_ok = all_ok and ok

@@ -1,11 +1,15 @@
 import math
+import re
+import tempfile
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dense_trace import dense_trace, per_row_trace, speed_rows
 from ecodrive import (
+    DEFAULT_PARAMS,
     ControllerConfig,
     FrozenDynamics,
     InfeasibleSliceError,
@@ -14,11 +18,13 @@ from ecodrive import (
     OscillationBand,
     PowerModel,
     RaceState,
+    Scenario,
     ScenarioError,
     TelemetrySample,
     TrackProfile,
     VehicleParams,
     WindField,
+    emit_report,
     min_switch_interval,
     replan,
     run_race,
@@ -169,6 +175,22 @@ class TestReplan:
         assert not result.finished
         assert result.replans[0].reason == record.reason
 
+    def test_refused_lower_speeds_are_counted_not_listed(self):
+        # the climb above with the vehicle and power model of its CI report: about
+        # 40 lower speeds are refused at each replan, and a reason that joined all
+        # their messages ran to 3,087-3,112 characters
+        track = TrackProfile((0.0, 1_000.0), (0.015, 0.015), (2.2, 2.2))
+        wind = WindField((0.0,), (0.0,), ((8.0,),))
+        cfg = ControllerConfig(race_length=1_000.0, race_duration=600.0)
+        result = run_race(track, wind, DEFAULT_PARAMS, PowerModel(), cfg)
+        reasons = [r.reason for r in result.replans if r.flag == FLAG_UNREACHABLE]
+        assert reasons
+        for reason in reasons:
+            assert len(reason) < 400
+            refused = re.search(r"\((\d+) refused\); first: ", reason)
+            assert refused and int(refused.group(1)) > 1
+            assert "; last: " in reason
+
     def test_band_search_error_is_recorded(
         self, params, const_power, zero_wind, monkeypatch
     ):
@@ -315,7 +337,8 @@ class TestRunRace:
         track = TrackProfile((0.0, 800.0, 1200.0, 2000.0), (0.0,) * 4, (12.0, 12.0, 6.5, 6.5))
         result = run_race(track, zero_wind, params, const_power, short_cfg)
         assert FLAG_SAFETY in result.flags
-        for s in result.samples + result.trace:
+        trace = dense_trace(result, short_cfg.trace_interval, const_power, params)
+        for s in result.samples + trace:
             v_safe = track.safe_speed_at(s.position)
             if s.flag == FLAG_SAFETY:
                 assert s.speed == pytest.approx(v_safe, abs=1e-9)
@@ -597,9 +620,20 @@ class TestRandomRaces:
         )
         assert len(result.replans) <= 1 + result.switches + cells + rechecks
 
+    @settings(max_examples=50, deadline=None)
+    @given(args=random_races(), interval=st.sampled_from((0.07, 0.5, 1.3)))
+    def test_speed_trace_is_the_reference_formatted_row_by_row(self, args, interval):
+        track, wind, params, power, cfg = _windy_scenario(*args)
+        cfg = replace(cfg, trace_interval=interval)
+        result = run_race(track, wind, params, power, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = emit_report(result, Scenario("random", params, power, track, wind, cfg), tmp)
+            lines = paths["speed_trace"].read_text().splitlines()
+        assert lines == per_row_trace(speed_rows(dense_trace(result, interval, power, params)))
+
 
 class TestTraceGrid:
-    """The dense trace is read off the running leg, so its grid never changes the race."""
+    """The trace is read off the race's recorded legs, so its grid never changes the race."""
 
     RACES = {
         "flat16500": lambda: _fixture_race(fixture_lib.flat16500),
@@ -612,15 +646,20 @@ class TestTraceGrid:
     @pytest.mark.parametrize("name", sorted(RACES))
     def test_race_is_the_same_on_a_finer_grid(self, name):
         track, wind, params, power, cfg = self.RACES[name]()
+        grids = (0.5, 0.07)
         coarse, fine = (
-            run_race(track, wind, params, power, replace(cfg, trace_interval=dt))
-            for dt in (0.5, 0.07)
+            run_race(track, wind, params, power, replace(cfg, trace_interval=dt)) for dt in grids
         )
         assert fine.samples == coarse.samples
         assert fine.total_energy == coarse.total_energy
         assert fine.flags == coarse.flags
-        assert len(fine.trace) > len(coarse.trace)
-        # the samples read off each leg run forward in time, place and energy
-        for run in (coarse, fine):
-            for a, b in zip(run.trace, run.trace[1:]):
+        coarse_trace, fine_trace = (
+            dense_trace(run, dt, power, params) for run, dt in zip((coarse, fine), grids)
+        )
+        assert len(fine_trace) > len(coarse_trace)
+        for run, dt, trace in zip((coarse, fine), grids, (coarse_trace, fine_trace)):
+            # the report's rows are the reference's, field for field
+            assert controller.trace_rows(run.legs, dt) == speed_rows(trace)
+            # the samples read off each leg run forward in time, place and energy
+            for a, b in zip(trace, trace[1:]):
                 assert b.t > a.t and b.position >= a.position and b.energy >= a.energy

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import ecodrive
+from dense_trace import dense_trace, per_row_trace, speed_rows
 from ecodrive import (
     ControllerConfig,
+    Leg,
+    OscillationBand,
     PowerModel,
     RaceResult,
     ScenarioError,
@@ -22,6 +25,7 @@ from ecodrive import (
 )
 from ecodrive import fixtures as fixture_lib
 from ecodrive import harness
+from ecodrive.controller import LegRecord, trace_rows
 from ecodrive.harness import main
 from ecodrive.scenario import (
     CONTROLLER_FIELDS,
@@ -448,22 +452,14 @@ class TestEmitReport:
         assert len(lines) > 100
 
 
-def _per_row_trace(trace) -> list[str]:
-    """The speed trace formatted row by row, with no cache."""
-    return ["t_s,x2_mps,Va_mps,Vb_mps,u"] + [
-        f"{s.t!r},{s.speed!r},{s.band_lower!r},{s.band_upper!r},{int(s.engine_on)}"
-        for s in trace
-    ]
-
-
 class TestSpeedTraceFormat:
     def test_synthetic_rows_match_the_per_row_format(self, tmp_path):
-        # rows share their band's float objects, as run_race's do; each edge
-        # change below keeps the rest of the row's band and engine state
+        # legs share their band's float objects, as run_race's do; each edge
+        # change below keeps the rest of the leg's band and engine state
         zero, neg_zero, nan = 0.0, -0.0, math.nan
         lower, upper = 6.1, 7.94
         edges = [
-            (zero, zero, True),          # the start, before the first band
+            (zero, zero, True),          # as the start row, before the first band
             (neg_zero, zero, True),      # 0.0 -> -0.0, which compare equal
             (neg_zero, neg_zero, True),
             (lower, upper, True),        # a band change, engine unchanged
@@ -477,17 +473,22 @@ class TestSpeedTraceFormat:
             (lower, upper, True),
             (float("6.1"), upper, True),  # an equal edge in a new object
         ]
-        trace = tuple(
-            TelemetrySample(0.5 * i, 0.7 * i, 0.3 * i, on, 1, 10.0, lo, up, "")
+        # one leg a second, each giving a row on the 0.5 s grid and one at its end
+        leg = Leg(0.0, 0.01, 0.0, 5.0)
+        legs = tuple(
+            LegRecord(1.0 * i, 5.0 * i, 10.0, leg, on, _band(lo, up), 1.0 * i + 1.0, 0.3 * i)
             for i, (lo, up, on) in enumerate(edges)
         )
         result = RaceResult(
-            samples=(trace[-1]._replace(flag="finish"),), trace=trace, replans=(),
-            finished=True, finish_time=trace[-1].t, total_energy=10.0, switches=1,
-            avg_speed=1.4, flags=(),
+            samples=(TelemetrySample(13.0, 65.0, 3.6, True, 1, 10.0, 6.1, 7.94, "finish"),),
+            legs=legs, replans=(), finished=True, finish_time=13.0, total_energy=10.0,
+            switches=1, avg_speed=5.0, flags=(),
         )
+        rows = trace_rows(legs, 0.5)
+        assert len(rows) == 1 + 2 * len(edges)
+        assert [(lo, up, on) for _, _, lo, up, on in rows[2::2]] == edges
         paths = emit_report(result, fixture_lib.flat16500(), tmp_path / "out")
-        assert paths["speed_trace"].read_text().splitlines() == _per_row_trace(trace)
+        assert paths["speed_trace"].read_text().splitlines() == per_row_trace(rows)
 
     def test_race_rows_match_the_per_row_format(self, short_scenario, tmp_path):
         scenario, _ = short_scenario
@@ -495,7 +496,14 @@ class TestSpeedTraceFormat:
             scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
         )
         paths = emit_report(result, scenario, tmp_path / "out")
-        assert paths["speed_trace"].read_text().splitlines() == _per_row_trace(result.trace)
+        trace = dense_trace(
+            result, scenario.controller.trace_interval, scenario.power, scenario.params
+        )
+        assert paths["speed_trace"].read_text().splitlines() == per_row_trace(speed_rows(trace))
+
+
+def _band(lower: float, upper: float) -> OscillationBand:
+    return OscillationBand(lower, upper, 0.0, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestOutDirPrecedence:
