@@ -18,7 +18,6 @@ from .dynamics import (
     FrozenDynamics,
     Leg,
     PowerModel,
-    RaceState,
     TrackProfile,
     VehicleParams,
     WindField,

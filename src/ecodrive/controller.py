@@ -21,7 +21,6 @@ from typing import NamedTuple
 from .dynamics import (
     Leg,
     PowerModel,
-    RaceState,
     TrackProfile,
     VehicleParams,
     WindField,
@@ -51,7 +50,8 @@ FLAG_DNF = "did_not_finish"
 FLAG_FINISH = "finish"
 SWITCH_FLAGS = (FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_SAFETY)  # one telemetry sample per switch
 
-# seconds between re-checks of a band that misses its target: flagged, coast or clamped
+# seconds between re-checks of a band that misses its target: flagged, clamped, or a coast
+# band entered below its target (one entered at or above it meets it until the cell edge)
 RECHECK_INTERVAL = 3.0
 
 
@@ -161,14 +161,15 @@ def trace_rows(legs: Iterable[LegRecord], interval: float) -> list[tuple]:
 
 
 def replan(
-    state: RaceState,
+    t: float,
+    position: float,
     track: TrackProfile,
     wind: WindField,
     params: VehicleParams,
     power: PowerModel,
     cfg: ControllerConfig,
 ) -> ReplanRecord:
-    """The oscillation band for the remaining-distance target at ``state``.
+    """The oscillation band for the remaining-distance target at time ``t`` and ``position``.
 
     The target is remaining distance over remaining time, and ``optimal_band``
     picks the band; only the fallbacks are picked here.  An infeasible slice
@@ -177,15 +178,15 @@ def replan(
     the band search raises, the flagged record rides the safety band, or full
     effort where no safety band can be built; its reason names each error.
     """
-    remaining_d = cfg.race_length - state.position
-    remaining_t = cfg.race_duration - state.t
+    remaining_d = cfg.race_length - position
+    remaining_t = cfg.race_duration - t
     target = remaining_d / remaining_t if remaining_t > 0.0 else math.inf
-    v_safe = track.safe_speed_at(state.position)
+    v_safe = track.safe_speed_at(position)
     try:
-        frozen = freeze(track, wind, params, power, state.position, state.t)
+        frozen = freeze(track, wind, params, power, position, t)
     except InfeasibleSliceError as exc:
         band, reason = _full_effort(v_safe), f"{type(exc).__name__}: {exc}"
-        return ReplanRecord(state.t, state.position, target, band, FLAG_INFEASIBLE, reason)
+        return ReplanRecord(t, position, target, band, FLAG_INFEASIBLE, reason)
     try:
         band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
     except EcodriveError as exc:
@@ -194,8 +195,8 @@ def replan(
             band = safety_band(frozen, v_safe, cfg.safety_margin)
         except EcodriveError as unsafe:
             band, reason = _full_effort(v_safe), f"{reason}; {type(unsafe).__name__}: {unsafe}"
-        return ReplanRecord(state.t, state.position, target, band, FLAG_UNREACHABLE, reason)
-    return ReplanRecord(state.t, state.position, target, band, "")
+        return ReplanRecord(t, position, target, band, FLAG_UNREACHABLE, reason)
+    return ReplanRecord(t, position, target, band, "")
 
 
 def _full_effort(v_safe: float) -> OscillationBand:
@@ -232,7 +233,8 @@ def run_race(
     constant-mode legs.  Replans are events too: at the start, at each cell
     edge, where a coasting leg reaches the band bottom (once per switch-on: a
     met target holds for whole periods) and ``RECHECK_INTERVAL`` after a band
-    that misses it.  Telemetry is taken at every replan and switch; the race records
+    that misses it: a flagged or clamped band, or a coast band entered below its
+    target.  Telemetry is taken at every replan and switch; the race records
     its legs, and the report reads the trace off them.  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
@@ -267,14 +269,15 @@ def run_race(
         # the coasting leg landed on the band bottom: the next period starts
         period_start = period_due and not engine_on and x2 == band.lower
         if period_start or t >= replan_at:
-            state = RaceState(t, x1, x2, engine_on, switches, e_power + alpha * switches)
-            record = replan(state, track, wind, params, power, cfg)
+            record = replan(t, x1, track, wind, params, power, cfg)
             band = record.band
             replans.append(record)
             note_flag(record.flag)
             take_sample(record.flag or FLAG_REPLAN)
             period_due = period_due and not period_start
-            stop_gap = record.flag or band.is_coast or band.upper >= track.safe_speed_at(x1)
+            # a coast band entered at or above its target meets it until the next cell edge
+            stop_gap = record.flag or band.upper >= track.safe_speed_at(x1)
+            stop_gap = stop_gap or band.is_coast and x2 < record.target
             replan_at = t + RECHECK_INTERVAL if stop_gap else math.inf
         if switch_logic(engine_on, x2, band, lambda: track.safe_speed_at(x1)) != engine_on:
             engine_on = not engine_on

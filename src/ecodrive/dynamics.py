@@ -344,23 +344,23 @@ class FrozenDynamics:
     v_high: float
     v_low_is_root: bool
     gravity_component: float = field(init=False)
+    # (b, rest speed) of the engine-off and engine-on modes, indexed by ``engine_on``: the
+    # root each mode's acceleration settles at, v_high, or v_low when it is a root, else None
+    modes: tuple[tuple[float, float | None], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gravity_component", self.params.gravity * math.sin(self.slope)
-        )
+        g = self.params.gravity * math.sin(self.slope)
+        rest_off = self.v_low if self.v_low_is_root else None
+        object.__setattr__(self, "gravity_component", g)
+        object.__setattr__(self, "modes", (
+            (mode_b(self.params, g, False), rest_off), (mode_b(self.params, g, True), self.v_high)
+        ))
 
     def accel(self, x2: float, engine_on: bool) -> float:
         return _accel_scalar(x2, engine_on, self.wind_speed, self.gravity_component, self.params)
 
     def engine_power_at(self, x2: float) -> float:
         return engine_power(x2, True, self.power, self.params)
-
-    def rest_speed(self, engine_on: bool) -> float | None:
-        """Root the mode's acceleration settles at: v_high, or v_low when it is a root."""
-        if engine_on:
-            return self.v_high
-        return self.v_low if self.v_low_is_root else None
 
     def leg_time_distance(self, engine_on: bool, v0: float, v1: float) -> tuple[float, float]:
         """Time and distance of the constant-mode leg from speed ``v0`` to ``v1``.
@@ -372,7 +372,7 @@ class FrozenDynamics:
         """
         if v0 == v1:
             return 0.0, 0.0
-        rest = self.rest_speed(engine_on)
+        b, rest = self.modes[engine_on]
         if rest is not None and abs(v1 - rest) <= ENDPOINT_MATCH_TOL:
             return math.inf, math.inf
         p, w = self.params, self.wind_speed
@@ -380,7 +380,6 @@ class FrozenDynamics:
             t0, d0 = self.leg_time_distance(engine_on, v0, w)
             t1, d1 = self.leg_time_distance(engine_on, w, v1)
             return t0 + t1, d0 + d1
-        b = mode_b(p, self.gravity_component, engine_on)
         r0, r1 = v0 - w, v1 - w
         A = -p.drag_coeff if p.signed_drag and r0 + r1 < 0.0 else p.drag_coeff
         tau = _branch_time(b, A, r0, r1)
@@ -398,8 +397,7 @@ class FrozenDynamics:
         from the mode's own rest speed, so a leg may start or end there.
         """
         margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
-        rest = self.rest_speed(engine_on)
-        b = mode_b(self.params, self.gravity_component, engine_on)
+        b, rest = self.modes[engine_on]
         for v in _drag_roots(b, self.wind_speed, self.params):
             if lo + margin < v < hi - margin and (rest is None or abs(v - rest) > margin):
                 return True
@@ -664,22 +662,6 @@ def freeze(
     theta = track.slope_at(x1)  # raises DomainError outside the track
     v = wind.at(x1, t)
     return FrozenDynamics.from_conditions(params, power, theta, v)
-
-
-@dataclass(frozen=True)
-class RaceState:
-    """Instantaneous simulation state.
-
-    ``switches`` counts off->on transitions (each costing the switching
-    energy); ``energy`` is total consumption including switching costs.
-    """
-
-    t: float
-    position: float
-    speed: float
-    engine_on: bool
-    switches: int
-    energy: float
 
 
 @dataclass(frozen=True)

@@ -119,24 +119,19 @@ def band_from_limits(frozen: FrozenDynamics, v_a: float, v_b: float) -> Oscillat
     legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
     if not all(map(math.isfinite, legs[0] + legs[1])):
         raise InvalidSegmentError(f"band ({v_a}, {v_b}) ends at a rest speed it only approaches")
-    return _band(frozen, v_a, v_b, legs)
+    return _band(v_a, v_b, *_period(frozen, legs))
 
 
-def _band(frozen: FrozenDynamics, v_a: float, v_b: float, legs) -> OscillationBand:
-    """The band of the legs ``((t_up, d_up), (t_down, d_down))`` between v_a and v_b."""
+def _period(frozen: FrozenDynamics, legs) -> tuple[float, float, float]:
+    """Time, distance and energy of the period of legs ``((t_up, d_up), (t_down, d_down))``."""
     (t_up, d_up), (t_down, d_down) = legs
     on_energy = engine_energy(t_up, d_up, True, frozen.power, frozen.params)
-    energy = on_energy + frozen.params.switch_cost
-    period = t_up + t_down
-    return OscillationBand(
-        lower=v_a,
-        upper=v_b,
-        dwell=0.0,
-        period=period,
-        distance=d_up + d_down,
-        energy=energy,
-        avg_cost=energy / period,
-    )
+    return t_up + t_down, d_up + d_down, on_energy + frozen.params.switch_cost
+
+
+def _band(v_a: float, v_b: float, period: float, distance: float, energy: float) -> OscillationBand:
+    """The band between v_a and v_b of one period's time, distance and energy."""
+    return OscillationBand(v_a, v_b, 0.0, period, distance, energy, energy / period)
 
 
 # the benchmark's tracer wraps this name (perfbench/spans.py)
@@ -186,7 +181,8 @@ def band_cost(
         t = t_up + t_dn
         avg = (d_up + d_dn) / t
         # the legs gain 1/|f| in time and v_b/|f| in distance at the moving end
-        rate = 1.0 / frozen.accel(v_b, True) - 1.0 / frozen.accel(v_b, False)
+        off = frozen.accel(v_b, False)
+        rate = 1.0 / (off + frozen.params.traction) - 1.0 / off  # f_on = f_off + f1
         return avg - v_target, (v_b - avg) * rate / t
 
     v_b = increasing_root(miss, v_target, v_b_max, 2.0 * v_target - v_a)
@@ -195,7 +191,7 @@ def band_cost(
         raise InfeasibleCandidateError(
             f"v_a={v_a!r} lies within rounding of the target {v_target!r}"
         )
-    band = _band(frozen, v_a, v_b, legs)
+    band = _band(v_a, v_b, *_period(frozen, legs))
     missed = band.avg_speed - v_target
     if v_b == v_b_max and missed < 0.0:
         raise InfeasibleCandidateError(
@@ -243,23 +239,33 @@ def optimal_band(
     return safety_band(frozen, v_safe, delta) if best.upper > v_safe else best
 
 
-def _certificate(frozen: FrozenDynamics, band: OscillationBand, v_target: float):
-    """``(miss, residual), (j11, j12, j21, j22)``: the band's two equations and their Jacobian.
+def _certificate(
+    frozen: FrozenDynamics, v_target: float, v_a: float, v_b: float, t: float, distance: float,
+    energy: float,
+):
+    """``(miss, residual), (j11, j12, j21, j22)``: the two equations of the band between v_a and
+    v_b of one period's time, distance and energy, and their Jacobian.
 
     The miss of the target, and the residual of the certificate: the cost less the chord of
-    psi through the band's ends, read at the target, which is zero at an interior optimum.
+    the tradeoff psi = -h f_off / f1 through the band's ends, read at the target, which is zero
+    at an interior optimum.
     """
-    v_a, v_b, t, avg, cost = band.lower, band.upper, band.period, band.avg_speed, band.avg_cost
-    accel, power = frozen.accel, frozen.engine_power_at
-    (psi_a, dpsi_a), (psi_b, dpsi_b) = _tradeoff(frozen, v_a), _tradeoff(frozen, v_b)
+    p, avg, cost = frozen.params, distance / t, energy / t
+    dh = engine_energy(0.0, 1.0, True, frozen.power, p)  # the draw per metre: m f1 or 0
+    ends = []
+    for v in (v_a, v_b):
+        h, off, rel = frozen.engine_power_at(v), frozen.accel(v, False), v - frozen.wind_speed
+        on = off + p.traction  # f_on = f_off + f1, as ``accel`` adds it
+        d_off = -2.0 * p.drag_coeff * (abs(rel) if p.signed_drag else rel)
+        # psi and its slope; raising an end v adds g = 1/f_on - 1/f_off to t, v g to the
+        # distance and h/f_on to the energy at v_b, and subtracts them at v_a
+        ends.append((-h * off / p.traction, -(dh * off + h * d_off) / p.traction,
+                     1.0 / on - 1.0 / off, h / on))
+    (psi_a, dpsi_a, g_a, e_a), (psi_b, dpsi_b, g_b, e_b) = ends
     w, rise = (v_target - v_a) / (v_b - v_a), (psi_b - psi_a) / (v_b - v_a) ** 2
-    # raising an end v adds g = 1/f_on - 1/f_off to t, v g to the distance and h/f_on
-    # to the energy at v_b, and subtracts them at v_a
-    on_a, on_b = accel(v_a, True), accel(v_b, True)
-    g_a, g_b = 1.0 / on_a - 1.0 / accel(v_a, False), 1.0 / on_b - 1.0 / accel(v_b, False)
     j11, j12 = (avg - v_a) * g_a / t, (v_b - avg) * g_b / t
-    j21 = (cost * g_a - power(v_a) / on_a) / t - dpsi_a * (1.0 - w) + rise * (v_b - v_target)
-    j22 = (power(v_b) / on_b - cost * g_b) / t - dpsi_b * w + rise * (v_target - v_a)
+    j21 = (cost * g_a - e_a) / t - dpsi_a * (1.0 - w) + rise * (v_b - v_target)
+    j22 = (e_b - cost * g_b) / t - dpsi_b * w + rise * (v_target - v_a)
     return (avg - v_target, cost - psi_a - (psi_b - psi_a) * w), (j11, j12, j21, j22)
 
 
@@ -267,10 +273,11 @@ def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> Oscilla
     """The interior optimum, by Newton's method on the average and the chord certificate.
 
     From the target -/+ half the smaller room to the rest speed or the top, one pair of legs
-    per iteration.  None when an iterate leaves (rest speed, top) or crosses the target after
-    halving its step to 1e-6, a leg or the Jacobian is not finite (a band across a mode's
-    root), 12 iterations fail, or the solve ends where the residual's slope along avg =
-    target, ``j21 - j22 j11 / j12``, is not positive: at a maximum of the cost.
+    per iteration; the band is built only from the accepted iterate.  None when an iterate
+    leaves (rest speed, top) or crosses the target after halving its step to 1e-6, a leg or
+    the Jacobian is not finite (a band across a mode's root), 12 iterations fail, or the solve
+    ends where the residual's slope along avg = target, ``j21 - j22 j11 / j12``, is not
+    positive: at a maximum of the cost.
     """
     bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
@@ -280,14 +287,16 @@ def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> Oscilla
         if not bound < v_a < v_target < v_b < v_b_max:
             return None
         legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
-        band = _band(frozen, v_a, v_b, legs)
-        (miss, residual), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
+        period = _period(frozen, legs)
+        (miss, residual), (j11, j12, j21, j22) = _certificate(frozen, v_target, v_a, v_b, *period)
         det = j11 * j22 - j12 * j21
         if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
             return None
         step_a, step_b = (residual * j12 - miss * j22) / det, (miss * j21 - residual * j11) / det
         if abs(step_a) <= 1e-11 * v_a and abs(step_b) <= 1e-11 * v_b:
-            return band if abs(miss) <= 0.01 * tol and j21 - j22 * j11 / j12 > 0.0 else None
+            if abs(miss) <= 0.01 * tol and j21 - j22 * j11 / j12 > 0.0:
+                return _band(v_a, v_b, *period)
+            return None
         scale = 1.0
         while not v_a + scale * step_a < v_target < v_b + scale * step_b and scale >= 1e-6:
             scale *= 0.5
@@ -315,7 +324,9 @@ def _rooted_band(
         except (InfeasibleCandidateError, NumericError) as exc:
             bands[v_a] = str(exc)  # not the error, whose traceback holds this frame
             return -math.inf, 0.0
-        (_, r), (j11, j12, j21, j22) = _certificate(frozen, band, v_target)
+        (_, r), (j11, j12, j21, j22) = _certificate(
+            frozen, v_target, v_a, band.upper, band.period, band.distance, band.energy
+        )
         return (0.0 if abs(r) <= 1e-9 * band.avg_cost else r), j21 - j22 * j11 / j12
 
     lo = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0) + 1e-9
@@ -331,15 +342,6 @@ def _rooted_band(
             f"first: {refused[0]}; last: {refused[-1]}"
         )
     return min(feasible, key=lambda band: band.avg_cost)
-
-
-def _tradeoff(frozen: FrozenDynamics, v: float) -> tuple[float, float]:
-    """The tradeoff psi = -h f_off / f1 at speed v > 0, and its derivative in v."""
-    p, rel = frozen.params, v - frozen.wind_speed
-    h, f_off = frozen.engine_power_at(v), frozen.accel(v, False)
-    dh = engine_energy(0.0, 1.0, True, frozen.power, p)  # the draw per metre: m f1 or 0
-    df_off = -2.0 * p.drag_coeff * (abs(rel) if p.signed_drag else rel)
-    return -h * f_off / p.traction, -(dh * f_off + h * df_off) / p.traction
 
 
 def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> OscillationBand:

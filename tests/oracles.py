@@ -216,7 +216,11 @@ def event_race(
     windless track has no cell edge, so a race replans at the start, where
     the coasting leg reaches the lower speed after a switch-on (a period
     starts there), and every ``recheck`` seconds after a band that misses
-    its target: flagged, or clamped to the safety speed.  The state advances
+    its target: flagged, clamped to the safety speed, or a coast band entered
+    below its target.  A coast band entered at or above it needs no re-check:
+    the target r = (L - x)/(T - t) obeys dr/dt = (r - v)/(T - t), so it cannot
+    rise while v >= r, and coasting relaxes toward its rest speed, at or above
+    r.  The state advances
     leg by leg with the closed forms above, so the total is startup energy
     plus per-period energies with no ODE stepping anywhere.
     """
@@ -238,7 +242,7 @@ def event_race(
                 v_a, missed = v_b - delta, True
             elif target <= 0.0:
                 v_a = v_b = target
-                missed = True
+                missed = v < target
             else:
                 v_a, v_b, _ = exact_band(target)
                 missed = v_b > v_safe

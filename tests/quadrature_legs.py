@@ -101,7 +101,7 @@ def leg_time_distance(
     def inverse(s: np.ndarray) -> np.ndarray:
         return 1.0 / law.accel_grid(s, engine_on)
 
-    rest = frozen.rest_speed(engine_on)
+    rest = frozen.modes[engine_on][1]
     singular = [v for v in (v1, v0) if rest is not None and abs(v - rest) <= ENDPOINT_MATCH_TOL]
     if not singular:
         return speed_moments(inverse, v0, v1)
@@ -169,7 +169,7 @@ def scan_mode_changes_sign(
         and not (np.any(vals > 0.0) and np.any(vals < 0.0))
     ):
         return False
-    eq = frozen.rest_speed(engine_on)
+    eq = frozen.modes[engine_on][1]
     margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
     xs = np.linspace(lo + margin, hi - margin, 65)
     if eq is not None:

@@ -9,10 +9,10 @@ the speed-reparametrized quadrature against it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from ecodrive.dynamics import (
     PowerModel,
-    RaceState,
     TrackProfile,
     VehicleParams,
     WindField,
@@ -20,6 +20,22 @@ from ecodrive.dynamics import (
     engine_power,
 )
 from ecodrive.errors import NumericError
+
+
+@dataclass(frozen=True)
+class RaceState:
+    """Instantaneous simulation state.
+
+    ``switches`` counts off->on transitions (each costing the switching
+    energy); ``energy`` is total consumption including switching costs.
+    """
+
+    t: float
+    position: float
+    speed: float
+    engine_on: bool
+    switches: int
+    energy: float
 
 
 def integrate(

@@ -21,7 +21,6 @@ from segments import (
     proportional_invariance_check,
 )
 from ecodrive import (
-    RaceState,
     SpeedProfile,
     TrackProfile,
     WindField,
@@ -94,7 +93,7 @@ def test_criterion_04_quadrature_vs_ode(params, const_power, flat_slice):
         v_b = min(v_a + float(rng.uniform(0.3, 3.0)), flat_slice.v_high - 0.5)
         v0, v1 = (v_a, v_b) if engine_on else (v_b, v_a)
         seg = SpeedSegment(flat_slice, engine_on, v0, v1)
-        state = RaceState(0.0, 0.0, v0, engine_on, 0, 0.0)
+        state = stepper.RaceState(0.0, 0.0, v0, engine_on, 0, 0.0)
         prev = state
         while (state.speed < v1) if engine_on else (state.speed > v1):
             prev = state

@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 import tempfile
@@ -17,7 +18,6 @@ from ecodrive import (
     Leg,
     OscillationBand,
     PowerModel,
-    RaceState,
     Scenario,
     ScenarioError,
     TelemetrySample,
@@ -34,6 +34,7 @@ from ecodrive import controller, errors
 from ecodrive import fixtures as fixture_lib
 from ecodrive.controller import (
     FLAG_INFEASIBLE,
+    FLAG_REPLAN,
     FLAG_SAFETY,
     FLAG_STALLED,
     FLAG_SWITCH_ON,
@@ -94,23 +95,20 @@ class TestReplan:
     ):
         track = TrackProfile.flat(16_500.0, 12.0)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(0.0, 0.0, 0.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert record.target == pytest.approx(16_500.0 / 2_357.0, rel=1e-12)
         assert record.flag == ""
 
     def test_on_schedule_keeps_the_target(self, params, const_power, zero_wind):
         track = TrackProfile.flat(16_500.0, 12.0)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(2_357.0 / 2, 16_500.0 / 2, 7.0, True, 5, 1000.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(2_357.0 / 2, 16_500.0 / 2, track, zero_wind, params, const_power, cfg)
         assert record.target == pytest.approx(16_500.0 / 2_357.0, rel=1e-12)
 
     def test_recovery_target_after_a_stop(self, params, const_power, zero_wind):
         track = TrackProfile.flat(16_500.0, 12.0)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(1_238.5, 8_250.0, 0.0, True, 3, 500.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(1_238.5, 8_250.0, track, zero_wind, params, const_power, cfg)
         assert record.target == pytest.approx(8_250.0 / 1_118.5, rel=1e-12)
         assert record.target == pytest.approx(7.38, abs=0.01)
 
@@ -121,8 +119,7 @@ class TestReplan:
         slope = math.asin(0.15 / params.gravity)
         track = TrackProfile((0.0, 16_500.0), (slope, slope), (12.0, 12.0))
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_UNREACHABLE
         assert record.band.upper < 6.0  # rides just under the local equilibrium
         # the band search, not the controller, compares the target with the top
@@ -134,8 +131,7 @@ class TestReplan:
         slope = math.asin(0.25 / params.gravity)
         track = TrackProfile((0.0, 1_000.0), (slope, slope), (12.0, 12.0))
         cfg = ControllerConfig(race_length=1_000.0, race_duration=200.0)
-        state = RaceState(0.0, 0.0, 0.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_INFEASIBLE
         # full effort: an engine that is off below the safety speed switches on
         assert record.band.lower == record.band.upper == 12.0
@@ -165,8 +161,7 @@ class TestReplan:
         track = TrackProfile((0.0, 1_000.0), (0.015, 0.015), (2.2, 2.2))
         wind = WindField((0.0,), (0.0,), ((8.0,),))
         cfg = ControllerConfig(race_length=1_000.0, race_duration=600.0)
-        state = RaceState(0.0, 0.0, 0.0, True, 1, 10.0)
-        record = replan(state, track, wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, wind, params, const_power, cfg)
         assert record.flag == FLAG_UNREACHABLE
         assert record.band.lower == record.band.upper == 2.2
         assert record.reason.startswith("InfeasibleCandidateError: ")
@@ -200,8 +195,7 @@ class TestReplan:
         monkeypatch.setattr(controller, "optimal_band", failing_search)
         track = TrackProfile.flat(16_500.0, 12.0)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert record.flag == FLAG_UNREACHABLE
         assert record.reason == "InfeasibleTargetError: no band meets the target"
 
@@ -210,8 +204,7 @@ class TestReplan:
     ):
         track = TrackProfile.flat(16_500.0, 6.5)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=2_357.0)
-        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert record.band.upper == pytest.approx(6.5)
         assert record.band.lower == pytest.approx(6.0)
 
@@ -231,8 +224,7 @@ class TestReplan:
         monkeypatch.setattr(controller, "optimal_band", recording)
         track = TrackProfile.flat(16_500.0, safe)
         cfg = ControllerConfig(race_length=16_500.0, race_duration=duration)
-        state = RaceState(0.0, 0.0, 5.0, True, 1, 10.0)
-        record = replan(state, track, zero_wind, params, const_power, cfg)
+        record = replan(0.0, 0.0, track, zero_wind, params, const_power, cfg)
         assert calls == [record.target]
         assert record.band.upper <= safe
 
@@ -546,6 +538,20 @@ def random_races(draw):
     return arcs, slopes, safe_speeds, u1, u2, signed_drag, duration, power
 
 
+def _coasts_met_at_entry(result, track):
+    """``(record, t_next)`` of each replan that chose an unflagged coast band below the safety
+    speed with the speed at or above its target, and the time of the replan after it."""
+    replan_flags = (FLAG_REPLAN, FLAG_UNREACHABLE, FLAG_INFEASIBLE)
+    taken = [s for s in result.samples if s.flag in replan_flags]
+    assert [s.t for s in taken] == [r.t for r in result.replans]
+    t_next = [r.t for r in result.replans[1:]] + [math.inf]
+    return [
+        (rec, t) for rec, sample, t in zip(result.replans, taken, t_next)
+        if not rec.flag and rec.band.is_coast and sample.speed >= rec.target
+        and rec.band.upper < track.safe_speed_at(rec.position)
+    ]
+
+
 def _fixture_race(make):
     scenario = make()
     return scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
@@ -562,6 +568,14 @@ COAST_UNDER_FALLING_SAFETY = (
 HEADWIND_CLIMB = (
     (0.0, 141.9, 228.0, 389.3, 588.2, 1112.6), (0.0092, -0.0146, -0.0036, 0.0217, 0.0, 0.0),
     (11.03, 11.36, 4.91, 7.64, 10.93, 4.59), -1.61, -1.93, False, 158.4,
+)
+
+# descents that coast ahead of schedule: 6 coast bands entered above their target, which a
+# 3 s re-check of each band replanned 27 times more
+COASTS_AHEAD = (
+    (0.0, 290.6, 409.4, 505.3, 543.8, 838.9, 1367.9),
+    (-0.02, -0.0164, -0.0131, 0.0, -0.0055, 0.0, 0.0),
+    (9.81, 10.25, 8.76, 9.81, 5.46, 5.5, 8.22), -0.74, 0.0, False, 340.5, "wheel_power",
 )
 
 
@@ -595,6 +609,7 @@ class TestRandomRaces:
     @example(args=COAST_UNDER_FALLING_SAFETY)
     @example(args=HEADWIND_CLIMB)
     @example(args=SWITCH_ON_AT_SAFETY)
+    @example(args=COASTS_AHEAD)
     def test_replans_are_bounded_by_the_events_that_call_them(self, args):
         track, wind, params, power, cfg = _windy_scenario(*args)
         result = run_race(track, wind, params, power, cfg)
@@ -619,6 +634,24 @@ class TestRandomRaces:
             if b.t == a.t + controller.RECHECK_INTERVAL
         )
         assert len(result.replans) <= 1 + result.switches + cells + rechecks
+        # a coast band entered at or above its target meets it until the next cell edge
+        coasts = _coasts_met_at_entry(result, track)
+        assert not any(t == rec.t + controller.RECHECK_INTERVAL for rec, t in coasts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=random_races())
+    @example(args=COASTS_AHEAD)
+    def test_a_coast_entered_at_or_above_its_target_stays_there(self, args):
+        # the target r = (L - x)/(T - t) obeys dr/dt = (r - v)/(T - t), so it cannot rise
+        # while v >= r, and a coasting speed at or above r <= v_low relaxes toward v_low
+        track, wind, params, power, cfg = _windy_scenario(*args)
+        result = run_race(track, wind, params, power, cfg)
+        trace = dense_trace(result, 0.07, power, params)
+        times = [s.t for s in trace]
+        for rec, t_next in _coasts_met_at_entry(result, track):
+            for s in trace[bisect.bisect_left(times, rec.t):bisect.bisect_left(times, t_next)]:
+                target = (cfg.race_length - s.position) / (cfg.race_duration - s.t)
+                assert s.speed >= target, (rec, s)
 
     @settings(max_examples=50, deadline=None)
     @given(args=random_races(), interval=st.sampled_from((0.07, 0.5, 1.3)))

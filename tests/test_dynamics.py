@@ -20,7 +20,6 @@ from ecodrive import (
     Leg,
     NumericError,
     PowerModel,
-    RaceState,
     ScenarioError,
     TrackProfile,
     VehicleParams,
@@ -650,7 +649,7 @@ class TestIntegrate:
         flat = Leg.start(params, 0.0, 0.0, True, 7.0)
         tau = brentq(lambda h: 9.9995 + flat.distance(h) - 10.0, 0.0, 0.1)
         climb = Leg.start(params, 0.01, 0.0, True, flat.speed(tau))
-        fine = RaceState(0.0, 9.9995, 7.0, True, 0, 0.0)
+        fine = stepper.RaceState(0.0, 9.9995, 7.0, True, 0, 0.0)
         for _ in range(1000):
             fine = stepper.integrate(fine, True, 1e-4, track, zero_wind, params, const_power)
         assert climb.speed(0.1 - tau) == pytest.approx(fine.speed, abs=1e-9)
@@ -708,7 +707,7 @@ class TestMidpointReference:
     def test_coast_from_near_rest_sticks_and_never_moves_back(self, params, const_power, v0):
         # both starts lie within 0.5 dt c of rest, so the midpoint is past it
         track = TrackProfile.flat(1e3, 50.0)
-        state = RaceState(0.0, 1.0, v0, False, 0, 0.0)
+        state = stepper.RaceState(0.0, 1.0, v0, False, 0, 0.0)
         for _ in range(5):
             prev = state
             state = stepper.integrate(
@@ -742,7 +741,7 @@ class TestLegAgainstReferences:
 
         track = TrackProfile((0.0, 1e6), (slope, slope), (50.0, 50.0))
         steady = WindField((0.0,), (0.0,), ((wind,),))
-        state = RaceState(0.0, 1.0, v0, engine_on, 0, 0.0)
+        state = stepper.RaceState(0.0, 1.0, v0, engine_on, 0, 0.0)
         for _ in range(steps):
             state = stepper.integrate(state, engine_on, 1e-3, track, steady, params, power)
         assert v == pytest.approx(state.speed, abs=1e-6)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+import newton_reference
 import oracles
 from quadrature_legs import GeneralLawSlice, bisection_upper_limit
 from ecodrive import (
@@ -241,7 +242,8 @@ def _window(frozen, v_target):
 
 def _residual(frozen, band, v_target):
     """The band's cost less the chord of psi through its ends, read at the target."""
-    return optimizer._certificate(frozen, band, v_target)[0][1]
+    ends = band.lower, band.upper, band.period, band.distance, band.energy
+    return optimizer._certificate(frozen, v_target, *ends)[0][1]
 
 
 def _band_or_none(frozen, v_a, v_target):
@@ -674,6 +676,29 @@ class TestNewtonBand:
         if tradeoff_curvature(frozen) == "neither":
             band = optimal_band(frozen, target)
         assert band.avg_cost <= _reference_band(frozen, target).avg_cost * (1.0 + 1e-9)
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(**RANDOM_SLICES)
+    @example(*SLICE_A)
+    @example(*SLICE_B)
+    @example(False, 8.0, 0.015, False, 0.1764052399855324)  # the tailwind climb at about 2.5
+    @example(False, 0.0, -0.02, False, 0.02)  # a target 0.16 m/s above a coasting root
+    @example(True, 2.5, 0.017578125, True, 0.9609375)
+    def test_solve_is_the_band_per_iterate_reference_to_the_bit(
+        self, signed, wind, slope, wheel, u_t
+    ):
+        # the solve keeps each iterate in floats and evaluates f_on, f_off and h once per
+        # band end; the reference builds a band per iterate and evaluates them again
+        frozen, target = _random_slice(signed, wind, slope, wheel, u_t)
+        tol = GridSpec().tol
+        reference = newton_reference.newton_band(frozen, target, tol)
+        assert repr(optimizer._newton_band(frozen, target, tol)) == repr(reference)
+        if reference is not None:
+            ends = reference.lower, reference.upper, reference.period, reference.distance
+            assert optimizer._certificate(frozen, target, *ends, reference.energy) == (
+                newton_reference.certificate(frozen, reference, target)
+            )
 
 
 class TestSaturatedUpperLimit:

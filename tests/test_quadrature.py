@@ -16,7 +16,6 @@ from ecodrive import (
     InvalidSegmentError,
     NumericError,
     PowerModel,
-    RaceState,
     TrackProfile,
     VehicleParams,
     WindField,
@@ -305,7 +304,7 @@ class TestQuadratureVsIntegration:
         seg = SpeedSegment(frozen, engine_on, v0, v1)
         track = TrackProfile.flat(1e6, 50.0)
         wind = WindField.zero()
-        state = RaceState(0.0, 0.0, v0, engine_on, 0, 0.0)
+        state = stepper.RaceState(0.0, 0.0, v0, engine_on, 0, 0.0)
         rising = engine_on
         prev = state
         while (state.speed < v1) if rising else (state.speed > v1):
