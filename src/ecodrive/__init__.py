@@ -46,12 +46,6 @@ from .optimizer import (
     band_from_limits,
     optimal_band,
 )
-from .robustness import (
-    SpeedProfile,
-    mean_speed,
-    perturbation_series,
-    ratio_statistics,
-)
 from .scenario import Scenario, emit_report, load_scenario, write_scenario
 
 __version__ = "0.1.0"

@@ -49,6 +49,8 @@ FLAG_STALLED = "stalled"
 FLAG_DNF = "did_not_finish"
 FLAG_FINISH = "finish"
 SWITCH_FLAGS = (FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_SAFETY)  # one telemetry sample per switch
+# sample flags that a race's ``flags`` leaves out: every other one is reported once
+ROUTINE_FLAGS = ("", FLAG_REPLAN, FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_FINISH)
 
 # seconds between re-checks of a band that misses its target: flagged, clamped, or a coast
 # band entered below its target (one entered at or above it meets it until the cell edge)
@@ -251,14 +253,10 @@ def run_race(
     samples: list[TelemetrySample] = []
     legs: list[LegRecord] = []
     replans: list[ReplanRecord] = []
-    flags: list[str] = []
+    stalled = False
     band: OscillationBand | None = None
     replan_at = 0.0       # time of the next replan that is not a period start
     period_due = True     # a switch-on since the last replan at a period start
-
-    def note_flag(flag: str) -> None:
-        if flag and flag not in flags:
-            flags.append(flag)
 
     def take_sample(flag: str) -> None:
         lower, upper = (band.lower, band.upper) if band is not None else (0.0, 0.0)
@@ -272,7 +270,6 @@ def run_race(
             record = replan(t, x1, track, wind, params, power, cfg)
             band = record.band
             replans.append(record)
-            note_flag(record.flag)
             take_sample(record.flag or FLAG_REPLAN)
             period_due = period_due and not period_start
             # a coast band entered at or above its target meets it until the next cell edge
@@ -289,12 +286,11 @@ def run_race(
                 flag = FLAG_SWITCH_OFF
             else:  # an off-switch below the band top is the safety speed's
                 flag = FLAG_SAFETY
-                note_flag(flag)
             take_sample(flag)
         leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
         stuck = engine_on and leg.v0 == 0.0 and leg.b <= leg.A * leg.wind_speed**2
-        if stuck and FLAG_STALLED not in flags:  # the engine cannot leave rest
-            note_flag(FLAG_STALLED)
+        if stuck and not stalled:  # the engine cannot leave rest
+            stalled = True
             take_sample(FLAG_STALLED)
         s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
         t_edge = wind.next_boundary_t(t)
@@ -311,8 +307,6 @@ def run_race(
 
     finished = x1 >= race_len - 1e-9
     take_sample(FLAG_FINISH if finished else FLAG_DNF)
-    if not finished:
-        note_flag(FLAG_DNF)
     return RaceResult(
         samples=tuple(samples),
         legs=tuple(legs),
@@ -322,7 +316,7 @@ def run_race(
         total_energy=e_power + alpha * switches,
         switches=switches,
         avg_speed=x1 / t if t > 0.0 else 0.0,
-        flags=tuple(flags),
+        flags=tuple(dict.fromkeys(s.flag for s in samples if s.flag not in ROUTINE_FLAGS)),
     )
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InfeasibleSliceError,
@@ -145,9 +143,9 @@ class TrackProfile:
         return self.arclength[-1]
 
     def _index(self, s: float) -> int:
-        if s < 0.0 or s > self.length:
+        if not 0.0 <= s <= self.length:  # NaN included
             raise DomainError(f"position {s} outside track [0, {self.length}]")
-        return min(max(bisect.bisect_right(self.arclength, s) - 1, 0), len(self.arclength) - 1)
+        return bisect.bisect_right(self.arclength, s) - 1
 
     def slope_at(self, s: float) -> float:
         return self.slope[self._index(s)]
@@ -205,7 +203,8 @@ class WindField:
             len(row) != len(self.time) for row in self.speed
         ):
             raise ScenarioError("wind grid must be rectangular")
-        if not all(np.isfinite(axis).all() for axis in (self.arclength, self.time, self.speed)):
+        values = (*self.arclength, *self.time, *(v for row in self.speed for v in row))
+        if not all(map(math.isfinite, values)):
             raise ScenarioError("wind arclengths, times and speeds must be finite")
 
     def at(self, s: float, t: float) -> float:
@@ -344,8 +343,8 @@ class FrozenDynamics:
     v_high: float
     v_low_is_root: bool
     gravity_component: float = field(init=False)
-    # (b, rest speed) of the engine-off and engine-on modes, indexed by ``engine_on``: the
-    # root each mode's acceleration settles at, v_high, or v_low when it is a root, else None
+    # (b, rest speed) per mode, indexed by ``engine_on``: the root its acceleration settles at,
+    # v_high, or v_low when a root, else None; ``leg_time_distance`` is inf for a leg ending there
     modes: tuple[tuple[float, float | None], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -386,22 +385,6 @@ class FrozenDynamics:
         if math.isinf(tau):
             return tau, tau
         return tau, w * tau - math.log1p(A * (r0 - r1) * (r0 + r1) / (b - A * r0 * r0)) / (2.0 * A)
-
-    def mode_changes_sign(
-        self, engine_on: bool, lo: float, hi: float, margin: float | None = None
-    ) -> bool:
-        """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
-
-        A root of ``b - a D(v - w)`` counts when it lies more than ``margin``,
-        by default ``max(1e-9, 1e-4 (hi - lo))``, inside the interval and away
-        from the mode's own rest speed, so a leg may start or end there.
-        """
-        margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
-        b, rest = self.modes[engine_on]
-        for v in _drag_roots(b, self.wind_speed, self.params):
-            if lo + margin < v < hi - margin and (rest is None or abs(v - rest) > margin):
-                return True
-        return False
 
     def moment_integrals(self) -> tuple[float, float, float]:
         """Whole-band integrals of the switching-cost inequality and cost expansion.
@@ -722,7 +705,7 @@ def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
         ),
         AssumptionItem(
             "engine_on_equilibrium",
-            not frozen.mode_changes_sign(True, v_lo, v_hi, 0.0) and abs(on_residual) < 1e-6,
+            not any(v_lo < v < v_hi for v in on_roots) and abs(on_residual) < 1e-6,
             {"v_high": v_hi, "residual": on_residual},
         ),
         AssumptionItem("mode_ordering", True, {"min_gap": p.traction}),

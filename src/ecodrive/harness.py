@@ -19,12 +19,6 @@ from .controller import run_race
 from .dynamics import FrozenDynamics, check_assumptions, read_csv_rows
 from .errors import EcodriveError, ScenarioError
 from .optimizer import optimal_band
-from .robustness import (
-    SpeedProfile,
-    mean_speed,
-    perturbation_series,
-    ratio_statistics,
-)
 from .scenario import (
     Scenario,
     default_out_dir,
@@ -138,6 +132,9 @@ def _safety_speed(text: str) -> float:
 
 
 def cmd_robustness(args) -> int:
+    # imported here: robustness needs numpy, which no race or slice command loads
+    from .robustness import SpeedProfile, mean_speed, perturbation_series, ratio_statistics
+
     g = SpeedProfile.from_samples(*_read_profile_table(args.g))
     dg = SpeedProfile.from_samples(*_read_profile_table(args.dg))
     base = mean_speed(g)

@@ -107,18 +107,20 @@ def band_from_limits(frozen: FrozenDynamics, v_a: float, v_b: float) -> Oscillat
     """One period oscillating between v_a and v_b: the up leg, then the down leg.
 
     The engine turns on once per period, so the switching cost is charged
-    once.  Neither mode's acceleration may change sign strictly inside the band.
+    once.  The band is feasible when both legs are finite: a leg is infinite
+    when it crosses a root of its mode's acceleration or ends at a rest speed.
     """
     if not frozen.v_low < v_a < v_b < frozen.v_high:
         raise InvalidSegmentError(
             f"band ({v_a}, {v_b}) must satisfy "
             f"v_low < v_a < v_b < v_high = ({frozen.v_low}, {frozen.v_high})"
         )
-    if any(frozen.mode_changes_sign(on, v_a, v_b) for on in (True, False)):
-        raise InvalidSegmentError("mode acceleration changes sign strictly inside the segment")
     legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
     if not all(map(math.isfinite, legs[0] + legs[1])):
-        raise InvalidSegmentError(f"band ({v_a}, {v_b}) ends at a rest speed it only approaches")
+        raise InvalidSegmentError(
+            f"a leg of the band ({v_a}, {v_b}) crosses a sign change of its mode "
+            "or ends at a rest speed it only approaches"
+        )
     return _band(v_a, v_b, *_period(frozen, legs))
 
 
@@ -149,9 +151,8 @@ def band_cost(
     the band at that root is returned when its average misses the target by
     at most ``0.01 tol`` and raises otherwise, as it does where even the band
     reaching almost the top equilibrium undershoots the target.  A candidate
-    within rounding of the target or of a coasting rest speed, or whose legs
-    would cross a root of either mode's acceleration, is infeasible: one
-    check covers the whole bracket.
+    within rounding of the target or of a coasting rest speed is infeasible,
+    and so is one whose period is infinite, a leg crossing a root of its mode.
     """
     if not frozen.v_low < v_a < v_target < frozen.v_high:
         raise InfeasibleCandidateError(
@@ -165,12 +166,6 @@ def band_cost(
         raise InfeasibleCandidateError(
             f"target {v_target:.6g} leaves no room below v_high {frozen.v_high:.6g}"
         )
-    margin = max(1e-9, 1e-4 * (v_target - v_a))  # no wider than any band (v_a, v_b) gets
-    if any(frozen.mode_changes_sign(on, v_a, v_b_max, margin) for on in (True, False)):
-        raise InfeasibleCandidateError(
-            f"a mode acceleration changes sign between v_a={v_a:.6g} "
-            f"and the top {v_b_max:.6g}"
-        )
     legs = []  # of the last upper limit evaluated, which the root returns
 
     def miss(v_b: float) -> tuple[float, float]:
@@ -179,6 +174,10 @@ def band_cost(
         )
         (t_up, d_up), (t_dn, d_dn) = legs
         t = t_up + t_dn
+        if t == math.inf:
+            raise InfeasibleCandidateError(
+                f"a leg of the band ({v_a:.6g}, {v_b:.6g}) crosses a sign change of its mode"
+            )
         avg = (d_up + d_dn) / t
         # the legs gain 1/|f| in time and v_b/|f| in distance at the moving end
         off = frozen.accel(v_b, False)

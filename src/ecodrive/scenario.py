@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .controller import FLAG_FINISH, FLAG_REPLAN, FLAG_SWITCH_OFF, FLAG_SWITCH_ON
+from .controller import FLAG_FINISH, ROUTINE_FLAGS
 from .controller import ControllerConfig, RaceResult, min_switch_gap, trace_rows
 from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
 from .errors import ScenarioError
@@ -283,8 +283,7 @@ def recompute_summary_from_telemetry(out_dir: str | Path) -> dict:
     if not rows:
         raise ScenarioError(f"{path}: no telemetry rows")
     t_end, x_end, _, _, switches, energy, _, _, last_flag = rows[-1]
-    routine = ("", FLAG_REPLAN, FLAG_SWITCH_ON, FLAG_SWITCH_OFF, FLAG_FINISH)
-    flags = list(dict.fromkeys(fl for *_, fl in rows if fl not in routine))
+    flags = list(dict.fromkeys(fl for *_, fl in rows if fl not in ROUTINE_FLAGS))
     return {
         "finish_time_s": t_end if last_flag == FLAG_FINISH else None,
         "total_energy_J": energy,

@@ -4,11 +4,13 @@
 package's adaptive loop, on each side of the signed-drag kink at the wind
 speed and with improper-endpoint handling at the mode's rest speed.
 ``moment_integrals`` integrates the whole-band moments the same way, and
-``scan_mode_changes_sign`` probes a mode's sign on grids.  They are the
-methods of ``GeneralLawSlice``, the base of the test slices whose
-acceleration is not the model's law, and the independent references for the
-closed forms of the model's own slices; ``general_law`` gives any slice the
-array form of its acceleration and consumption.  ``scan_check_assumptions``
+``scan_mode_changes_sign`` probes a mode's sign on grids.  They answer for
+``GeneralLawSlice``, the base of the test slices whose acceleration is not
+the model's law, and are the independent references for the closed forms of
+the model's own slices; ``general_law`` gives any slice the array form of its
+acceleration and consumption.  ``mode_changes_sign`` is the closed-form sign
+test from the roots of the drag law, the reference for a band's legs, which
+alone decide whether it is feasible.  ``scan_check_assumptions``
 is the grid-scan form of ``check_assumptions``.  ``bisection_upper_limit``
 is the 60-step dichotomy on the period average that the band search used
 before its bracketed root.
@@ -26,6 +28,7 @@ from ecodrive.dynamics import (
     AssumptionItem,
     AssumptionReport,
     FrozenDynamics,
+    _drag_roots,
     engine_energy,
 )
 from ecodrive.errors import InfeasibleCandidateError
@@ -210,11 +213,28 @@ class GeneralLawSlice(FrozenDynamics):
     def leg_time_distance(self, engine_on, v0, v1):
         return leg_time_distance(self, engine_on, v0, v1)
 
-    def mode_changes_sign(self, engine_on, lo, hi, margin=None):
-        return scan_mode_changes_sign(self, engine_on, lo, hi, margin)
-
     def moment_integrals(self):
         return moment_integrals(self)
+
+
+def mode_changes_sign(
+    frozen: FrozenDynamics, engine_on: bool, lo: float, hi: float, margin: float | None = None
+) -> bool:
+    """Whether the mode acceleration vanishes or changes sign inside (lo, hi).
+
+    By scans on a ``GeneralLawSlice``; on a model slice in closed form: a root
+    of ``b - a D(v - w)`` counts when it lies more than ``margin``, by default
+    ``max(1e-9, 1e-4 (hi - lo))``, inside the interval and away from the
+    mode's own rest speed, so a leg may start or end there.
+    """
+    if isinstance(frozen, GeneralLawSlice):
+        return scan_mode_changes_sign(frozen, engine_on, lo, hi, margin)
+    margin = max(1e-9, 1e-4 * (hi - lo)) if margin is None else margin
+    b, rest = frozen.modes[engine_on]
+    return any(
+        lo + margin < v < hi - margin and (rest is None or abs(v - rest) > margin)
+        for v in _drag_roots(b, frozen.wind_speed, frozen.params)
+    )
 
 
 def general_law(frozen: FrozenDynamics) -> GeneralLawSlice:
@@ -251,8 +271,10 @@ def bisection_upper_limit(
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     if v_b_max <= v_target:
         raise InfeasibleCandidateError("no room below v_high")
-    if any(frozen.mode_changes_sign(on, v_a, v_b_max) for on in (True, False)):
+    if any(mode_changes_sign(frozen, on, v_a, v_b_max) for on in (True, False)):
         raise InfeasibleCandidateError("a mode acceleration changes sign")
+    if frozen.accel(v_a, True) <= 0.0:  # a root within the sign test's margin above v_a
+        raise InfeasibleCandidateError("the engine-on acceleration changes sign at v_a")
     # split each leg at the target speed: the inner pieces do not depend on
     # the trial upper limit
     t_up_fix, d_up_fix = leg_time_distance(frozen, True, v_a, v_target)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ecodrive import FrozenDynamics, InvalidSegmentError, SpeedProfile, mean_speed
+from ecodrive import FrozenDynamics, InvalidSegmentError
 from ecodrive.dynamics import engine_energy
-from quadrature_legs import general_law
+from ecodrive.robustness import SpeedProfile, mean_speed
+from quadrature_legs import general_law, mode_changes_sign
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class SpeedSegment:
         if self.v0 == self.v1:
             return 0.0, 0.0
         lo, hi = sorted((self.v0, self.v1))
-        if self.frozen.mode_changes_sign(self.engine_on, lo, hi):
+        if mode_changes_sign(self.frozen, self.engine_on, lo, hi):
             raise InvalidSegmentError(
                 "mode acceleration changes sign strictly inside the segment"
             )

@@ -21,18 +21,16 @@ from segments import (
     proportional_invariance_check,
 )
 from ecodrive import (
-    SpeedProfile,
     TrackProfile,
     WindField,
     asymptotic_average_cost,
     band_from_limits,
     check_assumptions,
-    mean_speed,
     min_switch_interval,
     optimal_band,
-    perturbation_series,
 )
 from ecodrive import fixtures as fixture_lib
+from ecodrive.robustness import SpeedProfile, mean_speed, perturbation_series
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

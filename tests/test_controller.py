@@ -40,6 +40,7 @@ from ecodrive.controller import (
     FLAG_SWITCH_ON,
     FLAG_UNREACHABLE,
 )
+from ecodrive.scenario import recompute_summary_from_telemetry
 
 
 def _bisect(value, lo: float, hi: float) -> float:
@@ -366,6 +367,31 @@ class TestRunRace:
         # stuck from the start, the stall is noted once, at its onset,
         # whatever the trace grid
         assert [s.t for s in result.samples if s.flag == FLAG_STALLED] == [0.0]
+
+    def test_flags_are_the_reports_recomputed_flags(
+        self, params, const_power, zero_wind, short_cfg, tmp_path
+    ):
+        slope = math.asin(0.25 / params.gravity)
+        races = {
+            # an impossible climb: full effort from the start, stuck, and never finishing
+            "stalled": (
+                TrackProfile((0.0, 100.0), (slope, slope), (12.0, 12.0)),
+                ControllerConfig(race_length=100.0, race_duration=50.0),
+                [FLAG_INFEASIBLE, FLAG_STALLED, "did_not_finish"],
+            ),
+            # the safety speed falls through the band top between 800 and 1200 m
+            "safety": (
+                TrackProfile((0.0, 800.0, 1200.0, 2000.0), (0.0,) * 4, (12.0, 12.0, 6.5, 6.5)),
+                short_cfg,
+                [FLAG_SAFETY, FLAG_UNREACHABLE],
+            ),
+        }
+        for name, (track, cfg, flags) in races.items():
+            result = run_race(track, zero_wind, params, const_power, cfg)
+            emit_report(result, Scenario(name, params, const_power, track, zero_wind, cfg),
+                        tmp_path / name)
+            assert list(result.flags) == flags
+            assert recompute_summary_from_telemetry(tmp_path / name)["flags"] == flags
 
     def test_doubling_switch_cost_does_not_shrink_the_gap(
         self, const_power, zero_wind, short_cfg

@@ -86,6 +86,12 @@ class TestAcceleration:
         with pytest.raises(DomainError):
             _accel(1e9, 5.0, 0.0, True, params, long_flat_track, zero_wind)
 
+    def test_nan_position_rejected(self, long_flat_track):
+        with pytest.raises(DomainError):
+            long_flat_track.slope_at(math.nan)
+        with pytest.raises(DomainError):
+            long_flat_track.safe_speed_at(math.nan)
+
     def test_signed_drag_flips_tailwind_push(self, long_flat_track):
         literal = VehicleParams()
         signed = VehicleParams(signed_drag=True)
@@ -561,7 +567,7 @@ class TestClosedFormSlice:
         width = frozen.v_high - frozen.v_low
         lo, hi = sorted((frozen.v_low + u0 * width, frozen.v_low + u1 * width))
         assume(hi - lo > 1e-3 * width)
-        assert frozen.mode_changes_sign(engine_on, lo, hi) == (
+        assert quadrature_legs.mode_changes_sign(frozen, engine_on, lo, hi) == (
             quadrature_legs.scan_mode_changes_sign(frozen, engine_on, lo, hi)
         )
 
@@ -581,8 +587,9 @@ class TestClosedFormSlice:
 
     def test_interior_engine_on_root_diverges(self, params, const_power):
         frozen = FrozenDynamics.from_conditions(params, const_power, 0.015, 8.0)
-        assert frozen.mode_changes_sign(True, 1.0, 3.0)
-        assert not frozen.mode_changes_sign(True, 2.0, 3.0)
+        # the engine-on root near 1.83 stops the leg from 1.0, not the one from 2.0
+        assert frozen.leg_time_distance(True, 1.0, 3.0) == (math.inf, math.inf)
+        assert all(map(math.isfinite, frozen.leg_time_distance(True, 2.0, 3.0)))
         assert math.isinf(frozen.moment_integrals()[1])
         item = check_assumptions(frozen).item("switching_cost_small")
         assert item.passed is None

@@ -763,10 +763,12 @@ params = scenario + "/params.json"
 assert main(["simulate", "--scenario", scenario, "--out", out]) == 0
 assert main(["optimize", "--params", params, "--target", "7"]) == 0
 assert main(["check-assumptions", "--params", params, "--slope", "0.002"]) == 0
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert main(["robustness", "--g", g, "--dg", dg]) == 0
-profile = ecodrive.SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
+from ecodrive.robustness import SpeedProfile
+profile = SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"scipy": loaded, "value": float(profile(7.5))}))
+print(json.dumps({"scipy": loaded, "numpy": numpy, "value": float(profile(7.5))}))
 """
 
 
@@ -791,6 +793,8 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout.splitlines()[-1])
         assert probe["scipy"] == []
+        # numpy waits for the robustness command
+        assert probe["numpy"] == []
         # the monotone cubic through the samples still interpolates them
         assert 0.05 < probe["value"] < 0.08
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["switches"] == 57

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 import newton_reference
 import oracles
+import quadrature_legs
 from quadrature_legs import GeneralLawSlice, bisection_upper_limit
 from ecodrive import (
     FrozenDynamics,
@@ -71,18 +72,6 @@ class TestUpperLimit:
         assert calls[-2:] == [(flat_slice, True, v_a, v_b), (flat_slice, False, v_b, v_a)]
         assert oracles.band_average(v_a, v_b) == pytest.approx(7.0, abs=1e-6)
 
-    def test_one_sign_check_per_mode(self, flat_slice, monkeypatch):
-        checks = []
-        original = type(flat_slice).mode_changes_sign
-
-        def counting(self, *args):
-            checks.append(args)
-            return original(self, *args)
-
-        monkeypatch.setattr(type(flat_slice), "mode_changes_sign", counting)
-        band_cost(flat_slice, 6.1, 7.0)
-        assert sorted(on for on, *_ in checks) == [False, True]
-
     def test_preconditions(self, flat_slice):
         with pytest.raises(InfeasibleCandidateError):
             band_cost(flat_slice, 7.5, 7.0)
@@ -105,6 +94,8 @@ class TestUpperLimitOnRandomSlices:
     RATIONAL_BRANCH = (False, 0.0, -math.asin(0.03 / 9.81), False, 0.3, 0.5)
     # signed drag: both legs cross the wind speed
     ACROSS_THE_WIND = (True, 4.0, 0.0, True, 0.1, 0.4)
+    # the tailwind climb, with the engine-on root near 1.83 just 5e-5 above v_a
+    ROOT_ABOVE_V_A = (False, 8.0, 0.015, False, 0.12899000780260775, 0.1)
 
     @staticmethod
     def candidate(signed, wind, slope, wheel, u_a, u_t):
@@ -124,6 +115,7 @@ class TestUpperLimitOnRandomSlices:
     @given(**SLICES)
     @example(*RATIONAL_BRANCH)
     @example(*ACROSS_THE_WIND)
+    @example(*ROOT_ABOVE_V_A)
     def test_meets_target_and_matches_bisection(self, signed, wind, slope, wheel, u_a, u_t):
         frozen, v_a, v_target = self.candidate(signed, wind, slope, wheel, u_a, u_t)
         tol = GridSpec().tol
@@ -169,36 +161,33 @@ class TestUpperLimitOnRandomSlices:
     @settings(max_examples=60, deadline=None)
     @given(**SLICES)
     @example(False, 0.0, 0.0, False, 0.3, 0.5)  # the flat windless slice
-    def test_one_sign_check_rejects_what_the_pair_of_checks_did(
+    # the tailwind climb: the engine-on root near 1.83 lies between v_a and the target
+    @example(False, 8.0, 0.015, False, 0.1, 0.1)
+    @example(*ROOT_ABOVE_V_A)  # inside the closed-form test's margin
+    def test_legs_reject_where_the_sign_reference_did(
         self, signed, wind, slope, wheel, u_a, u_t
     ):
-        # one check of the bracket [v_a, v_b_max] with the margin of the
-        # narrowest band (v_a, target) rejects what checking the bracket and
-        # then the band [v_a, v_b], each with its own margin, rejects
+        # the legs of the band (v_a, target) are infinite, or the closed-form test finds a
+        # root of a mode between v_a and the top, with the margin of that band: exactly
+        # there the band is infeasible for a sign change, and elsewhere its legs decide
         frozen, v_a, v_target = self.candidate(signed, wind, slope, wheel, u_a, u_t)
-        assume(check_assumptions(frozen).passed)
         v_b_max = frozen.v_high * (1.0 - optimizer.UPPER_BRACKET_MARGIN)
         assume(v_target < v_b_max)
-
-        def pair_rejects(v_b):
-            return any(
-                frozen.mode_changes_sign(on, v_a, hi)
-                for on in (True, False)
-                for hi in (v_b_max, min(v_b, v_b_max))
-            )
-
+        margin = max(1e-9, 1e-4 * (v_target - v_a))
+        legs = leg_time_distance(frozen, True, v_a, v_target) + leg_time_distance(
+            frozen, False, v_target, v_a
+        )
+        crosses = not all(map(math.isfinite, legs)) or any(
+            quadrature_legs.mode_changes_sign(frozen, on, v_a, v_b_max, margin)
+            for on in (True, False)
+        )
         try:
             band = band_cost(frozen, v_a, v_target)
         except InfeasibleCandidateError as exc:
-            if "changes sign" in str(exc):
-                # the bisection only runs once the bracket's own check passed
-                assert pair_rejects(v_b_max) or pair_rejects(
-                    bisection_upper_limit(frozen, v_a, v_target)
-                )
-            else:  # rejected before the band was checked
-                assert not pair_rejects(v_b_max)
+            assert ("sign" in str(exc)) == crosses
             return
-        assert not pair_rejects(band.upper)
+        assert not crosses
+        assert band == band_from_limits(frozen, v_a, band.upper)
 
 
 class TestBandCost:

@@ -19,13 +19,10 @@ from ecodrive import (
     FrozenDynamics,
     InvalidProfileError,
     PowerModel,
-    SpeedProfile,
     VehicleParams,
-    mean_speed,
-    perturbation_series,
-    ratio_statistics,
 )
 from ecodrive import robustness
+from ecodrive.robustness import SpeedProfile, mean_speed, perturbation_series, ratio_statistics
 from ecodrive.quadrature import adaptive_quadrature
 
 
