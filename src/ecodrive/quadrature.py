@@ -86,19 +86,22 @@ def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
     of k integrands, integrated on shared panels into a length-k array; a
     1-d result gives a float.  Until every row's summed error is below
     ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst against that
-    rule is split, both halves in one call of ``fn``.
+    rule is split, both halves in one call of ``fn``.  Knots outside the
+    interval are ignored.
     """
     if lo == hi:
         return 0.0
     sign = 1.0 if lo < hi else -1.0
-    edges = np.unique([lo, *knots, hi])
+    edges = np.unique(np.clip([lo, *knots, hi], min(lo, hi), max(lo, hi)))
     panels = np.moveaxis(_panels(fn, edges), -1, 0)
     total = panels.sum(axis=0)
-    # each row's error in units of its rule, as first estimated
-    scale = 1.0 / np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)
-    worst = (panels[:, 1] * scale).reshape(len(panels), -1).max(axis=1)
-    heap = sorted(zip((-worst).tolist(), edges[:-1], edges[1:], panels))
+    heap = None
     while np.any(total[1] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):
+        if heap is None:  # built at the first split, as most passes converge at once
+            # each row's error in units of its rule, as first estimated
+            scale = 1.0 / np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)
+            worst = (panels[:, 1] * scale).reshape(len(panels), -1).max(axis=1)
+            heap = sorted(zip((-worst).tolist(), edges[:-1], edges[1:], panels))
         if len(heap) >= MAX_PANELS:
             raise NumericError(
                 f"quadrature exhausted {MAX_PANELS} panels on [{edges[0]}, {edges[-1]}]"

@@ -70,7 +70,8 @@ class SpeedProfile:
 
         def cubic(s: np.ndarray) -> np.ndarray:
             i = np.searchsorted(x[1:-1], s, side="right")
-            out = np.polyval(coef.take(i, 1), s - x[i])
+            (c3, c2, c1, c0), u = coef.take(i, 1), s - x[i]
+            out = ((c3 * u + c2) * u + c1) * u + c0
             return np.where((s >= x[0]) & (s <= x[-1]), out, np.nan)
 
         return cls(float(x[0]), float(x[-1]), cubic, tuple(x.tolist()))
@@ -95,6 +96,15 @@ class SpeedProfile:
             raise InvalidProfileError("profile vanishes on the sampled grid")
         return vals
 
+    @cached_property
+    def _mean_speed(self) -> float:
+        """The time-weighted average speed, integrated once per profile."""
+        self._validate_nonvanishing  # raises unless finite and of one sign on the grid
+        duration, distance = adaptive_quadrature(
+            lambda s: np.vstack([np.ones_like(s), s]) / self(s), self.lo, self.hi, self.knots
+        )
+        return float(distance / duration)
+
 
 def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
     if abs(a.lo - b.lo) > 1e-12 or abs(a.hi - b.hi) > 1e-12:
@@ -105,38 +115,33 @@ def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
 
 def mean_speed(g: SpeedProfile) -> float:
     """Time-weighted average speed of the maneuver driven by profile g."""
-    g._validate_nonvanishing  # raises unless g is finite and of one sign on its grid
-    duration, distance = adaptive_quadrature(
-        lambda s: np.vstack([np.ones_like(s), s]) / g(s), g.lo, g.hi, g.knots
-    )
-    return float(distance / duration)
+    return g._mean_speed
 
 
-def perturbation_series(
-    g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAULT_TERMS, mean: float | None = None
-) -> float:
+def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAULT_TERMS) -> float:
     """Partial-sum estimate of the average-speed shift caused by ``dg``.
 
     Sums the alternating series in powers of dg/g; each extra term buys one
     power of sup|dg/g|, so the default depth is ample for ratios up to ~0.3.
     The perturbed duration and every term are integrated in one adaptive
-    pass on shared panels, each profile evaluated once per call.  A caller
-    that has ``mean_speed(g)`` already passes it as ``mean``.
+    pass on shared panels, each profile evaluated once per call; the powers
+    of dg/g are a running product.  The mean of g is integrated once per
+    profile, so a caller that has called ``mean_speed(g)`` pays no pass for it.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
+    if isinstance(n_terms, bool) or not isinstance(n_terms, int) or n_terms < 1:
+        raise ValueError(f"n_terms must be an integer of at least 1, got {n_terms!r}")
     ratio = _ratio_values(g, dg)
     sup = float(np.max(np.abs(ratio)))
     if sup >= 1.0:
         raise DivergenceRiskError(
             f"sup|dg/g| = {sup:.6g} >= 1: the perturbation series may diverge"
         )
-    mean = mean_speed(g) if mean is None else mean
-    powers = np.arange(1, n_terms + 1)[:, None]
+    mean = mean_speed(g)
 
     def rows(s: np.ndarray) -> np.ndarray:
         gs, dgs = g(s), dg(s)
-        return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * (dgs / gs) ** powers])
+        powers = np.cumprod(np.broadcast_to(dgs / gs, (n_terms, s.size)), axis=0)
+        return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * powers])
 
     perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.plus(dg).knots)
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)

@@ -23,6 +23,7 @@ from ecodrive import (
 )
 from ecodrive.optimizer import leg_time_distance
 from ecodrive.quadrature import adaptive_quadrature
+from robustness_reference import eager_adaptive_quadrature
 
 # frozen closed-form values for the reference band 6.1 -> 7.94 m/s
 T_UP_BAND = 13.131691162356102
@@ -73,6 +74,20 @@ class TestAdaptiveQuadrature:
         sizes.clear()
         adaptive_quadrature(_speed_rows(fn), 0.0, 3.0)
         assert len(sizes) > 1
+
+    def test_knots_outside_the_interval_are_ignored(self):
+        nodes = []
+
+        def fn(s):
+            nodes.append(s)
+            return s
+
+        assert adaptive_quadrature(fn, 1.0, 2.0, (1.5, 3.0)) == pytest.approx(1.5, rel=1e-14)
+        assert adaptive_quadrature(fn, 2.0, 1.0, (0.0, 1.5, 3.0)) == pytest.approx(-1.5, rel=1e-14)
+        assert adaptive_quadrature(fn, 1.0, 2.0, (-1.0, 0.5, 2.5)) == pytest.approx(1.5, rel=1e-14)
+        # one call each, every node inside [1, 2]: two panels, two panels, one panel
+        assert [s.size for s in nodes] == [30, 30, 15]
+        assert all(1.0 < s.min() and s.max() < 2.0 for s in nodes)
 
     def test_against_scipy_reference(self):
         fn = lambda s: np.exp(-s) * np.sin(3.0 * s)
@@ -130,6 +145,37 @@ class TestStackedIntegrands:
                 adaptive_quadrature(
                     lambda s: np.vstack([np.ones_like(s), 1.0 / (s - 1.0)]), 0.0, 2.0
                 )
+
+
+class TestLazyHeap:
+    """The heap of panels is built at the first split; the eager loop is the reference."""
+
+    CASES = (
+        # a peak, a kink at a knot and an oscillation on shared panels: many splits
+        (lambda s: np.vstack([1.0 / (1e-3 + (s - 1.3) ** 2), np.abs(s - 0.7), np.sin(20.0 * s)]),
+         0.0, 2.0, (0.7,), True),
+        (lambda s: 1.0 / (1e-4 + (s - 0.31) ** 2), 1.0, 0.0, (), True),
+        # converges on its first call
+        (lambda s: 3.0 * s * s, 0.0, 2.0, (0.5,), False),
+    )
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_same_calls_and_totals_as_the_eager_heap(self, case):
+        integrand, lo, hi, knots, splits = self.CASES[case]
+        runs = []
+        for loop in (adaptive_quadrature, eager_adaptive_quadrature):
+            nodes = []
+
+            def fn(s):
+                nodes.append(s.copy())
+                return integrand(s)
+
+            runs.append((loop(fn, lo, hi, knots), nodes))
+        (lazy, lazy_nodes), (eager, eager_nodes) = runs
+        assert np.asarray(lazy).tobytes() == np.asarray(eager).tobytes()
+        assert len(lazy_nodes) == len(eager_nodes)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(lazy_nodes, eager_nodes))
+        assert len(lazy_nodes) > 10 if splits else len(lazy_nodes) == 1
 
 
 class TestSegments:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import oracles
+from robustness_reference import polyval_cubic, pow_series
 from segments import (
     SpeedSegment,
     acceleration_profile,
@@ -76,6 +77,11 @@ def sample_tables(draw):
     level = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10.0, 10.0)
     values = np.array(draw(st.lists(level, min_size=n, max_size=n)))
     return speeds, values
+
+
+def _fresh(profile):
+    """The same profile as a new object, so nothing it has cached carries over."""
+    return SpeedProfile(profile.lo, profile.hi, profile.fn, profile.knots)
 
 
 def _quadratic_bump(g, magnitude):
@@ -150,6 +156,15 @@ class TestMonotoneCubic:
         scale = max(float(np.max(np.abs(values))), 1.0)
         assert np.max(np.abs(ours(s) - reference(s))) <= 1e-14 * scale
         assert (ours.lo, ours.hi) == (speeds[0], speeds[-1])
+
+    @given(table=sample_tables())
+    def test_horner_matches_polyval_bit_for_bit(self, table):
+        speeds, values = table
+        width = speeds[-1] - speeds[0]
+        s = np.concatenate([np.linspace(speeds[0] - 0.1 * width, speeds[-1] + 0.1 * width, 301),
+                            speeds])
+        ours = SpeedProfile.from_samples(speeds, values)(s)
+        assert ours.tobytes() == polyval_cubic(speeds, values)(s).tobytes()
 
     def test_nan_off_the_band(self):
         profile = SpeedProfile.from_samples([6.0, 7.0, 8.0], [0.1, 0.08, 0.05])
@@ -232,6 +247,17 @@ class TestPerturbationSeries:
                 series_term_by_term(g, dg, n, knots), rel=1e-8, abs=1e-12
             )
 
+    # the running product of the powers of dg/g rounds differently from pow;
+    # the estimate's alternating sum cancels from the size of its terms, so
+    # the two are compared on that scale
+    @settings(max_examples=30, deadline=None)
+    @given(sample=sampled_pairs())
+    def test_running_product_matches_pow_powers(self, sample):
+        _, g, dg = sample
+        for n in (1, 2, 8):
+            reference, magnitude = pow_series(g, dg, n, mean_speed(g))
+            assert abs(perturbation_series(g, dg, n) - reference) <= 1e-13 * magnitude
+
     def test_one_quadrature_pass_for_every_term(self, accel_profile, monkeypatch):
         calls = []
         inner = robustness.adaptive_quadrature
@@ -240,10 +266,11 @@ class TestPerturbationSeries:
             calls.append((lo, hi, knots))
             return inner(fn, lo, hi, knots)
 
-        mean = mean_speed(accel_profile)
+        g = _fresh(accel_profile)
+        mean_speed(g)
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
-        perturbation_series(accel_profile, _quadratic_bump(accel_profile, 0.3), 8, mean=mean)
-        band = (accel_profile.lo, accel_profile.hi)
+        perturbation_series(g, _quadratic_bump(g, 0.3), 8)
+        band = (g.lo, g.hi)
         assert calls == [(*band, band)]
 
     def test_robustness_command_makes_three_passes(self, accel_profile, monkeypatch):
@@ -255,23 +282,59 @@ class TestPerturbationSeries:
             return inner(fn, lo, hi, knots)
 
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
-        g, dg = accel_profile, _quadratic_bump(accel_profile, 0.3)
+        g = _fresh(accel_profile)
+        dg = _quadratic_bump(g, 0.3)
         # the calls of ``ecodrive robustness``: both means, then the series
-        base = mean_speed(g)
+        mean_speed(g)
         mean_speed(g.plus(dg))
-        perturbation_series(g, dg, mean=base)
+        perturbation_series(g, dg)
         assert len(calls) == 3
 
-    def test_given_mean_is_not_computed_again(self, accel_profile, monkeypatch):
+    def test_mean_is_integrated_once_per_profile(self, accel_profile, monkeypatch):
+        calls = []
+        inner = robustness.adaptive_quadrature
+
+        def counted(fn, lo, hi, knots=()):
+            calls.append(fn)
+            return inner(fn, lo, hi, knots)
+
+        monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
+        g = _fresh(accel_profile)
+        mean = mean_speed(g)
+        assert len(calls) == 1
+        perturbation_series(g, _quadratic_bump(g, 0.3))
+        perturbation_series(g, _quadratic_bump(g, 0.1), 4)
+        # one pass for each series, none for the mean again
+        assert len(calls) == 3
+        assert mean_speed(g) == mean and len(calls) == 3
+        # a profile with the same fields is a new profile, integrated again
+        assert mean_speed(_fresh(g)) == mean and len(calls) == 4
+
+    def test_benchmark_call_order_makes_three_passes(self, monkeypatch):
+        # the robustness request of perfbench: sampled profiles, every name
+        # looked up on the module, and the series left to find the mean itself
+        counts = {"adaptive_quadrature": 0, "mean_speed": 0, "perturbation_series": 0}
+        for name in counts:
+            def counted(*args, _inner=getattr(robustness, name), _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(robustness, name, counted)
+        s = np.linspace(6.0, 8.0, 33)
+        g_values = 0.5 - 0.005 * s * s
+        g = robustness.SpeedProfile.from_samples(s, g_values)
+        dg = robustness.SpeedProfile.from_samples(s, 0.2 * g_values * ((s - 6.0) / 2.0) ** 2)
+        robustness.mean_speed(g)
+        robustness.mean_speed(g.plus(dg))
+        robustness.perturbation_series(g, dg, 8)
+        robustness.ratio_statistics(g, dg)
+        assert counts == {"adaptive_quadrature": 3, "mean_speed": 3, "perturbation_series": 1}
+
+    @pytest.mark.parametrize("n_terms", [0, -1, 2.5, 3.0, True, False, "8", None])
+    def test_n_terms_must_be_an_integer_of_at_least_one(self, accel_profile, n_terms):
         dg = _quadratic_bump(accel_profile, 0.3)
-        mean = mean_speed(accel_profile)
-        expected = perturbation_series(accel_profile, dg)
-
-        def refused(g):
-            raise AssertionError("mean_speed called although the mean was given")
-
-        monkeypatch.setattr(robustness, "mean_speed", refused)
-        assert perturbation_series(accel_profile, dg, mean=mean) == expected
+        with pytest.raises(ValueError, match="n_terms"):
+            perturbation_series(accel_profile, dg, n_terms)
 
     def test_each_profile_is_validated_once(self, accel_profile):
         g_sizes, dg_sizes = [], []
@@ -285,7 +348,7 @@ class TestPerturbationSeries:
 
         g = counted(accel_profile, g_sizes)
         dg = counted(_quadratic_bump(accel_profile, 0.3), dg_sizes)
-        # the robustness command's calls, the series computing its own mean
+        # the robustness command's calls, the series reading g's cached mean
         mean_speed(g)
         mean_speed(g.plus(dg))
         perturbation_series(g, dg)
