@@ -170,14 +170,15 @@ def replan(
     params: VehicleParams,
     power: PowerModel,
     cfg: ControllerConfig,
+    start: OscillationBand | None = None,
 ) -> ReplanRecord:
     """The oscillation band for the remaining-distance target at time ``t`` and ``position``.
 
-    The target is remaining distance over remaining time, and ``optimal_band``
-    picks the band; only the fallbacks are picked here.  An infeasible slice
-    (e.g. a climb too steep for the engine) gets full effort: both edges at the
-    safety speed, so the engine is on wherever the speed lies below it.  Where
-    the band search raises, the flagged record rides the safety band, or full
+    The target is remaining distance over remaining time; ``optimal_band`` picks
+    the band, solving from ``start``, and only the fallbacks are picked here.  An
+    infeasible slice (e.g. a climb too steep for the engine) gets full effort: both
+    edges at the safety speed, so the engine is on wherever the speed is below it.
+    Where the band search raises, the flagged record rides the safety band, or full
     effort where no safety band can be built; its reason names each error.
     """
     remaining_d = cfg.race_length - position
@@ -190,7 +191,7 @@ def replan(
         band, reason = _full_effort(v_safe), f"{type(exc).__name__}: {exc}"
         return ReplanRecord(t, position, target, band, FLAG_INFEASIBLE, reason)
     try:
-        band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin)
+        band = optimal_band(frozen, target, v_safe, cfg.grid, cfg.safety_margin, start)
     except EcodriveError as exc:
         reason = f"{type(exc).__name__}: {exc}"
         try:
@@ -236,8 +237,9 @@ def run_race(
     edge, where a coasting leg reaches the band bottom (once per switch-on: a
     met target holds for whole periods) and ``RECHECK_INTERVAL`` after a band
     that misses it: a flagged or clamped band, or a coast band entered below its
-    target.  Telemetry is taken at every replan and switch; the race records
-    its legs, and the report reads the trace off them.  Stops at the finish or hard cap.
+    target.  Each solves from the band in force: one Newton iteration where the target has
+    not moved.  Telemetry is taken at every replan and switch; the race records its legs,
+    and the report reads the trace off them.  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
         raise ScenarioError(f"race length {cfg.race_length} exceeds track length {track.length}")
@@ -267,7 +269,7 @@ def run_race(
         # the coasting leg landed on the band bottom: the next period starts
         period_start = period_due and not engine_on and x2 == band.lower
         if period_start or t >= replan_at:
-            record = replan(t, x1, track, wind, params, power, cfg)
+            record = replan(t, x1, track, wind, params, power, cfg, band)
             band = record.band
             replans.append(record)
             take_sample(record.flag or FLAG_REPLAN)
@@ -331,7 +333,8 @@ def _next_event(
     track is given, its safety speed.  Speed and position events land
     exactly on their value, so the switching tests at the new state see them.
     The position and safety-speed events are guarded Newton roots in the
-    leg's time; the safety speed is linear in position inside the leg's cell.
+    leg's time, the first from where the start's acceleration, held, covers the
+    gap; the safety speed is linear in position inside the leg's cell.
     """
     tau, t_new, speed = t_stop - t, t_stop, None
     for v_event, tau_event in ((leg.end_speed, leg.end_time), (edge, leg.time_to(edge))):
@@ -339,7 +342,10 @@ def _next_event(
             tau, t_new, speed = tau_event, t + tau_event, v_event
     x_new = x1 + leg.distance(tau)
     if x_new >= s_stop:
-        tau = increasing_root(lambda h: (x1 + leg.distance(h) - s_stop, leg.speed(h)), 0.0, tau, tau)
+        gap, v0 = s_stop - x1, leg.v0
+        disc = v0 * v0 + 2.0 * (leg.b - leg.A * (v0 - leg.wind_speed) ** 2) * gap
+        h0 = 2.0 * gap / (v0 + math.sqrt(disc)) if disc > 0.0 else tau
+        tau = increasing_root(lambda h: (x1 + leg.distance(h) - s_stop, leg.speed(h)), 0.0, tau, h0)
         t_new, x_new, speed = t + tau, s_stop, None
     if safety is not None:
         gradient = (safety.safe_speed_at(s_stop) - safety.safe_speed_at(x1)) / (s_stop - x1)

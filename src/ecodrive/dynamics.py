@@ -14,6 +14,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -551,7 +552,7 @@ def _branch_time(b: float, A: float, r0: float, r1: float) -> float:
     return math.atanh(z) / (A * k) if abs(z) < 1.0 else math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leg:
     """One constant-mode leg inside a slope/wind cell, in closed form.
 
@@ -574,6 +575,8 @@ class Leg:
     sigma: float = 0.0
     end_speed: float = math.nan
     end_time: float = math.inf
+    # speed(tau), the speed tau seconds into the leg: its law with the constants bound once
+    speed: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def start(
@@ -607,20 +610,14 @@ class Leg:
             return math.inf
         return _branch_time(self.b, self.A, self.v0 - self.wind_speed, v1 - self.wind_speed)
 
-    def _trig(self, tau: float) -> tuple[float, float]:
-        """(cosh, sinh) or (cos, sin) of ``A k tau``."""
-        x = self.A * self.k * tau
-        if self.sigma > 0.0:
-            return math.cosh(x), math.sinh(x)
-        return math.cos(x), math.sin(x)
-
-    def speed(self, tau: float) -> float:
-        """Speed ``tau`` seconds into the leg."""
-        r0, k = self.v0 - self.wind_speed, self.k
+    def __post_init__(self) -> None:
+        w, r0, k, A = self.wind_speed, self.v0 - self.wind_speed, self.k, self.A
         if self.sigma == 0.0:
-            return max(self.wind_speed + r0 / (1.0 + self.A * r0 * tau), 0.0)
-        c, s = self._trig(tau)
-        return max(self.wind_speed + k * (r0 * c + self.sigma * k * s) / (k * c + r0 * s), 0.0)
+            law = partial(_rational_speed, w, r0, A)
+        else:
+            trig = (math.cosh, math.sinh) if self.sigma > 0.0 else (math.cos, math.sin)
+            law = partial(_trig_speed, *trig, w, r0, k, A * k, self.sigma * k)
+        object.__setattr__(self, "speed", law)
 
     def distance(self, tau: float) -> float:
         """Distance ``w tau + ln(cosh + (r0/k) sinh)/A`` covered in ``tau`` seconds."""
@@ -628,9 +625,20 @@ class Leg:
         if self.sigma == 0.0:
             return self.wind_speed * tau + math.log1p(self.A * r0 * tau) / self.A
         # cosh - 1 = 2 sinh^2(x/2) keeps the logarithm exact for short legs
-        c, s = self._trig(0.5 * tau)
+        x = self.A * self.k * (0.5 * tau)
+        c, s = (math.cosh(x), math.sinh(x)) if self.sigma > 0.0 else (math.cos(x), math.sin(x))
         inner = 2.0 * s * (self.sigma * s + r0 / self.k * c)
         return self.wind_speed * tau + math.log1p(inner) / self.A
+
+
+def _rational_speed(w: float, r0: float, A: float, tau: float) -> float:
+    return max(w + r0 / (1.0 + A * r0 * tau), 0.0)
+
+
+def _trig_speed(cos, sin, w: float, r0: float, k: float, ak: float, sk: float, tau: float) -> float:
+    x = ak * tau
+    c, s = cos(x), sin(x)
+    return max(w + k * (r0 * c + sk * s) / (k * c + r0 * s), 0.0)
 
 
 def freeze(

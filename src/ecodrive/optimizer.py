@@ -210,6 +210,7 @@ def optimal_band(
     v_safe: float = math.inf,
     grid: GridSpec | None = None,
     delta: float = 0.5,
+    start: OscillationBand | None = None,
 ) -> OscillationBand:
     """Cheapest band at the target average speed, clamped to the safety speed.
 
@@ -217,9 +218,10 @@ def optimal_band(
     equilibrium raises ``InfeasibleTargetError``; one at or above ``v_safe`` gets the
     safety band (v_safe - delta, v_safe), which misses it; one at or below the rest
     speed gets the coast band.  Otherwise it solves for the interior optimum
-    (``_newton_band``); where that fails, or where F's curvature changes sign and a
-    cheaper minimum can sit on the rest-speed bound, ``_rooted_band`` compares the
-    bound too.  A band topping out above ``v_safe`` is replaced by the safety band.
+    (``_newton_band``), from the band ``start`` where F's curvature is strict and so the
+    optimum unique; where that fails, or where F's curvature changes sign and a cheaper
+    minimum can sit on the rest-speed bound, ``_rooted_band`` compares the bound too.  A
+    band topping out above ``v_safe`` is replaced by the safety band.
     """
     grid = grid or GridSpec()
     if not v_safe > 0.0 or math.isnan(v_target):
@@ -232,8 +234,9 @@ def optimal_band(
         return safety_band(frozen, v_safe, delta)
     if v_target <= frozen.v_low:
         return coast_band(v_target)
-    best = _newton_band(frozen, v_target, grid.tol)
-    if best is None or tradeoff_curvature(frozen) == "neither":
+    strict = tradeoff_curvature(frozen) != "neither"
+    best = _newton_band(frozen, v_target, grid.tol, start if strict else None)
+    if best is None or not strict:
         best = _rooted_band(frozen, v_target, grid.tol, best)
     return safety_band(frozen, v_safe, delta) if best.upper > v_safe else best
 
@@ -268,39 +271,42 @@ def _certificate(
     return (avg - v_target, cost - psi_a - (psi_b - psi_a) * w), (j11, j12, j21, j22)
 
 
-def _newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> OscillationBand | None:
+def _newton_band(
+    frozen: FrozenDynamics, v_target: float, tol: float, start: OscillationBand | None = None
+) -> OscillationBand | None:
     """The interior optimum, by Newton's method on the average and the chord certificate.
 
-    From the target -/+ half the smaller room to the rest speed or the top, one pair of legs
-    per iteration; the band is built only from the accepted iterate.  None when an iterate
-    leaves (rest speed, top) or crosses the target after halving its step to 1e-6, a leg or
-    the Jacobian is not finite (a band across a mode's root), 12 iterations fail, or the solve
-    ends where the residual's slope along avg = target, ``j21 - j22 j11 / j12``, is not
-    positive: at a maximum of the cost.
+    From the edges of ``start``, accepted at once where they solve the target, and where that
+    fails from the target -/+ half the smaller room to the rest speed or the top; one pair of
+    legs per iteration, the band built only from the accepted iterate.  A solve fails when an
+    iterate leaves (rest speed, top) or crosses the target after halving its step to 1e-6, a
+    leg or the Jacobian is not finite (a band across a mode's root), 12 iterations fail, or
+    it ends where the residual's slope along avg = target, ``j21 - j22 j11 / j12``, is not
+    positive: at a maximum of the cost.  None when the solve from the target fails.
     """
     bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     half = 0.5 * min(v_target - frozen.v_low, v_b_max - v_target)
-    v_a, v_b = v_target - half, v_target + half
+    v_a, v_b = (v_target - half, v_target + half) if start is None else (start.lower, start.upper)
     for _ in range(12):
         if not bound < v_a < v_target < v_b < v_b_max:
-            return None
+            break
         legs = leg_time_distance(frozen, True, v_a, v_b), leg_time_distance(frozen, False, v_b, v_a)
         period = _period(frozen, legs)
         (miss, residual), (j11, j12, j21, j22) = _certificate(frozen, v_target, v_a, v_b, *period)
         det = j11 * j22 - j12 * j21
         if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
-            return None
+            break
         step_a, step_b = (residual * j12 - miss * j22) / det, (miss * j21 - residual * j11) / det
         if abs(step_a) <= 1e-11 * v_a and abs(step_b) <= 1e-11 * v_b:
             if abs(miss) <= 0.01 * tol and j21 - j22 * j11 / j12 > 0.0:
                 return _band(v_a, v_b, *period)
-            return None
+            break
         scale = 1.0
         while not v_a + scale * step_a < v_target < v_b + scale * step_b and scale >= 1e-6:
             scale *= 0.5
         v_a, v_b = v_a + scale * step_a, v_b + scale * step_b
-    return None
+    return None if start is None else _newton_band(frozen, v_target, tol)
 
 
 def _rooted_band(

@@ -143,7 +143,7 @@ def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAUL
         powers = np.cumprod(np.broadcast_to(dgs / gs, (n_terms, s.size)), axis=0)
         return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * powers])
 
-    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.plus(dg).knots)
+    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.knots + dg.knots)
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)
 
 

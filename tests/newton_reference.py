@@ -61,15 +61,29 @@ def certificate(frozen: FrozenDynamics, band: OscillationBand, v_target: float):
     return (avg - v_target, cost - psi_a - (psi_b - psi_a) * w), (j11, j12, j21, j22)
 
 
-def newton_band(frozen: FrozenDynamics, v_target: float, tol: float) -> OscillationBand | None:
+def newton_band(
+    frozen: FrozenDynamics, v_target: float, tol: float, start: OscillationBand | None = None
+) -> OscillationBand | None:
     """The interior optimum by Newton's method on the average and the chord certificate.
 
-    The same start, step, halving and acceptance as ``optimizer._newton_band``.
+    The same starts, step, halving and acceptance as ``optimizer._newton_band``: from the
+    edges of ``start``, and where that solve fails, from the target -/+ half the smaller room.
     """
-    bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
+    if start is not None:
+        band = newton_solve(frozen, v_target, tol, start.lower, start.upper)
+        if band is not None:
+            return band
     v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     half = 0.5 * min(v_target - frozen.v_low, v_b_max - v_target)
-    v_a, v_b = v_target - half, v_target + half
+    return newton_solve(frozen, v_target, tol, v_target - half, v_target + half)
+
+
+def newton_solve(
+    frozen: FrozenDynamics, v_target: float, tol: float, v_a: float, v_b: float
+) -> OscillationBand | None:
+    """One Newton solve from the band (v_a, v_b); None where it fails."""
+    bound = frozen.v_low + (ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
+    v_b_max = frozen.v_high * (1.0 - UPPER_BRACKET_MARGIN)
     for _ in range(12):
         if not bound < v_a < v_target < v_b < v_b_max:
             return None

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_trace import dense_trace, per_row_trace, speed_rows
+from seeded_races import compare, race_record, seeded_races, windy_scenario
 from ecodrive import (
     DEFAULT_PARAMS,
     ControllerConfig,
@@ -30,7 +31,7 @@ from ecodrive import (
     run_race,
     switch_logic,
 )
-from ecodrive import controller, errors
+from ecodrive import controller, errors, optimizer
 from ecodrive import fixtures as fixture_lib
 from ecodrive.controller import (
     FLAG_INFEASIBLE,
@@ -464,6 +465,35 @@ class TestFullRaces:
     def test_min_switch_interval_on_the_flat_race(self, flat_race):
         assert min_switch_interval(flat_race) >= 1.0
 
+    def test_flat_race_asks_for_few_legs(self, monkeypatch):
+        # each replan solves from the band in force, which meets a target that has not
+        # moved after one pair of legs: 142 legs, against 684 where every solve started
+        # cold at the target -/+ half the smaller room
+        legs = []
+        inner = optimizer.leg_time_distance
+
+        def counting(frozen, engine_on, v0, v1):
+            legs.append(engine_on)
+            return inner(frozen, engine_on, v0, v1)
+
+        monkeypatch.setattr(optimizer, "leg_time_distance", counting)
+        run_race(*_fixture_race(fixture_lib.flat16500))
+        assert len(legs) <= 1.5 * 142
+
+    @pytest.mark.parametrize("make", [fixture_lib.flat16500, fixture_lib.hill])
+    def test_a_second_race_in_one_process_is_the_first(self, make, tmp_path):
+        # a replan starts from the band in force of its own race, so nothing of the
+        # first race reaches the second
+        scenario = make()
+        runs = [run_race(*_fixture_race(make)) for _ in range(2)]
+        assert runs[0].summary_dict() == runs[1].summary_dict()
+        same = repr(runs[0]) == repr(runs[1])  # every sample, leg and replan; no diff of both
+        assert same
+        paths = [emit_report(run, scenario, tmp_path / str(i)) for i, run in enumerate(runs)]
+        first, second = ({key: path.read_bytes() for key, path in run.items()} for run in paths)
+        assert [key for key in first if first[key] != second[key]] == []
+
+
 class TestNextEvent:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -530,21 +560,9 @@ class TestNextEvent:
         assert x_new == pytest.approx(x1 + leg.distance(tau), abs=1e-12)
 
 
-def _windy_scenario(arcs, slopes, safe_speeds, u1, u2, signed_drag, duration, power="wheel_power"):
-    """Race with ``u1`` on the first half of the track from t = 60 s on, ``u2``
-    on the second half before then, and calm elsewhere."""
-    half = arcs[-1] / 2
-    wind = WindField((0.0, half), (0.0, 60.0), ((0.0, u1), (u2, 0.0)))
-    cfg = ControllerConfig(race_length=arcs[-1], race_duration=duration)
-    return (
-        TrackProfile(arcs, slopes, safe_speeds), wind, VehicleParams(signed_drag=signed_drag),
-        PowerModel(power), cfg,
-    )
-
-
 @st.composite
 def random_races(draw):
-    """``_windy_scenario`` arguments: a 300-1500 m track of 2-6 cells, each
+    """``windy_scenario`` arguments: a 300-1500 m track of 2-6 cells, each
     breakpoint flat or of slope U(-0.02, 0.03) and with a safety speed
     U(4, 12), winds U(-2, 2), either drag law and power model, and a target
     average speed U(4, 8)."""
@@ -583,7 +601,7 @@ def _fixture_race(make):
     return scenario.track, scenario.wind, scenario.params, scenario.power, scenario.controller
 
 
-# ``_windy_scenario`` arguments of two races whose trace samples used to end
+# ``windy_scenario`` arguments of two races whose trace samples used to end
 # legs.  A coast band under a falling safety speed: 0.5 s and 0.07 s grids
 # gave 5 and 28 switches.
 COAST_UNDER_FALLING_SAFETY = (
@@ -637,7 +655,7 @@ class TestRandomRaces:
     @example(args=SWITCH_ON_AT_SAFETY)
     @example(args=COASTS_AHEAD)
     def test_replans_are_bounded_by_the_events_that_call_them(self, args):
-        track, wind, params, power, cfg = _windy_scenario(*args)
+        track, wind, params, power, cfg = windy_scenario(*args)
         result = run_race(track, wind, params, power, cfg)
         # one switching rule: no switch-on is overridden at its own instant
         overrides = {s.t for s in result.samples if s.flag == FLAG_SAFETY}
@@ -670,7 +688,7 @@ class TestRandomRaces:
     def test_a_coast_entered_at_or_above_its_target_stays_there(self, args):
         # the target r = (L - x)/(T - t) obeys dr/dt = (r - v)/(T - t), so it cannot rise
         # while v >= r, and a coasting speed at or above r <= v_low relaxes toward v_low
-        track, wind, params, power, cfg = _windy_scenario(*args)
+        track, wind, params, power, cfg = windy_scenario(*args)
         result = run_race(track, wind, params, power, cfg)
         trace = dense_trace(result, 0.07, power, params)
         times = [s.t for s in trace]
@@ -682,13 +700,42 @@ class TestRandomRaces:
     @settings(max_examples=50, deadline=None)
     @given(args=random_races(), interval=st.sampled_from((0.07, 0.5, 1.3)))
     def test_speed_trace_is_the_reference_formatted_row_by_row(self, args, interval):
-        track, wind, params, power, cfg = _windy_scenario(*args)
+        track, wind, params, power, cfg = windy_scenario(*args)
         cfg = replace(cfg, trace_interval=interval)
         result = run_race(track, wind, params, power, cfg)
         with tempfile.TemporaryDirectory() as tmp:
             paths = emit_report(result, Scenario("random", params, power, track, wind, cfg), tmp)
             lines = paths["speed_trace"].read_text().splitlines()
         assert lines == per_row_trace(speed_rows(dense_trace(result, interval, power, params)))
+
+
+class TestSeededRaces:
+    """The generator that compares two commits on thousands of races, outside the suite."""
+
+    def test_draws_are_reproducible_and_in_the_ranges_of_random_races(self):
+        races = seeded_races(11, 300)
+        assert races == seeded_races(11, 300) != seeded_races(12, 300)
+        for arcs, slopes, safe, u1, u2, signed, duration, power in races:
+            assert 300.0 <= arcs[-1] <= 1500.0 and 3 <= len(arcs) <= 7
+            assert all(b > a for a, b in zip(arcs, arcs[1:]))
+            assert len(slopes) == len(safe) == len(arcs)
+            assert all(s == 0.0 or -0.02 <= s <= 0.03 for s in slopes)
+            assert all(4.0 <= v <= 12.0 for v in safe) and -2.0 <= min(u1, u2)
+            assert max(u1, u2) <= 2.0
+            assert 4.0 <= arcs[-1] / duration <= 8.0
+            assert isinstance(signed, bool) and power in ("constant_electrical", "wheel_power")
+        slopes = [s for race in races for s in race[1]]
+        assert 0.3 < slopes.count(0.0) / len(slopes) < 0.7  # half the breakpoints are flat
+
+    def test_compare_flags_a_lost_finish_and_a_moved_energy(self):
+        records = [race_record(i, race) for i, race in enumerate(seeded_races(11, 3))]
+        assert all(r["finished"] for r in records)
+        assert compare(records, records)[1]
+        lost = [dict(records[0], finished=False), *records[1:]]
+        assert not compare(records, lost)[1]
+        moved = [dict(records[0], energy=records[0]["energy"] * (1.0 + 1e-8)), *records[1:]]
+        lines, agree = compare(records, moved)
+        assert not agree and "race 0" in lines[1]
 
 
 class TestTraceGrid:
@@ -698,8 +745,8 @@ class TestTraceGrid:
         "flat16500": lambda: _fixture_race(fixture_lib.flat16500),
         "hill": lambda: _fixture_race(fixture_lib.hill),
         "gust": lambda: _fixture_race(fixture_lib.gust),
-        "coast_under_falling_safety": lambda: _windy_scenario(*COAST_UNDER_FALLING_SAFETY),
-        "headwind_climb": lambda: _windy_scenario(*HEADWIND_CLIMB),
+        "coast_under_falling_safety": lambda: windy_scenario(*COAST_UNDER_FALLING_SAFETY),
+        "headwind_climb": lambda: windy_scenario(*HEADWIND_CLIMB),
     }
 
     @pytest.mark.parametrize("name", sorted(RACES))

@@ -26,9 +26,14 @@ from ecodrive import (
     optimal_band,
 )
 from ecodrive.dynamics import tradeoff_curvature
-from ecodrive.errors import ExpansionInapplicableError, InvalidSegmentError, NumericError
+from ecodrive.errors import (
+    EcodriveError,
+    ExpansionInapplicableError,
+    InvalidSegmentError,
+    NumericError,
+)
 from ecodrive import optimizer
-from ecodrive.optimizer import leg_time_distance, safety_band
+from ecodrive.optimizer import OscillationBand, coast_band, leg_time_distance, safety_band
 
 
 class TestUpperLimit:
@@ -313,6 +318,53 @@ RANDOM_SLICES = dict(
 # the smaller room, B's lands on a minimum dearer than the band at the rest-speed bound
 SLICE_A = (False, 5.861606036418285, -0.0027050915338807345, True, 0.1791063726260202)
 SLICE_B = (True, 3.6521997230320533, 0.01728215440872954, False, 0.8225653506294982)
+# a strictly convex slice where the solve from the target -/+ half the room fails, and the
+# root search's band lies 9.4e-7 m/s from the optimum that a start near it solves for
+ROOTED_COLD = (True, -3.575646175983095, 0.014926204222576695, False, 0.9605420627769665)
+# a strictly concave slice where no lower speed admits the target: both searches raise
+NO_BAND = (False, 4.4182765427932225, 0.017309296880062417, False, 0.5593776430218801)
+
+
+# a band to start the solve from: ``kind`` "near" is the band for the target moved by
+# (u_b - 0.5) 2 %, as a replan finds the band in force; "bracket" has its edges at the
+# fractions u_a and u_b of the room below and above the target; "below" and "above" have
+# both edges on one side of it, and "coast" is the coast band at u_a of (v_low, v_high)
+STARTS = dict(
+    kind=st.sampled_from(("near", "bracket", "below", "above", "coast")),
+    u_a=st.floats(min_value=0.0, max_value=1.0),
+    u_b=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _start(frozen, target, kind, u_a, u_b):
+    lo, hi = frozen.v_low, frozen.v_high
+    if kind == "near":
+        try:
+            return optimal_band(frozen, target * (1.0 + 0.02 * (u_b - 0.5)))
+        except EcodriveError:
+            assume(False)
+    if kind == "coast":
+        return coast_band(lo + u_a * (hi - lo))
+    lower, upper = {
+        "bracket": (lo + u_a * (target - lo), target + u_b * (hi - target)),
+        "below": (lo + u_a * (target - lo), target - u_b * (target - lo) * (1.0 - u_a)),
+        "above": (target + u_a * (hi - target), hi - u_b * (hi - target) * (1.0 - u_a)),
+    }[kind]
+    return OscillationBand(lower, upper, 0.0, math.nan, math.nan, math.nan, math.nan)
+
+
+def _brackets(frozen, target, start):
+    """Whether ``start`` passes the solve's own test: bound < lower < target < upper < top."""
+    bound = frozen.v_low + (optimizer.ENDPOINT_MATCH_TOL if frozen.v_low_is_root else 0.0)
+    top = frozen.v_high * (1.0 - optimizer.UPPER_BRACKET_MARGIN)
+    return bound < start.lower < target < start.upper < top
+
+
+def _outcome(frozen, target, start=None):
+    try:
+        return optimal_band(frozen, target, start=start)
+    except EcodriveError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestOptimalBand:
@@ -608,14 +660,7 @@ class TestNewtonBand:
 
     @pytest.mark.parametrize("target", [5.0, 7.0, 9.0])
     def test_flat_slice_solves_to_the_exact_band(self, flat_slice, target, monkeypatch):
-        legs = []
-        inner = optimizer.leg_time_distance
-
-        def counting(frozen, engine_on, v0, v1):
-            legs.append(engine_on)
-            return inner(frozen, engine_on, v0, v1)
-
-        monkeypatch.setattr(optimizer, "leg_time_distance", counting)
+        legs = _recording_legs(monkeypatch)
         band = optimal_band(flat_slice, target, v_safe=20.0)
         v_a, _, cost = oracles.exact_band(target)
         assert len(legs) <= 2 * 8  # leg pairs; the 0.5 m/s bisection made about 15
@@ -688,6 +733,67 @@ class TestNewtonBand:
             assert optimizer._certificate(frozen, target, *ends, reference.energy) == (
                 newton_reference.certificate(frozen, reference, target)
             )
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(**RANDOM_SLICES, **STARTS)
+    def test_warm_solve_is_the_reference_to_the_bit(
+        self, signed, wind, slope, wheel, u_t, kind, u_a, u_b
+    ):
+        frozen, target = _random_slice(signed, wind, slope, wheel, u_t)
+        start = _start(frozen, target, kind, u_a, u_b)
+        tol = GridSpec().tol
+        reference = newton_reference.newton_band(frozen, target, tol, start)
+        assert repr(optimizer._newton_band(frozen, target, tol, start)) == repr(reference)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(**RANDOM_SLICES, **STARTS)
+    @example(*ROOTED_COLD, "near", 0.3229468478800154, 0.8957448511702211)
+    @example(*NO_BAND, "bracket", 0.23603372025417746, 0.8443258927842491)
+    def test_a_start_moves_the_band_only_within_rounding(
+        self, signed, wind, slope, wheel, u_t, kind, u_a, u_b
+    ):
+        # where F's curvature is strict the interior optimum is one, so a start that
+        # brackets the target converges on the cold band; on "neither" slices, where two
+        # interior minima can exist, and from any other start, the band is the cold one
+        frozen, target = _random_slice(signed, wind, slope, wheel, u_t)
+        start = _start(frozen, target, kind, u_a, u_b)
+        cold, warm = _outcome(frozen, target), _outcome(frozen, target, start)
+        if tradeoff_curvature(frozen) == "neither" or not _brackets(frozen, target, start):
+            assert repr(warm) == repr(cold)
+            return
+        if repr(warm) == repr(cold):  # as where both solves fail, or the band raises
+            return
+        assert isinstance(warm, OscillationBand) and isinstance(cold, OscillationBand)
+        assert abs(warm.avg_cost - cold.avg_cost) <= 1e-9 * cold.avg_cost
+        if optimizer._newton_band(frozen, target, GridSpec().tol) is not None:
+            assert abs(warm.lower - cold.lower) <= 1e-9 and abs(warm.upper - cold.upper) <= 1e-9
+        else:
+            # the cold band is the root search's, whose lower speed is resolved only to a
+            # residual of 1e-9 of the cost; the warm solve found the certified optimum
+            assert abs(_residual(frozen, warm, target)) <= 1e-9 * warm.avg_cost
+
+    def test_a_start_that_solves_the_target_takes_one_iteration(self, flat_slice, monkeypatch):
+        band = optimal_band(flat_slice, 7.0)
+        legs = _recording_legs(monkeypatch)
+        assert optimal_band(flat_slice, 7.0, start=band) == band
+        assert len(legs) == 2  # one pair of legs: the first iterate is accepted
+        legs.clear()
+        optimal_band(flat_slice, 7.0)
+        assert len(legs) > 2
+
+
+def _recording_legs(monkeypatch) -> list[bool]:
+    """The mode of each leg the band search asks for, in order."""
+    legs = []
+    inner = optimizer.leg_time_distance
+
+    def recording(frozen, engine_on, v0, v1):
+        legs.append(engine_on)
+        return inner(frozen, engine_on, v0, v1)
+
+    monkeypatch.setattr(optimizer, "leg_time_distance", recording)
+    return legs
 
 
 class TestSaturatedUpperLimit:

@@ -271,7 +271,8 @@ class TestPerturbationSeries:
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
         perturbation_series(g, _quadratic_bump(g, 0.3), 8)
         band = (g.lo, g.hi)
-        assert calls == [(*band, band)]
+        # the knots of both profiles, which the quadrature de-duplicates
+        assert calls == [(*band, band + band)]
 
     def test_robustness_command_makes_three_passes(self, accel_profile, monkeypatch):
         calls = []
