@@ -1,9 +1,9 @@
 """Receding-horizon race controller with hysteresis on/off switching.
 
-Where the plan can change (a period of the band starts, or a track or wind
-cell edge changes the slice) the controller refreshes the target average
-speed from the remaining distance and time, freezes the dynamics at the
-current position, and recomputes the oscillation band.  Between replans a
+Where the plan can change (a track or wind cell edge changes the slice, or a period
+of the band starts with the target moved off its average: on one slice a band meeting
+it is optimal) the controller refreshes the target average speed from the remaining
+distance and time, freezes the dynamics there, and recomputes the band.  Between replans a
 hysteresis machine switches the engine off at the band top and on at the
 band bottom, and keeps it off wherever the speed reaches the local safety
 speed: one rule for both.  Between decisions the state jumps from event to
@@ -32,6 +32,7 @@ from .dynamics import (
 from .errors import EcodriveError, InfeasibleSliceError, ScenarioError
 # band_from_limits stays importable from here: perfbench/spans.py wraps it
 from .optimizer import (  # noqa: F401
+    SOLVE_RTOL,
     GridSpec,
     OscillationBand,
     band_from_limits,
@@ -235,11 +236,11 @@ def run_race(
     one switching cost charged), then jumps from event to event along exact
     constant-mode legs.  Replans are events too: at the start, at each cell
     edge, where a coasting leg reaches the band bottom (once per switch-on: a
-    met target holds for whole periods) and ``RECHECK_INTERVAL`` after a band
-    that misses it: a flagged or clamped band, or a coast band entered below its
-    target.  Each solves from the band in force: one Newton iteration where the target has
-    not moved.  Telemetry is taken at every replan and switch; the race records its legs,
-    and the report reads the trace off them.  Stops at the finish or hard cap.
+    met target holds for whole periods) where the target has moved off the band's average
+    by more than ``SOLVE_RTOL``, and ``RECHECK_INTERVAL`` after a band that misses it: a
+    flagged or clamped band, or a coast band entered below its target.  Each solves from
+    the band in force.  Telemetry is taken at every replan and switch; the race records
+    its legs, and the report reads the trace off them.  Stops at the finish or hard cap.
     """
     if cfg.race_length > track.length + 1e-9:
         raise ScenarioError(f"race length {cfg.race_length} exceeds track length {track.length}")
@@ -258,7 +259,7 @@ def run_race(
     stalled = False
     band: OscillationBand | None = None
     replan_at = 0.0       # time of the next replan that is not a period start
-    period_due = True     # a switch-on since the last replan at a period start
+    period_due = True     # a switch-on since the last period start
 
     def take_sample(flag: str) -> None:
         lower, upper = (band.lower, band.upper) if band is not None else (0.0, 0.0)
@@ -268,6 +269,11 @@ def run_race(
     while x1 < race_len - 1e-9 and t < t_hard - 1e-12:
         # the coasting leg landed on the band bottom: the next period starts
         period_start = period_due and not engine_on and x2 == band.lower
+        # a band covering the rest on time is what a replan returns on one slice: it is kept
+        if period_start and t < replan_at and math.isclose(
+            race_len - x1, band.avg_speed * (cfg.race_duration - t), rel_tol=SOLVE_RTOL
+        ):
+            period_start = period_due = False
         if period_start or t >= replan_at:
             record = replan(t, x1, track, wind, params, power, cfg, band)
             band = record.band
@@ -297,7 +303,7 @@ def run_race(
         s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
         t_edge = wind.next_boundary_t(t)
         t_new, x_new, x2 = _next_event(
-            leg, t, x1, band.upper if engine_on else band.lower,
+            leg, t, x1, x2, band.upper if engine_on else band.lower,
             min(replan_at, t_edge, t_hard), min(s_edge, race_len),
             track if engine_on else None,
         )
@@ -323,10 +329,10 @@ def run_race(
 
 
 def _next_event(
-    leg: Leg, t: float, x1: float, edge: float, t_stop: float, s_stop: float,
+    leg: Leg, t: float, x1: float, x2: float, edge: float, t_stop: float, s_stop: float,
     safety: TrackProfile | None,
 ) -> tuple[float, float, float]:
-    """Time, position and speed at the first event along ``leg``.
+    """Time, position and speed at the first event along ``leg``, which starts at speed ``x2``.
 
     The events are the time ``t_stop``, the end of the leg's branch, the
     band edge speed ``edge``, the position ``s_stop`` and, when a ``safety``
@@ -336,8 +342,11 @@ def _next_event(
     leg's time, the first from where the start's acceleration, held, covers the
     gap; the safety speed is linear in position inside the leg's cell.
     """
-    tau, t_new, speed = t_stop - t, t_stop, None
-    for v_event, tau_event in ((leg.end_speed, leg.end_time), (edge, leg.time_to(edge))):
+    r0 = leg.v0 - leg.wind_speed
+    # an edge strictly ahead of x2 that rounding in v - w hides from the leg is reached at once
+    hidden = edge - leg.wind_speed == r0 and (edge - x2) * (leg.b - leg.A * r0 * r0) > 0.0
+    tau, t_new, speed, tau_edge = t_stop - t, t_stop, None, 0.0 if hidden else leg.time_to(edge)
+    for v_event, tau_event in ((leg.end_speed, leg.end_time), (edge, tau_edge)):
         if tau_event <= tau:
             tau, t_new, speed = tau_event, t + tau_event, v_event
     x_new = x1 + leg.distance(tau)

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import fixtures as fixtures_mod
@@ -175,6 +174,7 @@ def cmd_sweep(args) -> int:
         tasks.append((args.scenario, overrides, str(out_sub), value))
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import is slow
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_variant, tasks))
     else:

@@ -32,6 +32,7 @@ from .errors import (
 
 # keep the root bracket strictly below the equilibrium
 UPPER_BRACKET_MARGIN = 1e-6
+SOLVE_RTOL = 1e-11  # relative step at which the Newton band solve accepts its iterate
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _newton_band(
         if not (det and math.isfinite(det)):  # an infinite leg, too, leaves it 0 or NaN
             break
         step_a, step_b = (residual * j12 - miss * j22) / det, (miss * j21 - residual * j11) / det
-        if abs(step_a) <= 1e-11 * v_a and abs(step_b) <= 1e-11 * v_b:
+        if abs(step_a) <= SOLVE_RTOL * v_a and abs(step_b) <= SOLVE_RTOL * v_b:
             if abs(miss) <= 0.01 * tol and j21 - j22 * j11 / j12 > 0.0:
                 return _band(v_a, v_b, *period)
             break

@@ -6,11 +6,14 @@ Two commits are compared by running the same races on each and comparing the rec
     PYTHONPATH=<other>/src python tests/seeded_races.py run --seed 11 --count 1000 > b.jsonl
     PYTHONPATH=src python tests/seeded_races.py compare a.jsonl b.jsonl
 
-``run`` prints one JSON line per race: its index, whether it finished, its finish time,
-energy, switches and replans.  ``compare`` prints the finishes each side lost, the largest
-relative energy change among the races both finished, and each race whose switch count
-changed; it exits with status 1 where a finish was lost or an energy moved by more than
-``--rel`` (1e-9).
+``--family long`` draws single-slice races of 5-20 km instead (``draw_long_race``), which
+hold one slice for many periods.  ``run`` prints one JSON line per race: its index, whether
+it finished, its finish time, energy, switches, replans and the coasting legs that run from
+above their band bottom to below it beyond rounding.  ``compare`` prints the finishes each
+side lost, the largest relative energy change among the races both finished, each race whose
+switch count changed and each race of ``b`` with a leg below its band bottom; it exits with
+status 1 where a finish was lost, an energy moved by more than ``--rel`` (1e-9) or ``b`` has
+such a leg.
 """
 
 from __future__ import annotations
@@ -56,18 +59,53 @@ def draw_race(rng: random.Random) -> tuple:
     return arcs, slopes, safe_speeds, u1, u2, signed_drag, duration, power
 
 
-def seeded_races(seed: int, count: int) -> list[tuple]:
+def long_scenario(length, target, slope, wind, switch_cost, signed_drag, power):
+    """Race over ``length`` m of one slope and one steady wind, under a safety speed of 12 m/s
+    that no target reaches, at the average speed ``target``."""
+    track = TrackProfile((0.0, length), (slope, slope), (12.0, 12.0))
+    params = VehicleParams(switch_cost=switch_cost, signed_drag=signed_drag)
+    cfg = ControllerConfig(race_length=length, race_duration=length / target)
+    return track, WindField((0.0,), (0.0,), ((wind,),)), params, PowerModel(power), cfg
+
+
+def draw_long_race(rng: random.Random) -> tuple:
+    """``long_scenario`` arguments: a 5-20 km track of slope U(-0.01, 0.01) in a wind
+    U(-2, 2), a target U(3, 9.5), a switching cost U(5, 20) J, and either drag law and
+    power model."""
+    signed_drag = rng.random() < 0.5
+    power = rng.choice(("constant_electrical", "wheel_power"))
+    length, target = rng.uniform(5000.0, 20000.0), rng.uniform(3.0, 9.5)
+    slope, wind = rng.uniform(-0.01, 0.01), rng.uniform(-2.0, 2.0)
+    return length, target, slope, wind, rng.uniform(5.0, 20.0), signed_drag, power
+
+
+# each family: how a race is drawn, and the scenario its arguments build
+FAMILIES = {"short": (draw_race, windy_scenario), "long": (draw_long_race, long_scenario)}
+
+
+def seeded_races(seed: int, count: int, family: str = "short") -> list[tuple]:
     """The first ``count`` races of ``random.Random(seed)``."""
-    rng = random.Random(seed)
-    return [draw_race(rng) for _ in range(count)]
+    rng, draw = random.Random(seed), FAMILIES[family][0]
+    return [draw(rng) for _ in range(count)]
 
 
-def race_record(index: int, args: tuple) -> dict:
-    result = run_race(*windy_scenario(*args))
+def legs_below_bottom(result) -> int:
+    """Coasting legs of ``result`` that start above their band bottom and end below it by more
+    than 1e-12 of it.  A coasting leg that starts at or below the bottom is one the safety
+    speed holds the engine off on, and may coast on below it."""
+    starts = [0.0] + [rec.speed_end for rec in result.legs]
+    return sum(
+        not rec.engine_on and v0 > rec.band.lower and rec.speed_end < rec.band.lower * (1 - 1e-12)
+        for v0, rec in zip(starts, result.legs)
+    )
+
+
+def race_record(index: int, args: tuple, family: str = "short") -> dict:
+    result = run_race(*FAMILIES[family][1](*args))
     return {
         "race": index, "finished": result.finished, "finish_time": result.finish_time,
         "energy": result.total_energy, "switches": result.switches,
-        "replans": len(result.replans),
+        "replans": len(result.replans), "below_bottom": legs_below_bottom(result),
     }
 
 
@@ -90,7 +128,12 @@ def compare(a: list[dict], b: list[dict], rel: float = 1e-9) -> tuple[list[str],
         f"race {x['race']}: switches {x['switches']} -> {y['switches']}"
         for x, y in zip(a, b) if x["switches"] != y["switches"]
     ]
-    return lines, len(a) == len(b) and not lost and moved[0] <= rel
+    below = [y["race"] for y in b if y["below_bottom"]]
+    lines.append(
+        f"races with a coasting leg below its band bottom: "
+        f"{sum(bool(x['below_bottom']) for x in a)} -> {len(below)} {below}"
+    )
+    return lines, len(a) == len(b) and not lost and moved[0] <= rel and not below
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,14 +142,15 @@ def main(argv: list[str] | None = None) -> int:
     run = sub.add_parser("run")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--count", type=int, default=1000)
+    run.add_argument("--family", choices=sorted(FAMILIES), default="short")
     cmp = sub.add_parser("compare")
     cmp.add_argument("a")
     cmp.add_argument("b")
     cmp.add_argument("--rel", type=float, default=1e-9)
     args = parser.parse_args(argv)
     if args.command == "run":
-        for i, race in enumerate(seeded_races(args.seed, args.count)):
-            print(json.dumps(race_record(i, race)), flush=True)
+        for i, race in enumerate(seeded_races(args.seed, args.count, args.family)):
+            print(json.dumps(race_record(i, race, args.family)), flush=True)
         return 0
     a, b = ([json.loads(line) for line in open(path)] for path in (args.a, args.b))
     lines, agree = compare(a, b, args.rel)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -621,7 +622,8 @@ class TestCli:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # sweep imports the pool where it needs one: it finds the patched name there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         _, scenario_dir = short_scenario
         values = ",".join(str(10 + k) for k in range(variants))
