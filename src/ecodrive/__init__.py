@@ -29,7 +29,6 @@ from .errors import (
     DivergenceRiskError,
     DomainError,
     EcodriveError,
-    ExpansionInapplicableError,
     InfeasibleCandidateError,
     InfeasibleSliceError,
     InfeasibleTargetError,
@@ -41,7 +40,6 @@ from .errors import (
 from .optimizer import (
     GridSpec,
     OscillationBand,
-    asymptotic_average_cost,
     band_cost,
     band_from_limits,
     optimal_band,

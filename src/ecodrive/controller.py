@@ -205,7 +205,7 @@ def replan(
 
 def _full_effort(v_safe: float) -> OscillationBand:
     """Both edges at the safety speed and no period: the engine is on wherever it is below."""
-    return OscillationBand(v_safe, v_safe, 0.0, math.nan, math.nan, math.nan, math.nan)
+    return OscillationBand(v_safe, v_safe, math.nan, math.nan, math.nan, math.nan)
 
 
 def switch_logic(

@@ -14,7 +14,6 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -575,8 +574,6 @@ class Leg:
     sigma: float = 0.0
     end_speed: float = math.nan
     end_time: float = math.inf
-    # speed(tau), the speed tau seconds into the leg: its law with the constants bound once
-    speed: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def start(
@@ -586,8 +583,10 @@ class Leg:
         if not math.isfinite(v0):
             raise NumericError(f"leg cannot start from speed {v0}")
         b = mode_b(params, params.gravity * math.sin(slope), engine_on)
-        r0 = max(v0, 0.0) - wind_speed
-        v0 = r0 + wind_speed  # a speed below the resolution of r is rest
+        v0 = max(v0, 0.0)
+        r0 = v0 - wind_speed
+        if r0 + wind_speed == 0.0:  # a speed below the resolution of r is rest
+            v0 = 0.0
         A = params.drag_coeff
         if params.signed_drag and (r0 < 0.0 or (r0 == 0.0 and b < 0.0)):
             A = -A
@@ -610,14 +609,15 @@ class Leg:
             return math.inf
         return _branch_time(self.b, self.A, self.v0 - self.wind_speed, v1 - self.wind_speed)
 
-    def __post_init__(self) -> None:
-        w, r0, k, A = self.wind_speed, self.v0 - self.wind_speed, self.k, self.A
+    def speed(self, tau: float) -> float:
+        """Speed ``tau`` seconds into the leg."""
+        w, k = self.wind_speed, self.k
+        r0 = self.v0 - w
         if self.sigma == 0.0:
-            law = partial(_rational_speed, w, r0, A)
-        else:
-            trig = (math.cosh, math.sinh) if self.sigma > 0.0 else (math.cos, math.sin)
-            law = partial(_trig_speed, *trig, w, r0, k, A * k, self.sigma * k)
-        object.__setattr__(self, "speed", law)
+            return max(w + r0 / (1.0 + self.A * r0 * tau), 0.0)
+        x = self.A * k * tau
+        c, s = (math.cosh(x), math.sinh(x)) if self.sigma > 0.0 else (math.cos(x), math.sin(x))
+        return max(w + k * (r0 * c + self.sigma * k * s) / (k * c + r0 * s), 0.0)
 
     def distance(self, tau: float) -> float:
         """Distance ``w tau + ln(cosh + (r0/k) sinh)/A`` covered in ``tau`` seconds."""
@@ -629,16 +629,6 @@ class Leg:
         c, s = (math.cosh(x), math.sinh(x)) if self.sigma > 0.0 else (math.cos(x), math.sin(x))
         inner = 2.0 * s * (self.sigma * s + r0 / self.k * c)
         return self.wind_speed * tau + math.log1p(inner) / self.A
-
-
-def _rational_speed(w: float, r0: float, A: float, tau: float) -> float:
-    return max(w + r0 / (1.0 + A * r0 * tau), 0.0)
-
-
-def _trig_speed(cos, sin, w: float, r0: float, k: float, ak: float, sk: float, tau: float) -> float:
-    x = ak * tau
-    c, s = cos(x), sin(x)
-    return max(w + k * (r0 * c + sk * s) / (k * c + r0 * s), 0.0)
 
 
 def freeze(
@@ -740,8 +730,8 @@ def check_assumptions(frozen: FrozenDynamics) -> AssumptionReport:
         AssumptionItem("consumption_nondecreasing", True, {}),
     ]
 
-    # -- switching cost small enough to oscillate: lhs - rhs is the 1/T term of
-    # asymptotic_average_cost
+    # -- switching cost small enough to oscillate: lhs - rhs is the 1/T term of the
+    # large-period cost h* (target - v_low) / (v_high - v_low) + (lhs - rhs) / T
     h_star = frozen.engine_power_at(v_hi)
     excess_energy, up_moment, down_moment = frozen.moment_integrals()
     lhs = p.switch_cost + excess_energy

@@ -25,10 +25,6 @@ class InfeasibleTargetError(EcodriveError):
     """The target average speed is at or above the engine-on equilibrium."""
 
 
-class ExpansionInapplicableError(EcodriveError):
-    """A large-period cost expansion integral diverges for these dynamics."""
-
-
 class InvalidProfileError(EcodriveError, ValueError):
     """A speed-profile function vanishes or is otherwise unusable."""
 

@@ -51,7 +51,6 @@ def cmd_optimize(args) -> int:
     _print_kv("v_high_mps", frozen.v_high)
     _print_kv("lower_mps", band.lower)
     _print_kv("upper_mps", band.upper)
-    _print_kv("dwell_s", band.dwell)
     _print_kv("period_s", band.period)
     _print_kv("distance_m", band.distance)
     _print_kv("energy_J", band.energy)

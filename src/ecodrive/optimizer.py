@@ -23,7 +23,6 @@ from .dynamics import (
     tradeoff_curvature,
 )
 from .errors import (
-    ExpansionInapplicableError,
     InfeasibleCandidateError,
     InfeasibleTargetError,
     InvalidSegmentError,
@@ -40,15 +39,15 @@ class OscillationBand:
     """A periodic two-switch strategy: oscillate between lower and upper.
 
     A coast band (engine never on) is encoded with lower == upper and an
-    infinite period at zero average cost.  ``dwell`` is always 0.0: no slice
-    of the model reaches its top equilibrium in finite time, so no band can
-    hold it.  The field stays because ``optimize`` prints it as ``dwell_s``
-    and the benchmark hashes that output.
+    infinite period at zero average cost.
     """
+
+    # no band holds its top: no slice reaches its top equilibrium in finite time.  Not a
+    # field; it stays only because the benchmark reads ``band.dwell`` (perfbench/workloads.py)
+    dwell = 0.0
 
     lower: float
     upper: float
-    dwell: float
     period: float
     distance: float
     energy: float
@@ -70,7 +69,6 @@ def coast_band(speed: float) -> OscillationBand:
     return OscillationBand(
         lower=speed,
         upper=speed,
-        dwell=0.0,
         period=math.inf,
         distance=math.inf,
         energy=0.0,
@@ -134,7 +132,7 @@ def _period(frozen: FrozenDynamics, legs) -> tuple[float, float, float]:
 
 def _band(v_a: float, v_b: float, period: float, distance: float, energy: float) -> OscillationBand:
     """The band between v_a and v_b of one period's time, distance and energy."""
-    return OscillationBand(v_a, v_b, 0.0, period, distance, energy, energy / period)
+    return OscillationBand(v_a, v_b, period, distance, energy, energy / period)
 
 
 # the benchmark's tracer wraps this name (perfbench/spans.py)
@@ -365,35 +363,3 @@ def safety_band(frozen: FrozenDynamics, v_safe: float, delta: float) -> Oscillat
         v_a = 0.5 * (frozen.v_low + v_b)
     return band_from_limits(frozen, v_a, v_b)
 
-
-def asymptotic_average_cost(frozen: FrozenDynamics, v_target: float, t2: float) -> float:
-    """Large-period expansion of the two-switch minimum average cost.
-
-    The leading term is the duty-cycle cost of oscillating across the whole
-    reachable band; the 1/T2 correction collects the switching cost and the
-    speed-weighted moments of both mode accelerations.
-    """
-    if not frozen.v_low < v_target < frozen.v_high:
-        raise InfeasibleTargetError(
-            f"target {v_target:.6g} must lie strictly inside "
-            f"({frozen.v_low:.6g}, {frozen.v_high:.6g})"
-        )
-    if t2 <= 0.0:
-        raise ValueError("t2 must be strictly positive")
-    v_lo, v_hi = frozen.v_low, frozen.v_high
-    h_star = frozen.engine_power_at(v_hi)
-    excess_energy, up_moment, down_moment = frozen.moment_integrals()
-    pieces = (excess_energy, up_moment, down_moment)
-    if not all(math.isfinite(p) for p in pieces):
-        raise ExpansionInapplicableError(
-            "a moment integral diverges for these dynamics: "
-            f"excess_energy={excess_energy}, up_moment={up_moment}, "
-            f"down_moment={down_moment}"
-        )
-    lead = h_star * (v_target - v_lo) / (v_hi - v_lo)
-    bracket = (
-        frozen.params.switch_cost
-        + excess_energy
-        - (up_moment + down_moment) * h_star / (v_hi - v_lo)
-    )
-    return lead + bracket / t2

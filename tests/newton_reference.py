@@ -24,7 +24,6 @@ def band_of_legs(frozen: FrozenDynamics, v_a: float, v_b: float, legs) -> Oscill
     return OscillationBand(
         lower=v_a,
         upper=v_b,
-        dwell=0.0,
         period=period,
         distance=d_up + d_down,
         energy=energy,

@@ -8,10 +8,11 @@ Two commits are compared by running the same races on each and comparing the rec
 
 ``--family long`` draws single-slice races of 5-20 km instead (``draw_long_race``), which
 hold one slice for many periods.  ``run`` prints one JSON line per race: its index, whether
-it finished, its finish time, energy, switches, replans and the coasting legs that run from
-above their band bottom to below it beyond rounding.  ``compare`` prints the finishes each
-side lost, the largest relative energy change among the races both finished, each race whose
-switch count changed and each race of ``b`` with a leg below its band bottom; it exits with
+it finished, its finish time, energy, switches, replans, the coasting legs that run from
+above their band bottom to below it beyond rounding, and the legs that start off the speed
+the previous leg ended on.  ``compare`` prints the finishes each side lost, the largest
+relative energy change among the races both finished, each race whose switch count changed
+and each race of ``b`` with a leg below its band bottom or off its start; it exits with
 status 1 where a finish was lost, an energy moved by more than ``--rel`` (1e-9) or ``b`` has
 such a leg.
 """
@@ -100,12 +101,22 @@ def legs_below_bottom(result) -> int:
     )
 
 
+def legs_off_start(result) -> int:
+    """Legs of ``result`` after the first that do not start at the speed the previous leg ended
+    on.  A leg from a speed below 1e-12 m/s may start at rest instead."""
+    return sum(
+        rec.leg.v0 != prev.speed_end and not (rec.leg.v0 == 0.0 and prev.speed_end < 1e-12)
+        for prev, rec in zip(result.legs, result.legs[1:])
+    )
+
+
 def race_record(index: int, args: tuple, family: str = "short") -> dict:
     result = run_race(*FAMILIES[family][1](*args))
     return {
         "race": index, "finished": result.finished, "finish_time": result.finish_time,
         "energy": result.total_energy, "switches": result.switches,
         "replans": len(result.replans), "below_bottom": legs_below_bottom(result),
+        "off_start": legs_off_start(result),
     }
 
 
@@ -128,12 +139,15 @@ def compare(a: list[dict], b: list[dict], rel: float = 1e-9) -> tuple[list[str],
         f"race {x['race']}: switches {x['switches']} -> {y['switches']}"
         for x, y in zip(a, b) if x["switches"] != y["switches"]
     ]
-    below = [y["race"] for y in b if y["below_bottom"]]
-    lines.append(
-        f"races with a coasting leg below its band bottom: "
-        f"{sum(bool(x['below_bottom']) for x in a)} -> {len(below)} {below}"
-    )
-    return lines, len(a) == len(b) and not lost and moved[0] <= rel and not below
+    faults = {}  # the races of b with such legs, by kind
+    for key, what in (("off_start", "a leg off its start"),
+                      ("below_bottom", "a coasting leg below its band bottom")):
+        faults[key] = [y["race"] for y in b if y[key]]
+        lines.append(
+            f"races with {what}: {sum(bool(x[key]) for x in a)} -> "
+            f"{len(faults[key])} {faults[key]}"
+        )
+    return lines, len(a) == len(b) and not lost and moved[0] <= rel and not any(faults.values())
 
 
 def main(argv: list[str] | None = None) -> int:

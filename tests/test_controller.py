@@ -13,6 +13,7 @@ from seeded_races import (
     FAMILIES,
     compare,
     legs_below_bottom,
+    legs_off_start,
     race_record,
     seeded_races,
     windy_scenario,
@@ -66,7 +67,7 @@ def _bisect(value, lo: float, hi: float) -> float:
 
 def _band(lower, upper):
     return OscillationBand(
-        lower=lower, upper=upper, dwell=0.0, period=40.0, distance=280.0,
+        lower=lower, upper=upper, period=40.0, distance=280.0,
         energy=2000.0, avg_cost=50.0,
     )
 
@@ -807,6 +808,24 @@ class TestSeededRaces:
         lines, agree = compare(records, below)
         assert not agree and lines[-1].endswith("0 -> 1 [2]")
         assert compare(below, records)[1]  # a mended race is no failure
+
+    def test_compare_flags_a_leg_off_its_start_on_the_second_side(self):
+        records = [race_record(i, race) for i, race in enumerate(seeded_races(11, 3))]
+        assert not any(r["off_start"] for r in records)
+        off = [dict(records[0], off_start=2), *records[1:]]
+        lines, agree = compare(records, off)
+        assert not agree and lines[-2].endswith("0 -> 1 [0]")
+        assert compare(off, records)[1]
+
+    # (family, seed, race): a start at (v - w) + w puts 64 of the signed-drag long race's 130
+    # legs and 1 of the short race's 11 one ulp off the speed the last leg ended on
+    @pytest.mark.parametrize("family, seed, index", [("long", 5, 18), ("short", 11, 3)])
+    def test_every_leg_starts_at_the_speed_the_last_one_ended_on(self, family, seed, index):
+        args = seeded_races(seed, index + 1, family)[index]
+        result = run_race(*FAMILIES[family][1](*args))
+        legs = result.legs
+        assert [rec.leg.v0 for rec in legs[1:]] == [rec.speed_end for rec in legs[:-1]]
+        assert legs_off_start(result) == 0
 
 
 class TestLongSliceRaces:

@@ -14,7 +14,6 @@ from ecodrive import (
     CONSTANT_ELECTRICAL,
     WHEEL_POWER,
     DomainError,
-    ExpansionInapplicableError,
     FrozenDynamics,
     InfeasibleSliceError,
     Leg,
@@ -24,7 +23,6 @@ from ecodrive import (
     TrackProfile,
     VehicleParams,
     WindField,
-    asymptotic_average_cost,
     band_from_limits,
     check_assumptions,
     engine_power,
@@ -594,8 +592,6 @@ class TestClosedFormSlice:
         item = check_assumptions(frozen).item("switching_cost_small")
         assert item.passed is None
         assert item.witness["diagnostic"] == "divergent integral"
-        with pytest.raises(ExpansionInapplicableError):
-            asymptotic_average_cost(frozen, 5.0, 400.0)
 
 
 class TestIntegrate:

@@ -504,7 +504,7 @@ class TestSpeedTraceFormat:
 
 
 def _band(lower: float, upper: float) -> OscillationBand:
-    return OscillationBand(lower, upper, 0.0, 1.0, 1.0, 1.0, 1.0)
+    return OscillationBand(lower, upper, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestOutDirPrecedence:

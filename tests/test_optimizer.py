@@ -19,7 +19,6 @@ from ecodrive import (
     InfeasibleTargetError,
     PowerModel,
     VehicleParams,
-    asymptotic_average_cost,
     band_cost,
     band_from_limits,
     check_assumptions,
@@ -28,7 +27,6 @@ from ecodrive import (
 from ecodrive.dynamics import tradeoff_curvature
 from ecodrive.errors import (
     EcodriveError,
-    ExpansionInapplicableError,
     InvalidSegmentError,
     NumericError,
 )
@@ -42,7 +40,6 @@ class TestUpperLimit:
     def test_reference_candidate(self, flat_slice):
         band = band_cost(flat_slice, 6.1, 7.0)
         v_b = band.upper
-        assert band.dwell == 0.0
         assert v_b == pytest.approx(oracles.upper_for_target(6.1, 7.0), abs=1e-5)
         assert v_b == pytest.approx(7.94, abs=0.05)
 
@@ -131,7 +128,6 @@ class TestUpperLimitOnRandomSlices:
                 bisection_upper_limit(frozen, v_a, v_target, tol)
             return
         v_b = band.upper
-        assert band.dwell == 0.0
         assert abs(band_from_limits(frozen, v_a, v_b).avg_speed - v_target) <= 0.01 * tol
         assert v_b == pytest.approx(bisection_upper_limit(frozen, v_a, v_target, tol), abs=tol)
         for engine_on, v0, v1 in ((True, v_a, v_b), (False, v_b, v_a)):
@@ -350,7 +346,7 @@ def _start(frozen, target, kind, u_a, u_b):
         "below": (lo + u_a * (target - lo), target - u_b * (target - lo) * (1.0 - u_a)),
         "above": (target + u_a * (hi - target), hi - u_b * (hi - target) * (1.0 - u_a)),
     }[kind]
-    return OscillationBand(lower, upper, 0.0, math.nan, math.nan, math.nan, math.nan)
+    return OscillationBand(lower, upper, math.nan, math.nan, math.nan, math.nan)
 
 
 def _brackets(frozen, target, start):
@@ -828,42 +824,42 @@ class TestBandFromLimits:
 
 
 class TestAsymptoticExpansion:
+    """The large-period cost h* (target - v_low) / (v_high - v_low) + (lhs - rhs) / T2, whose
+    1/T2 term is the switching-cost inequality's lhs - rhs."""
+
     def test_limit_value(self, flat_slice):
+        report = check_assumptions(flat_slice)
         lead = 161.0 * 7.0 / oracles.V_TOP
-        assert asymptotic_average_cost(flat_slice, 7.0, 1e12) == pytest.approx(lead, rel=1e-9)
+        expansion = 161.0 * (7.0 - flat_slice.v_low) / (flat_slice.v_high - flat_slice.v_low)
+        expansion += (report.inequality_lhs - report.inequality_rhs) / 1e12
+        assert expansion == pytest.approx(lead, rel=1e-9)
 
     def test_vanishes_at_the_rest_speed(self, flat_slice):
-        assert asymptotic_average_cost(flat_slice, 1e-6, 1e12) == pytest.approx(0.0, abs=1e-4)
+        report = check_assumptions(flat_slice)
+        expansion = 161.0 * (1e-6 - flat_slice.v_low) / (flat_slice.v_high - flat_slice.v_low)
+        expansion += (report.inequality_lhs - report.inequality_rhs) / 1e12
+        assert expansion == pytest.approx(0.0, abs=1e-4)
 
     def test_matches_closed_form_moments(self, flat_slice):
+        report = check_assumptions(flat_slice)
+        lead = 161.0 * (7.0 - flat_slice.v_low) / (flat_slice.v_high - flat_slice.v_low)
         for t2 in (200.0, 400.0, 800.0):
-            assert asymptotic_average_cost(flat_slice, 7.0, t2) == pytest.approx(
-                oracles.expansion(7.0, t2), rel=1e-9
-            )
+            expansion = lead + (report.inequality_lhs - report.inequality_rhs) / t2
+            assert expansion == pytest.approx(oracles.expansion(7.0, t2), rel=1e-9)
 
     @pytest.mark.parametrize("slope", [0.0, -0.01])
     def test_wheel_power_matches_a_band_near_the_limits(self, params, wheel_power, slope):
-        # the band 1e-7 of the width inside (v_low, v_high) takes the
-        # expansion's average speed and period; under wheel power the excess
-        # energy enters the 1/T coefficient with a plus sign
+        # the band 1e-7 of the width inside (v_low, v_high) pays the large-period cost at its
+        # own average speed and period; under wheel power the excess energy enters the 1/T
+        # coefficient with a plus sign
         frozen = FrozenDynamics.from_conditions(params, wheel_power, slope)
         width = frozen.v_high - frozen.v_low
         band = band_from_limits(frozen, frozen.v_low + 1e-7 * width, frozen.v_high - 1e-7 * width)
-        expansion = asymptotic_average_cost(frozen, band.avg_speed, band.period)
         lead = frozen.engine_power_at(frozen.v_high) * (band.avg_speed - frozen.v_low) / width
-        coefficient = band.period * (expansion - lead)
-        assert coefficient == pytest.approx(band.period * (band.avg_cost - lead), rel=1e-5)
-        # and that coefficient is what the switching-cost inequality compares
         report = check_assumptions(frozen)
-        assert coefficient == pytest.approx(
-            report.inequality_lhs - report.inequality_rhs, rel=1e-9
+        assert band.period * (band.avg_cost - lead) == pytest.approx(
+            report.inequality_lhs - report.inequality_rhs, rel=1e-5
         )
-
-    def test_preconditions(self, flat_slice):
-        with pytest.raises(InfeasibleTargetError):
-            asymptotic_average_cost(flat_slice, 20.0, 100.0)
-        with pytest.raises(ValueError):
-            asymptotic_average_cost(flat_slice, 7.0, -5.0)
 
     def test_divergent_moment_reported(self, params, const_power, flat_slice):
         class DoubleRootSlice(GeneralLawSlice):
@@ -874,5 +870,7 @@ class TestAsymptoticExpansion:
                 return super().accel_grid(x2, engine_on)
 
         frozen = DoubleRootSlice(params, const_power, 0.0, 0.0, 0.0, 10.0, False)
-        with pytest.raises(ExpansionInapplicableError):
-            asymptotic_average_cost(frozen, 7.0, 400.0)
+        assert math.isinf(frozen.moment_integrals()[1])
+        item = check_assumptions(frozen).item("switching_cost_small")
+        assert item.passed is None
+        assert item.witness["diagnostic"] == "divergent integral"

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
@@ -18,9 +20,12 @@ from segments import (
 from ecodrive import (
     DivergenceRiskError,
     FrozenDynamics,
+    InfeasibleSliceError,
     InvalidProfileError,
+    InvalidSegmentError,
     PowerModel,
     VehicleParams,
+    band_from_limits,
 )
 from ecodrive import robustness
 from ecodrive.robustness import SpeedProfile, mean_speed, perturbation_series, ratio_statistics
@@ -396,3 +401,75 @@ class TestFirstTermStructure:
         assert not np.any(g(np.linspace(6.1, 7.94, robustness._VALIDATION_GRID)) == 0.0)
         with pytest.raises(InvalidProfileError):
             ratio_statistics(g, scaled(g, 0.1))
+
+
+class TestBandCycle:
+    """A band's cycle is one speed profile: up at f_on and down at f_off, dt = ds/f_on -
+    ds/f_off = ds/g with g = -f_on f_off / f1, so ``mean_speed(g)`` is the band's average,
+    which ``band_from_limits`` gives in closed form.
+
+    The slopes stop at 0.015, where the top equilibrium is 6 m/s or more above the wind, and
+    the band's ends keep 5 % of the room from either rest speed: on a crawl slice and near
+    the top, the closed form's own legs round to 1e-13 relative and beyond.
+    """
+
+    SLICES = dict(
+        signed=st.booleans(),
+        wind=st.floats(-2.0, 2.0),
+        slope=st.floats(-0.02, 0.015),
+        u_a=st.floats(0.05, 0.95),
+        u_b=st.floats(0.05, 0.95),
+    )
+
+    @staticmethod
+    def band(signed, wind, slope, u_a, u_b, drag=1.0):
+        """The band between the fractions u_a and u_b of the room on a slice, in either order,
+        and the same band on the slice whose drag coefficient is ``drag`` times the default."""
+        u_a, u_b = sorted((u_a, u_b))
+        assume(u_a < u_b)
+        try:
+            frozen, wrong = (
+                FrozenDynamics.from_conditions(
+                    VehicleParams(drag_coeff=k * VehicleParams().drag_coeff, signed_drag=signed),
+                    PowerModel(), slope, wind,
+                )
+                for k in (1.0, drag)
+            )
+            v_a, v_b = (frozen.v_low + u * (frozen.v_high - frozen.v_low) for u in (u_a, u_b))
+            bands = band_from_limits(frozen, v_a, v_b), band_from_limits(wrong, v_a, v_b)
+        except (InfeasibleSliceError, InvalidSegmentError):
+            assume(False)
+        return frozen, wrong, bands
+
+    @staticmethod
+    def cycle(frozen, v_a, v_b):
+        """The cycle's profile g on [v_a, v_b], with a knot at the kink v = w of signed drag."""
+        on, off = (acceleration_profile(frozen, mode, v_a, v_b) for mode in (True, False))
+        w, f1 = frozen.wind_speed, frozen.params.traction
+        knots = (v_a, w, v_b) if frozen.params.signed_drag and v_a < w < v_b else ()
+        return SpeedProfile(v_a, v_b, lambda s: -on(s) * off(s) / f1, knots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SLICES)
+    def test_mean_speed_of_the_cycle_is_the_band_average(self, signed, wind, slope, u_a, u_b):
+        frozen, _, (band, _) = self.band(signed, wind, slope, u_a, u_b)
+        g = self.cycle(frozen, band.lower, band.upper)
+        assert mean_speed(g) == pytest.approx(band.avg_speed, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SLICES, drag=st.floats(0.8, 1.2))
+    def test_series_under_a_drag_error_is_within_its_remainder(
+        self, signed, wind, slope, u_a, u_b, drag
+    ):
+        # the series of depth n misses the shift by its remainder, at most
+        # (v_b - v_a) r^(n+1) / (1 - r) with r = sup|dg/g|
+        frozen, wrong, (band, shifted) = self.band(signed, wind, slope, u_a, u_b, drag)
+        v_a, v_b = band.lower, band.upper
+        g, g_wrong = self.cycle(frozen, v_a, v_b), self.cycle(wrong, v_a, v_b)
+        dg = replace(g, fn=lambda s: g_wrong(s) - g(s))
+        grid = np.linspace(v_a, v_b, 4097)
+        r = float(np.max(np.abs(dg(grid) / g(grid))))
+        assume(r < 0.95)
+        bound = (v_b - v_a) * r**13 / (1.0 - r) + 1e-13 * band.avg_speed
+        exact = shifted.avg_speed - band.avg_speed
+        assert abs(perturbation_series(g, dg, 12) - exact) <= bound
