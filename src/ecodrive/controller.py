@@ -148,21 +148,6 @@ def min_switch_interval(result: RaceResult) -> float | None:
     return min_switch_gap((s.t, s.flag) for s in result.samples)
 
 
-def trace_rows(legs: Iterable[LegRecord], interval: float) -> list[tuple]:
-    """Speed trace rows ``(t, speed, band_lower, band_upper, engine_on)`` read off ``legs``: one
-    at rest, then one every ``interval`` s; an event up to 1e-12 s past it takes its row."""
-    rows, next_t = [(0.0, 0.0, 0.0, 0.0, True)], interval
-    for t0, _, _, leg, on, band, t_end, speed_end in legs:
-        speed, lower, upper = leg.speed, band.lower, band.upper
-        while next_t < t_end - 1e-12:
-            rows.append((next_t, speed(next_t - t0), lower, upper, on))
-            next_t += interval
-        if t_end >= next_t - 1e-12:
-            rows.append((t_end, speed_end, lower, upper, on))
-            next_t += interval
-    return rows
-
-
 def replan(
     t: float,
     position: float,

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     DomainError,
@@ -611,13 +611,23 @@ class Leg:
 
     def speed(self, tau: float) -> float:
         """Speed ``tau`` seconds into the leg."""
-        w, k = self.wind_speed, self.k
+        return self.speeds(0.0, (tau,))[0]
+
+    def speeds(self, t0: float, times: Iterable[float]) -> list[float]:
+        """Speeds at the race times ``times`` of the leg started at ``t0``, its law read once."""
+        w, k, sigma = self.wind_speed, self.k, self.sigma
         r0 = self.v0 - w
-        if self.sigma == 0.0:
-            return max(w + r0 / (1.0 + self.A * r0 * tau), 0.0)
-        x = self.A * k * tau
-        c, s = (math.cosh(x), math.sinh(x)) if self.sigma > 0.0 else (math.cos(x), math.sin(x))
-        return max(w + k * (r0 * c + self.sigma * k * s) / (k * c + r0 * s), 0.0)
+        if sigma == 0.0:
+            Ar0 = self.A * r0
+            return [max(w + r0 / (1.0 + Ar0 * (t - t0)), 0.0) for t in times]
+        Ak, sk = self.A * k, sigma * k
+        even, odd = (math.cosh, math.sinh) if sigma > 0.0 else (math.cos, math.sin)
+        out = []
+        for t in times:
+            x = Ak * (t - t0)
+            c, s = even(x), odd(x)
+            out.append(max(w + k * (r0 * c + sk * s) / (k * c + r0 * s), 0.0))
+        return out
 
     def distance(self, tau: float) -> float:
         """Distance ``w tau + ln(cosh + (r0/k) sinh)/A`` covered in ``tau`` seconds."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .controller import FLAG_FINISH, ROUTINE_FLAGS
-from .controller import ControllerConfig, RaceResult, min_switch_gap, trace_rows
+from .controller import ControllerConfig, RaceResult, min_switch_gap
 from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
 from .errors import ScenarioError
 from .optimizer import GridSpec
@@ -255,15 +255,20 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
     telemetry_path.write_text("\n".join(lines) + "\n")
 
     trace_path = out_dir / "speed_trace.csv"
-    lines = [TRACE_HEADER]
-    # the band and engine change only at replans and switches: format them once
-    # per run of rows holding the same objects (0.0 == -0.0 and nan != nan)
-    lower = upper = on = tail = object()  # matches no row
-    for t, speed, lo, up, engine_on in trace_rows(result.legs, scenario.controller.trace_interval):
-        if lo is not lower or up is not upper or engine_on is not on:
-            lower, upper, on = lo, up, engine_on
-            tail = f"{lower!r},{upper!r},{int(on)}"
-        lines.append(f"{t!r},{speed!r},{tail}")
+    lines = [TRACE_HEADER, "0.0,0.0,0.0,0.0,1"]  # at rest, before the first band
+    # a row every ``interval`` s of the running leg; an event up to 1e-12 s past it takes its row
+    interval = scenario.controller.trace_interval
+    next_t = interval
+    for t0, _, _, leg, on, band, t_end, speed_end in result.legs:
+        tail = f"{band.lower!r},{band.upper!r},{int(on)}"
+        times = []
+        while next_t < t_end - 1e-12:
+            times.append(next_t)
+            next_t += interval
+        lines += [f"{t!r},{v!r},{tail}" for t, v in zip(times, leg.speeds(t0, times))]
+        if t_end >= next_t - 1e-12:
+            lines.append(f"{t_end!r},{speed_end!r},{tail}")
+            next_t += interval
     trace_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.json"

