@@ -256,19 +256,18 @@ def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> 
 
     trace_path = out_dir / "speed_trace.csv"
     lines = [TRACE_HEADER, "0.0,0.0,0.0,0.0,1"]  # at rest, before the first band
-    # a row every ``interval`` s of the running leg; an event up to 1e-12 s past it takes its row
-    interval = scenario.controller.trace_interval
-    next_t = interval
+    # row k at k * interval on the running leg; an event up to 1e-12 s past it takes its row
+    interval, k = scenario.controller.trace_interval, 1
     for t0, _, _, leg, on, band, t_end, speed_end in result.legs:
         tail = f"{band.lower!r},{band.upper!r},{int(on)}"
         times = []
-        while next_t < t_end - 1e-12:
-            times.append(next_t)
-            next_t += interval
+        while (t_row := k * interval) < t_end - 1e-12:
+            times.append(t_row)
+            k += 1
         lines += [f"{t!r},{v!r},{tail}" for t, v in zip(times, leg.speeds(t0, times))]
-        if t_end >= next_t - 1e-12:
+        if t_end >= t_row - 1e-12:
             lines.append(f"{t_end!r},{speed_end!r},{tail}")
-            next_t += interval
+            k += 1
     trace_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.json"

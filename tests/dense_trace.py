@@ -19,7 +19,7 @@ from ecodrive.dynamics import PowerModel, VehicleParams, engine_energy
 def dense_trace(
     result: RaceResult, interval: float, power: PowerModel, params: VehicleParams
 ) -> tuple[TelemetrySample, ...]:
-    """The race's trace samples every ``interval`` s, from rest to its last event.
+    """The race's trace samples at each ``k * interval`` s, from rest to its last event.
 
     The engine energy and the switch count are replayed leg by leg in the
     race's own order, so each leg's recorded start energy and the race's
@@ -31,7 +31,7 @@ def dense_trace(
                              0.0, 0.0, "")]
     # each leg ends where the next starts, and the last where the race stopped
     ends = [rec.position for rec in result.legs[1:]] + [result.samples[-1].position]
-    next_t = interval
+    k = 1  # the next row lies at k * interval
     for rec, x_end in zip(result.legs, ends):
         on, leg, t, x1, band = rec.engine_on, rec.leg, rec.t, rec.position, rec.band
         if on and not was_on:
@@ -39,37 +39,38 @@ def dense_trace(
         was_on = on
         charged = alpha * switches
         assert rec.energy == e_power + charged, (rec, e_power, switches)
-        while next_t < rec.t_end - 1e-12:
-            tau = next_t - t
+        while k * interval < rec.t_end - 1e-12:
+            tau = k * interval - t
             d = leg.distance(tau)
             e_at = e_power + engine_energy(tau, d, on, power, params) + charged
             trace.append(TelemetrySample(
-                next_t, x1 + d, leg.speed(tau), on, switches, e_at, band.lower, band.upper, ""
+                k * interval, x1 + d, leg.speed(tau), on, switches, e_at,
+                band.lower, band.upper, "",
             ))
-            next_t += interval
+            k += 1
         e_power += engine_energy(rec.t_end - t, x_end - x1, on, power, params)
-        if rec.t_end >= next_t - 1e-12:
+        if rec.t_end >= k * interval - 1e-12:
             trace.append(TelemetrySample(
                 rec.t_end, x_end, rec.speed_end, on, switches, e_power + charged,
                 band.lower, band.upper, "",
             ))
-            next_t += interval
+            k += 1
     assert (e_power + alpha * switches, switches) == (result.total_energy, result.switches)
     return tuple(trace)
 
 
 def trace_rows(legs: Iterable[LegRecord], interval: float) -> list[tuple]:
     """Speed trace rows ``(t, speed, band_lower, band_upper, engine_on)`` read off ``legs``: one
-    at rest, then one every ``interval`` s; an event up to 1e-12 s past it takes its row."""
-    rows, next_t = [(0.0, 0.0, 0.0, 0.0, True)], interval
+    at rest, then row k at ``k * interval``; an event up to 1e-12 s past it takes its row."""
+    rows, k = [(0.0, 0.0, 0.0, 0.0, True)], 1
     for t0, _, _, leg, on, band, t_end, speed_end in legs:
         speed, lower, upper = leg.speed, band.lower, band.upper
-        while next_t < t_end - 1e-12:
-            rows.append((next_t, speed(next_t - t0), lower, upper, on))
-            next_t += interval
-        if t_end >= next_t - 1e-12:
+        while k * interval < t_end - 1e-12:
+            rows.append((k * interval, speed(k * interval - t0), lower, upper, on))
+            k += 1
+        if t_end >= k * interval - 1e-12:
             rows.append((t_end, speed_end, lower, upper, on))
-            next_t += interval
+            k += 1
     return rows
 
 

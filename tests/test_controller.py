@@ -880,3 +880,21 @@ class TestTraceGrid:
             # the samples read off each leg run forward in time, place and energy
             for a, b in zip(trace, trace[1:]):
                 assert b.t > a.t and b.position >= a.position and b.energy >= a.energy
+
+    @pytest.mark.parametrize("name, dt", [("hill", 0.1), ("gust", 0.07), ("flat16500", 0.37)])
+    def test_grid_rows_lie_at_whole_multiples_of_the_interval(self, name, dt):
+        # row k of the trace lies at k * dt unless an event took it: a running sum of dt
+        # drifts, and wrote 2264.499999999036 for 2264.5 on hill at 0.1 s
+        track, wind, params, power, cfg = self.RACES[name]()
+        cfg = replace(cfg, trace_interval=dt)
+        result = run_race(track, wind, params, power, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = emit_report(result, Scenario(name, params, power, track, wind, cfg), tmp)
+            lines = paths["speed_trace"].read_text().splitlines()[1:]
+        times = [float(line.split(",", 1)[0]) for line in lines]
+        events = {rec.t_end for rec in result.legs}
+        grid = [(k, t) for k, t in enumerate(times) if t not in events]
+        assert len(grid) > 0.9 * len(times)
+        assert [t for k, t in grid if t != k * dt] == []
+        # the reference reads the same times
+        assert [s.t for s in dense_trace(result, dt, power, params)] == times

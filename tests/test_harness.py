@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import ecodrive
 from dense_trace import dense_trace, per_row_trace, speed_rows, trace_rows
 from ecodrive import (
+    DEFAULT_PARAMS,
     ControllerConfig,
     Leg,
     OscillationBand,
@@ -489,6 +491,39 @@ class TestSpeedTraceFormat:
         assert len(rows) == 1 + 2 * len(edges)
         assert [(lo, up, on) for _, _, lo, up, on in rows[2::2]] == edges
         paths = emit_report(result, fixture_lib.flat16500(), tmp_path / "out")
+        assert paths["speed_trace"].read_text().splitlines() == per_row_trace(rows)
+
+    # a leg of each law of ``Leg.speeds``, from 3 m/s in a 1.5 m/s wind, with its sigma:
+    # the engine on (b > 0, tanh), coasting (b < 0, tan), no drift (b = 0, rational), rest
+    LAWS = {
+        "tanh": (lambda: Leg.start(DEFAULT_PARAMS, 0.0, 1.5, True, 3.0), 1.0),
+        "tan": (lambda: Leg.start(DEFAULT_PARAMS, 0.0, 1.5, False, 3.0), -1.0),
+        "rational": (lambda: Leg(0.0, 6e-4, 1.5, 3.0), 0.0),
+        "rest": (lambda: Leg(0.0, 6e-4, 0.0, 0.0), 0.0),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_each_law_matches_the_per_row_format(self, law, tmp_path):
+        make, sigma = self.LAWS[law]
+        leg = make()
+        assert leg.sigma == sigma
+        # three legs of the law from non-dyadic starts, on a grid of non-dyadic row times;
+        # the second ends within rounding of 40 * 0.07 and takes that row
+        bounds, band = (0.0, 1.3, 2.8, 4.6), _band(2.0, 4.0)
+        legs = tuple(
+            LegRecord(t0, 0.0, 10.0, leg, sigma > 0.0, band, t1, leg.speed(t1 - t0))
+            for t0, t1 in zip(bounds, bounds[1:])
+        )
+        result = RaceResult(
+            samples=(TelemetrySample(4.6, 12.0, 3.0, True, 1, 10.0, 2.0, 4.0, "finish"),),
+            legs=legs, replans=(), finished=True, finish_time=4.6, total_energy=10.0,
+            switches=1, avg_speed=2.6, flags=(),
+        )
+        scenario = fixture_lib.flat16500()
+        scenario = replace(scenario, controller=replace(scenario.controller, trace_interval=0.07))
+        rows = trace_rows(legs, 0.07)
+        assert len(rows) == 1 + 65 and rows[40][0] == 2.8
+        paths = emit_report(result, scenario, tmp_path / "out")
         assert paths["speed_trace"].read_text().splitlines() == per_row_trace(rows)
 
     def test_race_rows_match_the_per_row_format(self, short_scenario, tmp_path):
