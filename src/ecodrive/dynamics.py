@@ -626,7 +626,8 @@ class Leg:
         for t in times:
             x = Ak * (t - t0)
             c, s = even(x), odd(x)
-            out.append(max(w + k * (r0 * c + sk * s) / (k * c + r0 * s), 0.0))
+            v = w + k * (r0 * c + sk * s) / (k * c + r0 * s)
+            out.append(0.0 if v < 0.0 else v)  # max(v, 0.0), bit for bit, without its call
         return out
 
     def distance(self, tau: float) -> float:
