@@ -1,7 +1,7 @@
 """The dense telemetry trace, read row by row off a race's legs.
 
-References for the report's ``speed_trace.csv``: every ``trace_interval`` seconds
-of the running leg ``dense_trace`` takes a full ``TelemetrySample`` (the position
+References for the report's ``speed_trace.csv``: at each multiple of ``trace_interval``
+on the running leg, ``dense_trace`` takes a full ``TelemetrySample`` (the position
 from ``Leg.distance``, the energy and the switch count), and where an event lands
 on the grid, the state the event landed on.  ``trace_rows`` reads the five fields
 the report keeps, one ``Leg.speed`` call per row; the tests read the rest of the

@@ -496,16 +496,15 @@ class TestSpeedTraceFormat:
     # a leg of each law of ``Leg.speeds``, from 3 m/s in a 1.5 m/s wind, with its sigma:
     # the engine on (b > 0, tanh), coasting (b < 0, tan), no drift (b = 0, rational), rest
     LAWS = {
-        "tanh": (lambda: Leg.start(DEFAULT_PARAMS, 0.0, 1.5, True, 3.0), 1.0),
-        "tan": (lambda: Leg.start(DEFAULT_PARAMS, 0.0, 1.5, False, 3.0), -1.0),
-        "rational": (lambda: Leg(0.0, 6e-4, 1.5, 3.0), 0.0),
-        "rest": (lambda: Leg(0.0, 6e-4, 0.0, 0.0), 0.0),
+        "tanh": (Leg.start(DEFAULT_PARAMS, 0.0, 1.5, True, 3.0), 1.0),
+        "tan": (Leg.start(DEFAULT_PARAMS, 0.0, 1.5, False, 3.0), -1.0),
+        "rational": (Leg(0.0, 6e-4, 1.5, 3.0), 0.0),
+        "rest": (Leg(0.0, 6e-4, 0.0, 0.0), 0.0),
     }
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_each_law_matches_the_per_row_format(self, law, tmp_path):
-        make, sigma = self.LAWS[law]
-        leg = make()
+        leg, sigma = self.LAWS[law]
         assert leg.sigma == sigma
         # three legs of the law from non-dyadic starts, on a grid of non-dyadic row times;
         # the second ends within rounding of 40 * 0.07 and takes that row
