@@ -135,7 +135,7 @@ def cmd_robustness(args) -> int:
 
     g = SpeedProfile.from_samples(*_read_profile_table(args.g))
     dg = SpeedProfile.from_samples(*_read_profile_table(args.dg))
-    # three quadrature passes: each profile caches its mean, which the series reuses
+    # three passes, started from each profile's values cached once; the series reads g's mean
     base = mean_speed(g)
     perturbed = mean_speed(g.plus(dg))
     direct = perturbed - base

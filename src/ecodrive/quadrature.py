@@ -60,40 +60,53 @@ _WEIGHTS[:, 0] = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
 _WEIGHTS[1::2, 1] = np.concatenate([_GAUSS_W, _GAUSS_W[2::-1]])
 
 
-def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+def panel_edges(lo: float, hi: float, knots=()) -> np.ndarray:
+    """Where a pass's first panels meet: lo, hi and the knots between them, sorted, each
+    once (``np.unique`` of the clipped knots, at half its cost)."""
+    e = np.sort(np.array([lo, *knots, hi]).clip(min(lo, hi), max(lo, hi)))
+    return e[np.concatenate(([True], e[1:] != e[:-1]))]
+
+
+def panel_nodes(edges: np.ndarray) -> np.ndarray:
+    """The Kronrod nodes of the panels between consecutive edges, panel by panel."""
+    a, b = edges[:-1], edges[1:]
+    return (0.5 * (a + b)[:, None] + (0.5 * (b - a))[:, None] * _NODES).ravel()
+
+
+def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, values=None) -> np.ndarray:
     """Each row's integral and error estimate on each panel between consecutive edges.
 
-    ``fn`` is called once on the nodes of all the panels.  The result holds
-    the Kronrod integral and its distance from the embedded Gauss-7 rule,
-    with shape ``(2, panels)``, or ``(2, rows, panels)`` when ``fn`` returns
-    a stack.
+    ``fn`` is called once on the nodes of all the panels, unless ``values``
+    holds its values there.  The result holds the Kronrod integral and its
+    distance from the embedded Gauss-7 rule, with shape ``(2, panels)``, or
+    ``(2, rows, panels)`` when ``fn`` returns a stack.
     """
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    values = np.asarray(fn((0.5 * (a + b)[:, None] + half[:, None] * _NODES).ravel()))
-    sums = values.reshape(values.shape[:-1] + (a.size, _NODES.size)) @ _WEIGHTS
+    half = 0.5 * (edges[1:] - edges[:-1])
+    values = np.asarray(fn(panel_nodes(edges)) if values is None else values)
+    sums = values.reshape(values.shape[:-1] + (half.size, _NODES.size)) @ _WEIGHTS
     if not np.isfinite(sums).all():
         raise NumericError(f"integrand is not finite on [{edges[0]}, {edges[-1]}]")
     kronrod, gauss = sums[..., 0], sums[..., 1]
     return np.stack([half * kronrod, half * np.abs(kronrod - gauss)])
 
 
-def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):
+def adaptive_quadrature(fn: Callable, lo: float, hi: float, knots=(), first=None):
     """Integral over [lo, hi] of each row of fn by bisection of the worst panel.
 
     ``fn`` only needs to be vectorized and smooth between ``knots``, where
-    the first panels start, all in one call.  A ``(k, n)`` result is a stack
-    of k integrands, integrated on shared panels into a length-k array; a
-    1-d result gives a float.  Until every row's summed error is below
-    ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst against that
-    rule is split, both halves in one call of ``fn``.  Knots outside the
-    interval are ignored.
+    the first panels start, all in one call, or in none where ``first`` holds
+    its values on ``panel_nodes(panel_edges(lo, hi, knots))``.  A ``(k, n)``
+    result is a stack of k integrands, integrated on shared panels into a
+    length-k array; a 1-d result gives a float.  Until every row's summed
+    error is below ``max(REL_TOL * |int row|, ABS_FLOOR)``, the panel worst
+    against that rule is split, both halves in one call of ``fn``.  Knots
+    outside the interval are ignored.
     """
     if lo == hi:
         return 0.0
     sign = 1.0 if lo < hi else -1.0
-    edges = np.unique(np.clip([lo, *knots, hi], min(lo, hi), max(lo, hi)))
-    panels = np.moveaxis(_panels(fn, edges), -1, 0)
+    edges = panel_edges(lo, hi, knots)
+    panels = np.moveaxis(_panels(fn, edges, first), -1, 0)
     total = panels.sum(axis=0)
     heap = None
     while np.any(total[1] > np.maximum(REL_TOL * np.abs(total[0]), ABS_FLOOR)):

@@ -9,6 +9,7 @@ alternating series whose terms decay like powers of the perturbation ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceRiskError, InvalidProfileError
-from .quadrature import adaptive_quadrature
+from .quadrature import adaptive_quadrature, panel_edges, panel_nodes
 
 DEFAULT_TERMS = 8
 _VALIDATION_GRID = 512
@@ -35,6 +36,7 @@ class SpeedProfile:
     hi: float
     fn: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()  # ends included; fn is smooth between knots
+    _parts = ()  # set by ``plus``; not a field, so ``replace`` drops it
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -51,22 +53,31 @@ class SpeedProfile:
         x, y = np.asarray(speeds, dtype=float), np.asarray(values, dtype=float)
         if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
             raise InvalidProfileError("need two equal-length 1-d sample arrays")
-        h = np.diff(x)
-        if np.any(h <= 0.0):
+        xs, ys = x.tolist(), y.tolist()
+        if not all(map(math.isfinite, xs)):
+            raise InvalidProfileError("sample speeds must be finite")
+        h = [b - a for a, b in zip(xs, xs[1:])]
+        if min(h) <= 0.0:
             raise InvalidProfileError("sample speeds must be strictly increasing")
-        m = np.diff(y) / h
-        d = np.full(x.size, m[0])
-        if x.size > 2:
-            w1, w2, sign = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1], np.sign(m)
-            with np.errstate(all="ignore"):
-                mean = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
-            d[1:-1] = np.where((sign[:-1] == sign[1:]) & (m[1:] != 0.0), mean, 0.0)
-            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            e = np.where((np.sign(m0) != np.sign(m1)) & (abs(e) > 3.0 * abs(m0)), 3.0 * m0, e)
-            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, e)
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        # plain floats in numpy's order of operations, inf for x / 0: its bits, not its call cost
+        m = [(b - a) / w for a, b, w in zip(ys, ys[1:], h)]
+        d = [m[0], *[0.0] * (len(xs) - 2), m[-1]]
+        for i in range(1, len(xs) - 1):  # weighted harmonic means where the secants agree
+            (a, b), w1, w2 = m[i - 1 : i + 1], 2.0 * h[i] + h[i - 1], h[i] + 2.0 * h[i - 1]
+            if (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0):
+                den = w1 / a + w2 / b
+                d[i] = (w1 + w2) / den if den else math.copysign(math.inf, a)
+        if len(xs) > 2:
+            sign = lambda v: (v > 0.0) - (v < 0.0) if v == v else math.nan  # noqa: E731
+            for k, j in ((0, 1), (-1, -2)):  # each end, from its own and the next secant
+                h0, h1, m0, m1 = h[k], h[j], m[k], m[j]
+                e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+                if sign(m0) != sign(m1) and abs(e) > 3.0 * abs(m0):
+                    e = 3.0 * m0
+                d[k] = 0.0 if sign(e) != sign(m0) else e
+        t = [(a + b - 2.0 * s) / w for a, b, s, w in zip(d, d[1:], m, h)]
+        coef = np.array([[c / w for c, w in zip(t, h)],
+                         [(s - a) / w - c for s, a, w, c in zip(m, d, h, t)], d[:-1], ys[:-1]])
 
         def cubic(s: np.ndarray) -> np.ndarray:
             i = np.searchsorted(x[1:-1], s, side="right")
@@ -74,25 +85,40 @@ class SpeedProfile:
             out = ((c3 * u + c2) * u + c1) * u + c0
             return np.where((s >= x[0]) & (s <= x[-1]), out, np.nan)
 
-        return cls(float(x[0]), float(x[-1]), cubic, tuple(x.tolist()))
+        return cls(xs[0], xs[-1], cubic, tuple(xs))
 
     def plus(self, other: SpeedProfile) -> SpeedProfile:
         _require_same_band(self, other)
-        knots = np.unique(np.clip(self.knots + other.knots, self.lo, self.hi))
-        return replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=tuple(knots.tolist()))
+        knots = tuple(panel_edges(self.lo, self.hi, self.knots + other.knots).tolist())
+        total = replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=knots)
+        if self.knots == other.knots:  # the sum's grid and nodes are its parts'
+            object.__setattr__(total, "_parts", (self, other))
+        return total
 
     @cached_property
     def _grid_values(self) -> np.ndarray:
         """The profile on its validation grid, evaluated once per profile."""
+        if self._parts:
+            return self._parts[0]._grid_values + self._parts[1]._grid_values
         return self(np.linspace(self.lo, self.hi, _VALIDATION_GRID))
+
+    @cached_property
+    def _first(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of the first quadrature pass on the knots, and the profile there, once."""
+        if self._parts:
+            (s, a), (_, b) = self._parts[0]._first, self._parts[1]._first
+            return s, a + b
+        s = panel_nodes(panel_edges(self.lo, self.hi, self.knots))
+        return s, self(s)
 
     @cached_property
     def _validate_nonvanishing(self) -> np.ndarray:
         """The grid values, checked once per profile."""
         vals = self._grid_values
-        if not np.all(np.isfinite(vals)):
+        low, high = vals.min(), vals.max()
+        if not -np.inf < low <= high < np.inf:  # NaN fails every comparison
             raise InvalidProfileError("profile is not finite on its band")
-        if np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)):
+        if low <= 0.0 <= high:
             raise InvalidProfileError("profile vanishes on the sampled grid")
         return vals
 
@@ -100,14 +126,18 @@ class SpeedProfile:
     def _mean_speed(self) -> float:
         """The time-weighted average speed, integrated once per profile."""
         self._validate_nonvanishing  # raises unless finite and of one sign on the grid
+
+        def rows(s: np.ndarray, values: np.ndarray) -> np.ndarray:
+            return np.vstack([np.ones_like(s), s]) / values
+
         duration, distance = adaptive_quadrature(
-            lambda s: np.vstack([np.ones_like(s), s]) / self(s), self.lo, self.hi, self.knots
+            lambda s: rows(s, self(s)), self.lo, self.hi, self.knots, first=rows(*self._first)
         )
         return float(distance / duration)
 
 
 def _require_same_band(a: SpeedProfile, b: SpeedProfile) -> None:
-    if abs(a.lo - b.lo) > 1e-12 or abs(a.hi - b.hi) > 1e-12:
+    if (a.lo, a.hi) != (b.lo, b.hi):
         raise InvalidProfileError(
             f"profiles live on different bands: [{a.lo}, {a.hi}] vs [{b.lo}, {b.hi}]"
         )
@@ -124,9 +154,9 @@ def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAUL
     Sums the alternating series in powers of dg/g; each extra term buys one
     power of sup|dg/g|, so the default depth is ample for ratios up to ~0.3.
     The perturbed duration and every term are integrated in one adaptive
-    pass on shared panels, each profile evaluated once per call; the powers
-    of dg/g are a running product.  The mean of g is integrated once per
-    profile, so a caller that has called ``mean_speed(g)`` pays no pass for it.
+    pass on shared panels, which starts from the profiles' cached values where
+    they share their knots; the powers of dg/g are a running product.  The
+    mean of g is integrated once per profile, so ``mean_speed(g)`` costs no pass.
     """
     if isinstance(n_terms, bool) or not isinstance(n_terms, int) or n_terms < 1:
         raise ValueError(f"n_terms must be an integer of at least 1, got {n_terms!r}")
@@ -138,12 +168,14 @@ def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAUL
         )
     mean = mean_speed(g)
 
-    def rows(s: np.ndarray) -> np.ndarray:
-        gs, dgs = g(s), dg(s)
+    def rows(s: np.ndarray, gs: np.ndarray, dgs: np.ndarray) -> np.ndarray:
         powers = np.cumprod(np.broadcast_to(dgs / gs, (n_terms, s.size)), axis=0)
         return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * powers])
 
-    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.knots + dg.knots)
+    first = rows(*g._first, dg._first[1]) if g.knots == dg.knots else None
+    perturbed_duration, *terms = adaptive_quadrature(
+        lambda s: rows(s, g(s), dg(s)), g.lo, g.hi, g.knots + dg.knots, first=first
+    )
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)
 
 

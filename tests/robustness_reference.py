@@ -9,6 +9,11 @@
   take the same steps, so they agree bit for bit.
 - ``pow_series`` raises dg/g to each series power with ``**``, one ``pow``
   per node and term, where the package takes a running product.
+- ``per_call_mean_speed``, ``per_call_sum``, ``per_call_series`` and
+  ``per_call_ratio_statistics`` evaluate each profile wherever a value is
+  needed, as the package did before each profile kept its values on its
+  validation grid and on the nodes of its first quadrature pass.  Both read
+  the same points and take the same steps, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import heapq
 
 import numpy as np
 
-from ecodrive.errors import NumericError
-from ecodrive.quadrature import ABS_FLOOR, MAX_PANELS, REL_TOL, _panels
+from ecodrive.errors import DivergenceRiskError, InvalidProfileError, NumericError
+from ecodrive.quadrature import ABS_FLOOR, MAX_PANELS, REL_TOL, _panels, adaptive_quadrature
+from ecodrive.robustness import _VALIDATION_GRID, SpeedProfile
 
 
 def eager_adaptive_quadrature(fn, lo: float, hi: float, knots=()):
@@ -87,3 +93,54 @@ def pow_series(g, dg, n_terms: int, mean: float) -> tuple[float, float]:
     perturbed_duration, *terms = eager_adaptive_quadrature(rows, g.lo, g.hi, g.plus(dg).knots)
     estimate = sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration
     return float(estimate), float(sum(abs(term) for term in terms) / abs(perturbed_duration))
+
+
+def _grid(profile):
+    return profile(np.linspace(profile.lo, profile.hi, _VALIDATION_GRID))
+
+
+def _checked_grid(g):
+    """g on its validation grid, refused unless finite and of one sign there."""
+    vals = _grid(g)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidProfileError("profile is not finite on its band")
+    if np.any(vals == 0.0) or (np.any(vals > 0.0) and np.any(vals < 0.0)):
+        raise InvalidProfileError("profile vanishes on the sampled grid")
+    return vals
+
+
+def per_call_mean_speed(g) -> float:
+    """``mean_speed`` with g evaluated on its grid and again inside the pass."""
+    _checked_grid(g)
+    duration, distance = adaptive_quadrature(
+        lambda s: np.vstack([np.ones_like(s), s]) / g(s), g.lo, g.hi, g.knots
+    )
+    return float(distance / duration)
+
+
+def per_call_sum(g, dg):
+    """``g.plus(dg)`` as a profile whose every value is ``g.fn(s) + dg.fn(s)``."""
+    knots = np.unique(np.clip(g.knots + dg.knots, g.lo, g.hi))
+    return SpeedProfile(g.lo, g.hi, lambda s: g.fn(s) + dg.fn(s), tuple(knots.tolist()))
+
+
+def per_call_ratio_statistics(g, dg) -> tuple[float, float]:
+    ratio = _grid(dg) / _checked_grid(g)
+    return float(np.mean(ratio)), float(np.var(ratio))
+
+
+def per_call_series(g, dg, n_terms: int) -> float:
+    """``perturbation_series`` with g and dg evaluated on every node of the pass."""
+    ratio = _grid(dg) / _checked_grid(g)
+    sup = float(np.max(np.abs(ratio)))
+    if sup >= 1.0:
+        raise DivergenceRiskError(f"sup|dg/g| = {sup:.6g} >= 1")
+    mean = per_call_mean_speed(g)
+
+    def rows(s):
+        gs, dgs = g(s), dg(s)
+        powers = np.cumprod(np.broadcast_to(dgs / gs, (n_terms, s.size)), axis=0)
+        return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * powers])
+
+    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.knots + dg.knots)
+    return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)

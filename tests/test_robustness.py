@@ -8,7 +8,14 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import oracles
-from robustness_reference import polyval_cubic, pow_series
+from robustness_reference import (
+    per_call_mean_speed,
+    per_call_ratio_statistics,
+    per_call_series,
+    per_call_sum,
+    polyval_cubic,
+    pow_series,
+)
 from segments import (
     SpeedSegment,
     acceleration_profile,
@@ -29,7 +36,7 @@ from ecodrive import (
 )
 from ecodrive import robustness
 from ecodrive.robustness import SpeedProfile, mean_speed, perturbation_series, ratio_statistics
-from ecodrive.quadrature import adaptive_quadrature
+from ecodrive.quadrature import adaptive_quadrature, panel_edges, panel_nodes
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +78,31 @@ def sampled_pairs(draw):
     cycles, phase = draw(st.floats(0.3, 2.0)), draw(st.floats(0.0, 2.0 * np.pi))
     dg = g * amp * np.sin(2.0 * np.pi * cycles * x + phase)
     return speeds, SpeedProfile.from_samples(speeds, g), SpeedProfile.from_samples(speeds, dg)
+
+
+@st.composite
+def table_pairs(draw):
+    """A 33-point driving or coasting g, and a dg sampled on the same speeds or on others
+    of the same band, |dg/g| <= 0.3 at its samples."""
+    lo, width = draw(st.floats(0.5, 15.0)), draw(st.floats(0.2, 8.0))
+    speeds = np.linspace(lo, lo + width, 33)
+    level = draw(st.floats(0.02, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    slope, curve = draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.3, 0.3))
+    amp, cycles = draw(st.floats(0.01, 0.3)), draw(st.floats(0.3, 2.0))
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    other = speeds
+    if draw(st.booleans()):  # as many samples as g's, or any number
+        n = draw(st.just(31) | st.integers(0, 40))
+        inner = draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n, unique=True))
+        other = np.concatenate([speeds[:1], lo + width * np.sort(inner), speeds[-1:]])
+        assume(np.all(np.diff(other) > 0.0))
+
+    def accel(s):
+        x = (s - lo) / width
+        return level * (1.0 + slope * x + curve * x * x)
+
+    dg = accel(other) * amp * np.sin(2.0 * np.pi * cycles * (other - lo) / width + phase)
+    return SpeedProfile.from_samples(speeds, accel(speeds)), SpeedProfile.from_samples(other, dg)
 
 
 @st.composite
@@ -132,6 +164,15 @@ class TestMeanSpeed:
     def test_sample_validation(self):
         with pytest.raises(InvalidProfileError):
             SpeedProfile.from_samples([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "speeds", [[1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, np.inf], [-np.inf, 2.0, 3.0, 4.0]]
+    )
+    def test_non_finite_sample_speeds_are_refused(self, speeds):
+        # NaN fails the spacing test's every comparison, and an infinite end spaces
+        # its samples by an infinite but positive step
+        with pytest.raises(InvalidProfileError, match="sample speeds must be finite"):
+            SpeedProfile.from_samples(speeds, [1.0, 2.0, 3.0, 4.0])
 
     @settings(max_examples=30, deadline=None)
     @given(sample=sampled_pairs())
@@ -267,9 +308,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=()):
+        def counted(fn, lo, hi, knots=(), first=None):
             calls.append((lo, hi, knots))
-            return inner(fn, lo, hi, knots)
+            return inner(fn, lo, hi, knots, first)
 
         g = _fresh(accel_profile)
         mean_speed(g)
@@ -283,9 +324,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=()):
+        def counted(fn, lo, hi, knots=(), first=None):
             calls.append(knots)
-            return inner(fn, lo, hi, knots)
+            return inner(fn, lo, hi, knots, first)
 
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
         g = _fresh(accel_profile)
@@ -300,9 +341,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=()):
+        def counted(fn, lo, hi, knots=(), first=None):
             calls.append(fn)
-            return inner(fn, lo, hi, knots)
+            return inner(fn, lo, hi, knots, first)
 
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
         g = _fresh(accel_profile)
@@ -321,9 +362,9 @@ class TestPerturbationSeries:
         # looked up on the module, and the series left to find the mean itself
         counts = {"adaptive_quadrature": 0, "mean_speed": 0, "perturbation_series": 0}
         for name in counts:
-            def counted(*args, _inner=getattr(robustness, name), _name=name):
+            def counted(*args, _inner=getattr(robustness, name), _name=name, **kwargs):
                 counts[_name] += 1
-                return _inner(*args)
+                return _inner(*args, **kwargs)
 
             monkeypatch.setattr(robustness, name, counted)
         s = np.linspace(6.0, 8.0, 33)
@@ -359,10 +400,12 @@ class TestPerturbationSeries:
         mean_speed(g.plus(dg))
         perturbation_series(g, dg)
         ratio_statistics(g, dg)
-        # g on its own grid and inside g + dg; dg inside g + dg and once for
-        # the ratios of both the series and the statistics
-        assert g_sizes.count(robustness._VALIDATION_GRID) == 2
-        assert dg_sizes.count(robustness._VALIDATION_GRID) == 2
+        # each profile on its own grid and on the nodes of its first pass: g + dg adds
+        # their values there, and the ratios of the series and the statistics read dg's
+        nodes = panel_nodes(panel_edges(g.lo, g.hi, g.knots)).size
+        for sizes in (g_sizes, dg_sizes):
+            assert sizes.count(robustness._VALIDATION_GRID) == 1
+            assert sizes.count(nodes) == 1
 
     def test_divergence_risk_rejected(self, accel_profile):
         dg = scaled(accel_profile, 1.05)
@@ -373,6 +416,38 @@ class TestPerturbationSeries:
         dg = SpeedProfile(6.0, 7.94, lambda s: 0.1 * np.ones_like(s))
         with pytest.raises(InvalidProfileError):
             perturbation_series(accel_profile, dg)
+
+    def test_bands_that_differ_by_rounding_are_refused_alike(self):
+        # dg's cubic is NaN past its own end, so on g's band it is not finite: every
+        # function refuses the pair up front, naming both bands
+        speeds = np.linspace(1.0, 2.0, 9)
+        g = SpeedProfile.from_samples(speeds, 0.5 - 0.1 * speeds)
+        dg = SpeedProfile.from_samples([*speeds[:-1], 2.0 - 5e-13], 0.01 * speeds)
+        bands = r"different bands: \[1\.0, 2\.0\] vs \[1\.0, 1\.9999999999995\]"
+        for call in (
+            lambda: mean_speed(g.plus(dg)),
+            lambda: perturbation_series(g, dg),
+            lambda: ratio_statistics(g, dg),
+        ):
+            with pytest.raises(InvalidProfileError, match=bands):
+                call()
+
+    # every figure as it was when each value was computed where it was needed: a profile
+    # reads its values on its own points, and a sum on its parts' points adds theirs
+    @settings(max_examples=100, deadline=None)
+    @given(pair=table_pairs(), n_terms=st.sampled_from([1, 3, 8]), series_first=st.booleans())
+    def test_cached_values_give_the_per_call_figures(self, pair, n_terms, series_first):
+        g, dg = pair
+        expected = (
+            per_call_mean_speed(g),
+            per_call_mean_speed(per_call_sum(g, dg)),
+            per_call_series(g, dg, n_terms),
+            per_call_ratio_statistics(g, dg),
+        )
+        series = perturbation_series(g, dg, n_terms) if series_first else None
+        base, perturbed = mean_speed(g), mean_speed(g.plus(dg))
+        series = perturbation_series(g, dg, n_terms) if series is None else series
+        assert (base, perturbed, series, ratio_statistics(g, dg)) == expected
 
 
 class TestFirstTermStructure:
@@ -422,18 +497,16 @@ class TestBandCycle:
     )
 
     @staticmethod
-    def band(signed, wind, slope, u_a, u_b, drag=1.0):
+    def band(signed, wind, slope, u_a, u_b, field="drag_coeff", factor=1.0):
         """The band between the fractions u_a and u_b of the room on a slice, in either order,
-        and the same band on the slice whose drag coefficient is ``drag`` times the default."""
+        and the same band on the slice whose ``field`` is ``factor`` times the default."""
         u_a, u_b = sorted((u_a, u_b))
         assume(u_a < u_b)
+        params = VehicleParams(signed_drag=signed)
         try:
             frozen, wrong = (
-                FrozenDynamics.from_conditions(
-                    VehicleParams(drag_coeff=k * VehicleParams().drag_coeff, signed_drag=signed),
-                    PowerModel(), slope, wind,
-                )
-                for k in (1.0, drag)
+                FrozenDynamics.from_conditions(p, PowerModel(), slope, wind)
+                for p in (params, replace(params, **{field: factor * getattr(params, field)}))
             )
             v_a, v_b = (frozen.v_low + u * (frozen.v_high - frozen.v_low) for u in (u_a, u_b))
             bands = band_from_limits(frozen, v_a, v_b), band_from_limits(wrong, v_a, v_b)
@@ -456,14 +529,10 @@ class TestBandCycle:
         g = self.cycle(frozen, band.lower, band.upper)
         assert mean_speed(g) == pytest.approx(band.avg_speed, rel=1e-13)
 
-    @settings(max_examples=200, deadline=None)
-    @given(**SLICES, drag=st.floats(0.8, 1.2))
-    def test_series_under_a_drag_error_is_within_its_remainder(
-        self, signed, wind, slope, u_a, u_b, drag
-    ):
+    def series_within_its_remainder(self, signed, wind, slope, u_a, u_b, field, factor):
         # the series of depth n misses the shift by its remainder, at most
         # (v_b - v_a) r^(n+1) / (1 - r) with r = sup|dg/g|
-        frozen, wrong, (band, shifted) = self.band(signed, wind, slope, u_a, u_b, drag)
+        frozen, wrong, (band, shifted) = self.band(signed, wind, slope, u_a, u_b, field, factor)
         v_a, v_b = band.lower, band.upper
         g, g_wrong = self.cycle(frozen, v_a, v_b), self.cycle(wrong, v_a, v_b)
         dg = replace(g, fn=lambda s: g_wrong(s) - g(s))
@@ -473,3 +542,26 @@ class TestBandCycle:
         bound = (v_b - v_a) * r**13 / (1.0 - r) + 1e-13 * band.avg_speed
         exact = shifted.avg_speed - band.avg_speed
         assert abs(perturbation_series(g, dg, 12) - exact) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SLICES, drag=st.floats(0.8, 1.2))
+    def test_series_under_a_drag_error_is_within_its_remainder(
+        self, signed, wind, slope, u_a, u_b, drag
+    ):
+        self.series_within_its_remainder(signed, wind, slope, u_a, u_b, "drag_coeff", drag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SLICES, friction=st.floats(0.8, 1.2))
+    def test_series_under_a_friction_error_is_within_its_remainder(
+        self, signed, wind, slope, u_a, u_b, friction
+    ):
+        self.series_within_its_remainder(
+            signed, wind, slope, u_a, u_b, "solid_friction", friction
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SLICES, traction=st.floats(0.8, 1.2))
+    def test_series_under_a_traction_error_is_within_its_remainder(
+        self, signed, wind, slope, u_a, u_b, traction
+    ):
+        self.series_within_its_remainder(signed, wind, slope, u_a, u_b, "traction", traction)
