@@ -9,7 +9,6 @@ alternating series whose terms decay like powers of the perturbation ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -53,9 +52,9 @@ class SpeedProfile:
         x, y = np.asarray(speeds, dtype=float), np.asarray(values, dtype=float)
         if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
             raise InvalidProfileError("need two equal-length 1-d sample arrays")
-        xs, ys = x.tolist(), y.tolist()
-        if not all(map(math.isfinite, xs)):
+        if not np.isfinite(x).all():
             raise InvalidProfileError("sample speeds must be finite")
+        xs, ys = x.tolist(), y.tolist()
         h = [b - a for a, b in zip(xs, xs[1:])]
         if min(h) <= 0.0:
             raise InvalidProfileError("sample speeds must be strictly increasing")
@@ -66,14 +65,13 @@ class SpeedProfile:
             (a, b), w1, w2 = m[i - 1 : i + 1], 2.0 * h[i] + h[i - 1], h[i] + 2.0 * h[i - 1]
             if (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0):
                 den = w1 / a + w2 / b
-                d[i] = (w1 + w2) / den if den else math.copysign(math.inf, a)
+                d[i] = (w1 + w2) / den if den else np.copysign(np.inf, a)
         if len(xs) > 2:
-            sign = lambda v: (v > 0.0) - (v < 0.0) if v == v else math.nan  # noqa: E731
+            sign = lambda v: (v > 0.0) - (v < 0.0) if v == v else np.nan  # noqa: E731
             for k, j in ((0, 1), (-1, -2)):  # each end, from its own and the next secant
                 h0, h1, m0, m1 = h[k], h[j], m[k], m[j]
                 e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-                if sign(m0) != sign(m1) and abs(e) > 3.0 * abs(m0):
-                    e = 3.0 * m0
+                e = 3.0 * m0 if sign(m0) != sign(m1) and abs(e) > 3.0 * abs(m0) else e
                 d[k] = 0.0 if sign(e) != sign(m0) else e
         t = [(a + b - 2.0 * s) / w for a, b, s, w in zip(d, d[1:], m, h)]
         coef = np.array([[c / w for c, w in zip(t, h)],
