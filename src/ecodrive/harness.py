@@ -135,7 +135,7 @@ def cmd_robustness(args) -> int:
 
     g = SpeedProfile.from_samples(*_read_profile_table(args.g))
     dg = SpeedProfile.from_samples(*_read_profile_table(args.dg))
-    # three passes, started from each profile's values cached once; the series reads g's mean
+    # three passes, each profile evaluated once per array of speeds; the series reads g's mean
     base = mean_speed(g)
     perturbed = mean_speed(g.plus(dg))
     direct = perturbed - base

@@ -9,14 +9,14 @@ alternating series whose terms decay like powers of the perturbation ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceRiskError, InvalidProfileError
-from .quadrature import adaptive_quadrature, panel_edges, panel_nodes
+from .quadrature import adaptive_quadrature, panel_edges
 
 DEFAULT_TERMS = 8
 _VALIDATION_GRID = 512
@@ -28,22 +28,30 @@ class SpeedProfile:
 
     Identified dynamics usually arrive as samples; those are interpolated
     with a monotone cubic so the profile stays free of spurious wiggles.
-    Closed-form profiles pass the callable to the constructor.
+    Closed-form profiles pass the callable to the constructor.  A profile
+    calls ``fn`` once per distinct array of speeds and hands out its values
+    there read-only, so the quadrature passes and checks of one request share
+    them.
     """
 
     lo: float
     hi: float
     fn: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()  # ends included; fn is smooth between knots
-    _parts = ()  # set by ``plus``; not a field, so ``replace`` drops it
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise InvalidProfileError("profile needs lo < hi")
+        if not -np.inf < self.lo < self.hi < np.inf:  # NaN fails every comparison
+            raise InvalidProfileError("profile needs finite lo < hi")
         object.__setattr__(self, "knots", tuple(self.knots) or (self.lo, self.hi))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        key = (s.shape, s.tobytes())
+        if key not in self._memo:  # a view, so fn's own arrays stay writable
+            out = self._memo[key] = np.asarray(self.fn(s)).view()
+            out.flags.writeable = False
+        return self._memo[key]
 
     @classmethod
     def from_samples(cls, speeds, values) -> SpeedProfile:
@@ -54,6 +62,8 @@ class SpeedProfile:
             raise InvalidProfileError("need two equal-length 1-d sample arrays")
         if not np.isfinite(x).all():
             raise InvalidProfileError("sample speeds must be finite")
+        if not np.isfinite(y).all():
+            raise InvalidProfileError("sample values must be finite")
         xs, ys = x.tolist(), y.tolist()
         h = [b - a for a, b in zip(xs, xs[1:])]
         if min(h) <= 0.0:
@@ -88,26 +98,12 @@ class SpeedProfile:
     def plus(self, other: SpeedProfile) -> SpeedProfile:
         _require_same_band(self, other)
         knots = tuple(panel_edges(self.lo, self.hi, self.knots + other.knots).tolist())
-        total = replace(self, fn=lambda s: self.fn(s) + other.fn(s), knots=knots)
-        if self.knots == other.knots:  # the sum's grid and nodes are its parts'
-            object.__setattr__(total, "_parts", (self, other))
-        return total
+        return replace(self, fn=lambda s: self(s) + other(s), knots=knots)
 
     @cached_property
     def _grid_values(self) -> np.ndarray:
-        """The profile on its validation grid, evaluated once per profile."""
-        if self._parts:
-            return self._parts[0]._grid_values + self._parts[1]._grid_values
+        """The profile on its validation grid."""
         return self(np.linspace(self.lo, self.hi, _VALIDATION_GRID))
-
-    @cached_property
-    def _first(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes of the first quadrature pass on the knots, and the profile there, once."""
-        if self._parts:
-            (s, a), (_, b) = self._parts[0]._first, self._parts[1]._first
-            return s, a + b
-        s = panel_nodes(panel_edges(self.lo, self.hi, self.knots))
-        return s, self(s)
 
     @cached_property
     def _validate_nonvanishing(self) -> np.ndarray:
@@ -124,12 +120,8 @@ class SpeedProfile:
     def _mean_speed(self) -> float:
         """The time-weighted average speed, integrated once per profile."""
         self._validate_nonvanishing  # raises unless finite and of one sign on the grid
-
-        def rows(s: np.ndarray, values: np.ndarray) -> np.ndarray:
-            return np.vstack([np.ones_like(s), s]) / values
-
         duration, distance = adaptive_quadrature(
-            lambda s: rows(s, self(s)), self.lo, self.hi, self.knots, first=rows(*self._first)
+            lambda s: np.vstack([np.ones_like(s), s]) / self(s), self.lo, self.hi, self.knots
         )
         return float(distance / duration)
 
@@ -152,8 +144,8 @@ def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAUL
     Sums the alternating series in powers of dg/g; each extra term buys one
     power of sup|dg/g|, so the default depth is ample for ratios up to ~0.3.
     The perturbed duration and every term are integrated in one adaptive
-    pass on shared panels, which starts from the profiles' cached values where
-    they share their knots; the powers of dg/g are a running product.  The
+    pass on shared panels, which reads the profiles' values wherever an earlier
+    pass evaluated them; the powers of dg/g are a running product.  The
     mean of g is integrated once per profile, so ``mean_speed(g)`` costs no pass.
     """
     if isinstance(n_terms, bool) or not isinstance(n_terms, int) or n_terms < 1:
@@ -166,14 +158,12 @@ def perturbation_series(g: SpeedProfile, dg: SpeedProfile, n_terms: int = DEFAUL
         )
     mean = mean_speed(g)
 
-    def rows(s: np.ndarray, gs: np.ndarray, dgs: np.ndarray) -> np.ndarray:
+    def rows(s: np.ndarray) -> np.ndarray:
+        gs, dgs = g(s), dg(s)
         powers = np.cumprod(np.broadcast_to(dgs / gs, (n_terms, s.size)), axis=0)
         return np.vstack([1.0 / (gs + dgs), (s - mean) / gs * powers])
 
-    first = rows(*g._first, dg._first[1]) if g.knots == dg.knots else None
-    perturbed_duration, *terms = adaptive_quadrature(
-        lambda s: rows(s, g(s), dg(s)), g.lo, g.hi, g.knots + dg.knots, first=first
-    )
+    perturbed_duration, *terms = adaptive_quadrature(rows, g.lo, g.hi, g.knots + dg.knots)
     return float(sum((-1) ** n * term for n, term in enumerate(terms, 1)) / perturbed_duration)
 
 
@@ -190,4 +180,7 @@ def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
 
 def _ratio_values(g: SpeedProfile, dg: SpeedProfile) -> np.ndarray:
     _require_same_band(g, dg)
-    return dg._grid_values / g._validate_nonvanishing
+    ratio = dg._grid_values / g._validate_nonvanishing
+    if not np.isfinite(ratio).all():
+        raise InvalidProfileError("perturbation is not finite on its band")
+    return ratio

@@ -11,9 +11,9 @@
   per node and term, where the package takes a running product.
 - ``per_call_mean_speed``, ``per_call_sum``, ``per_call_series`` and
   ``per_call_ratio_statistics`` evaluate each profile wherever a value is
-  needed, as the package did before each profile kept its values on its
-  validation grid and on the nodes of its first quadrature pass.  Both read
-  the same points and take the same steps, so they agree bit for bit.
+  needed, as the package did before each profile kept its values per array
+  of speeds.  Both read the same points and take the same steps, so they
+  agree bit for bit.
 """
 
 from __future__ import annotations

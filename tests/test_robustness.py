@@ -36,7 +36,7 @@ from ecodrive import (
 )
 from ecodrive import robustness
 from ecodrive.robustness import SpeedProfile, mean_speed, perturbation_series, ratio_statistics
-from ecodrive.quadrature import adaptive_quadrature, panel_edges, panel_nodes
+from ecodrive.quadrature import _NODES, adaptive_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,11 @@ class TestMeanSpeed:
         s = np.linspace(6.1, 7.94, 50)
         table = SpeedProfile.from_samples(s, accel_profile(s))
         assert mean_speed(table) == pytest.approx(mean_speed(accel_profile), rel=1e-6)
+
+    @pytest.mark.parametrize("band", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_a_band_needs_finite_ends(self, band):
+        with pytest.raises(InvalidProfileError, match="finite lo < hi"):
+            SpeedProfile(*band, lambda s: np.ones_like(s))
 
     def test_sample_validation(self):
         with pytest.raises(InvalidProfileError):
@@ -308,9 +313,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=(), first=None):
+        def counted(fn, lo, hi, knots=()):
             calls.append((lo, hi, knots))
-            return inner(fn, lo, hi, knots, first)
+            return inner(fn, lo, hi, knots)
 
         g = _fresh(accel_profile)
         mean_speed(g)
@@ -324,9 +329,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=(), first=None):
+        def counted(fn, lo, hi, knots=()):
             calls.append(knots)
-            return inner(fn, lo, hi, knots, first)
+            return inner(fn, lo, hi, knots)
 
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
         g = _fresh(accel_profile)
@@ -341,9 +346,9 @@ class TestPerturbationSeries:
         calls = []
         inner = robustness.adaptive_quadrature
 
-        def counted(fn, lo, hi, knots=(), first=None):
+        def counted(fn, lo, hi, knots=()):
             calls.append(fn)
-            return inner(fn, lo, hi, knots, first)
+            return inner(fn, lo, hi, knots)
 
         monkeypatch.setattr(robustness, "adaptive_quadrature", counted)
         g = _fresh(accel_profile)
@@ -400,12 +405,59 @@ class TestPerturbationSeries:
         mean_speed(g.plus(dg))
         perturbation_series(g, dg)
         ratio_statistics(g, dg)
-        # each profile on its own grid and on the nodes of its first pass: g + dg adds
+        # each profile on its own grid and on the nodes of its first pass: g + dg reads
         # their values there, and the ratios of the series and the statistics read dg's
-        nodes = panel_nodes(panel_edges(g.lo, g.hi, g.knots)).size
+        nodes = _NODES.size * (len(g.knots) - 1)
         for sizes in (g_sizes, dg_sizes):
             assert sizes.count(robustness._VALIDATION_GRID) == 1
             assert sizes.count(nodes) == 1
+
+    def test_unequal_knots_evaluate_each_profile_once_per_array(self):
+        # dg sampled at other speeds of g's band: g + dg and the series share the merged
+        # knots, so each profile sees the grid once and the merged nodes once
+        s, t = np.linspace(6.0, 8.0, 33), np.linspace(6.0, 8.0, 25)
+        g_sizes, dg_sizes = [], []
+
+        def counted(speeds, values, sizes):
+            profile = SpeedProfile.from_samples(speeds, values)
+
+            def fn(x):
+                sizes.append(x.size)
+                return profile.fn(x)
+
+            return SpeedProfile(profile.lo, profile.hi, fn, profile.knots)
+
+        g = counted(s, 0.5 - 0.005 * s * s, g_sizes)
+        dg = counted(t, 0.1 * (0.5 - 0.005 * t * t) * np.sin(3.0 * (t - 6.0)), dg_sizes)
+        mean_speed(g)
+        mean_speed(g.plus(dg))
+        perturbation_series(g, dg)
+        ratio_statistics(g, dg)
+        merged = _NODES.size * (len(g.plus(dg).knots) - 1)
+        assert merged not in (_NODES.size * 32, _NODES.size * 24)
+        for sizes in (g_sizes, dg_sizes):
+            assert sizes.count(robustness._VALIDATION_GRID) == 1
+            assert sizes.count(merged) == 1
+        assert g_sizes.count(_NODES.size * 32) == 1  # g's own mean, on its own knots
+
+    def test_values_are_kept_per_array_and_handed_out_read_only(self):
+        shapes = []
+
+        def fn(s):
+            shapes.append(s.shape)
+            return s  # the caller's own array, which must stay writable
+
+        g = SpeedProfile(6.0, 8.0, fn)
+        s = np.linspace(6.0, 8.0, 6)
+        flat, table = g(s), g(s.reshape(3, 2))  # the same bytes in two shapes
+        assert (flat.shape, table.shape, shapes) == ((6,), (3, 2), [(6,), (3, 2)])
+        assert g(s.copy()) is flat and g(list(s)) is flat and len(shapes) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 0.0
+        assert s.flags.writeable  # the memo freezes a view of fn's result, not fn's array
+        # the memo is no part of a profile's value, and a replaced profile starts empty
+        assert replace(g) == g and hash(replace(g)) == hash(g)
+        assert replace(g)._memo == {} and "_memo" not in repr(g)
 
     def test_divergence_risk_rejected(self, accel_profile):
         dg = scaled(accel_profile, 1.05)
@@ -416,6 +468,19 @@ class TestPerturbationSeries:
         dg = SpeedProfile(6.0, 7.94, lambda s: 0.1 * np.ones_like(s))
         with pytest.raises(InvalidProfileError):
             perturbation_series(accel_profile, dg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_perturbation_is_refused_alike(self, bad):
+        s = np.linspace(6.0, 8.0, 9)
+        g = SpeedProfile.from_samples(s, 0.5 - 0.005 * s * s)
+        with pytest.raises(InvalidProfileError, match="sample values must be finite"):
+            SpeedProfile.from_samples(s, np.where(s > 7.0, bad, 0.01))
+        dg = SpeedProfile(g.lo, g.hi, lambda x: np.where(x > 7.0, bad, 0.01))
+        for call in (lambda: ratio_statistics(g, dg), lambda: perturbation_series(g, dg)):
+            with pytest.raises(InvalidProfileError, match="perturbation is not finite"):
+                call()
+        with pytest.raises(InvalidProfileError, match="not finite on its band"):
+            mean_speed(g.plus(dg))
 
     def test_bands_that_differ_by_rounding_are_refused_alike(self):
         # dg's cubic is NaN past its own end, so on g's band it is not finite: every
