@@ -82,7 +82,7 @@ def _panels(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.nda
     if not np.isfinite(sums).all():
         raise NumericError(f"integrand is not finite on [{edges[0]}, {edges[-1]}]")
     kronrod, gauss = sums[..., 0], sums[..., 1]
-    return np.stack([half * kronrod, half * np.abs(kronrod - gauss)])
+    return np.array([half * kronrod, half * np.abs(kronrod - gauss)])
 
 
 def adaptive_quadrature(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, knots=()):

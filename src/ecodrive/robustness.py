@@ -48,10 +48,11 @@ class SpeedProfile:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         key = (s.shape, s.tobytes())
-        if key not in self._memo:  # a view, so fn's own arrays stay writable
+        out = self._memo.get(key)
+        if out is None:  # a view, so fn's own arrays stay writable
             out = self._memo[key] = np.asarray(self.fn(s)).view()
             out.flags.writeable = False
-        return self._memo[key]
+        return out
 
     @classmethod
     def from_samples(cls, speeds, values) -> SpeedProfile:
@@ -101,14 +102,14 @@ class SpeedProfile:
         return replace(self, fn=lambda s: self(s) + other(s), knots=knots)
 
     @cached_property
-    def _grid_values(self) -> np.ndarray:
-        """The profile on its validation grid."""
-        return self(np.linspace(self.lo, self.hi, _VALIDATION_GRID))
+    def _grid(self) -> np.ndarray:
+        """The validation grid, the same for every profile on the band."""
+        return np.linspace(self.lo, self.hi, _VALIDATION_GRID)
 
     @cached_property
     def _validate_nonvanishing(self) -> np.ndarray:
-        """The grid values, checked once per profile."""
-        vals = self._grid_values
+        """The profile on its validation grid, checked once per profile."""
+        vals = self(self._grid)
         low, high = vals.min(), vals.max()
         if not -np.inf < low <= high < np.inf:  # NaN fails every comparison
             raise InvalidProfileError("profile is not finite on its band")
@@ -121,7 +122,7 @@ class SpeedProfile:
         """The time-weighted average speed, integrated once per profile."""
         self._validate_nonvanishing  # raises unless finite and of one sign on the grid
         duration, distance = adaptive_quadrature(
-            lambda s: np.vstack([np.ones_like(s), s]) / self(s), self.lo, self.hi, self.knots
+            lambda s: np.array([np.ones_like(s), s]) / self(s), self.lo, self.hi, self.knots
         )
         return float(distance / duration)
 
@@ -180,7 +181,7 @@ def ratio_statistics(g: SpeedProfile, dg: SpeedProfile) -> tuple[float, float]:
 
 def _ratio_values(g: SpeedProfile, dg: SpeedProfile) -> np.ndarray:
     _require_same_band(g, dg)
-    ratio = dg._grid_values / g._validate_nonvanishing
+    ratio = dg(g._grid) / g._validate_nonvanishing  # the bands match, so g's grid is dg's
     if not np.isfinite(ratio).all():
         raise InvalidProfileError("perturbation is not finite on its band")
     return ratio
