@@ -49,8 +49,8 @@ class SpeedProfile:
         s = np.asarray(s, dtype=float)
         key = (s.shape, s.tobytes())
         out = self._memo.get(key)
-        if out is None:  # a view, so fn's own arrays stay writable
-            out = self._memo[key] = np.asarray(self.fn(s)).view()
+        if out is None:  # a copy, so no array of fn's or the caller's can change it
+            out = self._memo[key] = np.array(self.fn(s))
             out.flags.writeable = False
         return out
 

@@ -454,7 +454,10 @@ class TestPerturbationSeries:
         assert g(s.copy()) is flat and g(list(s)) is flat and len(shapes) == 2
         with pytest.raises(ValueError, match="read-only"):
             flat[0] = 0.0
-        assert s.flags.writeable  # the memo freezes a view of fn's result, not fn's array
+        # the memo keeps a copy: fn's result, here the caller's array, stays writable,
+        # and writing into it changes no value handed out later
+        s[0] = 0.0
+        assert g(np.linspace(6.0, 8.0, 6)) is flat and flat[0] == 6.0
         # the memo is no part of a profile's value, and a replaced profile starts empty
         assert replace(g) == g and hash(replace(g)) == hash(g)
         assert replace(g)._memo == {} and "_memo" not in repr(g)
