@@ -14,7 +14,7 @@ the race records its legs, and the report reads the trace off them.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,19 +193,15 @@ def _full_effort(v_safe: float) -> OscillationBand:
     return OscillationBand(v_safe, v_safe, math.nan, math.nan, math.nan, math.nan)
 
 
-def switch_logic(
-    engine_on: bool, speed: float, band: OscillationBand, v_safe: float | Callable[[], float]
-) -> bool:
+def switch_logic(engine_on: bool, speed: float, band: OscillationBand, v_safe: float) -> bool:
     """The new engine state: on only where the band's hysteresis holds it on
     (off at or above the top, on at or below the bottom, else unchanged) and
     the speed is below the safety speed ``v_safe``.
 
-    ``v_safe`` may be a function that reads it, called only where the
-    hysteresis holds the engine on.  Counting switches and charging their
-    cost is the caller's job.
+    Counting switches and charging their cost is the caller's job.
     """
     held = speed < band.upper if engine_on else speed <= band.lower
-    return held and speed < (v_safe() if callable(v_safe) else v_safe)
+    return held and speed < v_safe
 
 
 def run_race(
@@ -259,6 +255,7 @@ def run_race(
             race_len - x1, band.avg_speed * (cfg.race_duration - t), rel_tol=SOLVE_RTOL
         ):
             period_start = period_due = False
+        v_safe = track.safe_speed_at(x1)
         if period_start or t >= replan_at:
             record = replan(t, x1, track, wind, params, power, cfg, band)
             band = record.band
@@ -266,10 +263,10 @@ def run_race(
             take_sample(record.flag or FLAG_REPLAN)
             period_due = period_due and not period_start
             # a coast band entered at or above its target meets it until the next cell edge
-            stop_gap = record.flag or band.upper >= track.safe_speed_at(x1)
+            stop_gap = record.flag or band.upper >= v_safe
             stop_gap = stop_gap or band.is_coast and x2 < record.target
             replan_at = t + RECHECK_INTERVAL if stop_gap else math.inf
-        if switch_logic(engine_on, x2, band, lambda: track.safe_speed_at(x1)) != engine_on:
+        if switch_logic(engine_on, x2, band, v_safe) != engine_on:
             engine_on = not engine_on
             if engine_on:
                 switches += 1

@@ -250,7 +250,7 @@ class WindField:
                     writer.writerow((repr(float(s)), repr(float(t)), repr(float(self.speed[i][j]))))
 
 
-def _finite_float(cell: str) -> float:
+def finite_float(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {cell.strip()!r}")
@@ -264,7 +264,7 @@ def read_csv_rows(
 ) -> list[tuple]:
     """Rows of a headed CSV file, parsed per column (finite floats by default); blanks skipped."""
     path = Path(path)
-    parsers = parsers or (_finite_float,) * len(header)
+    parsers = parsers or (finite_float,) * len(header)
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -448,21 +448,22 @@ class FrozenDynamics:
         no down-crossing on v > 0.
         """
         gravity_component = params.gravity * math.sin(slope)
-        v_high = _last_downcrossing(mode_b(params, gravity_component, True), wind_speed, params)
-        if v_high is None:
+        on_roots = _drag_roots(mode_b(params, gravity_component, True), wind_speed, params)
+        off_roots = _drag_roots(mode_b(params, gravity_component, False), wind_speed, params)
+        if not on_roots:
             raise InfeasibleSliceError(
                 "engine-on acceleration is nonpositive for all speeds: the "
                 "vehicle cannot move forward on this slice"
             )
+        v_high = on_roots[-1]
         if v_high >= SPEED_BRACKET_MAX:
             raise InfeasibleSliceError(
                 f"engine-on acceleration has no root below {SPEED_BRACKET_MAX} m/s"
             )
-        v_rest = _last_downcrossing(mode_b(params, gravity_component, False), wind_speed, params)
-        if v_rest is not None:
+        if off_roots:
             # also when friction wins at 0+ but a tailwind pushes coasting
             # up to a second rest speed above the sticking point
-            v_low, is_root = v_rest, True
+            v_low, is_root = off_roots[-1], True
         else:
             # evaluate the 0+ side of the friction sign
             f_zero = _accel_scalar(1e-12, False, wind_speed, gravity_component, params)
@@ -490,12 +491,6 @@ def _drag_roots(b: float, wind_speed: float, p: VehicleParams) -> list[float]:
     else:
         return []
     return [v for v in roots if v > 0.0]
-
-
-def _last_downcrossing(b: float, wind_speed: float, p: VehicleParams) -> float | None:
-    """Largest speed v > 0 where ``b - a D(v - w)`` falls through zero, if any."""
-    roots = _drag_roots(b, wind_speed, p)
-    return roots[-1] if roots else None
 
 
 def increasing_root(

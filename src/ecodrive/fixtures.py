@@ -30,42 +30,37 @@ GUST_DURATION = 120.0
 GUST_SPEED = -3.0
 
 
-def flat16500() -> Scenario:
-    """Flat windless reference race: 16.5 km in 2357 s (7 m/s average)."""
+def _scenario(name: str, track: TrackProfile, wind: WindField) -> Scenario:
+    """A fixture race on the prototype constants: 16.5 km in 2357 s (7 m/s average)."""
     return Scenario(
-        name="flat16500",
+        name=name,
         params=DEFAULT_PARAMS,
         power=PowerModel(),
-        track=TrackProfile.flat(RACE_LENGTH, safe_speed=12.0),
-        wind=WindField.zero(),
+        track=track,
+        wind=wind,
         controller=ControllerConfig(race_length=RACE_LENGTH, race_duration=RACE_DURATION),
     )
+
+
+def flat16500() -> Scenario:
+    """Flat windless reference race."""
+    return _scenario("flat16500", TrackProfile.flat(RACE_LENGTH, safe_speed=12.0), WindField.zero())
 
 
 def hill() -> Scenario:
     """Sinusoidal +/-1.5 % grade: slices stay feasible, climbs cap the speed."""
     arcs = []
     slopes = []
-    safes = []
     s = 0.0
     while s < RACE_LENGTH:
         arcs.append(s)
         mid = s + 0.5 * HILL_STEP
         slopes.append(HILL_SLOPE_AMPLITUDE * math.sin(2.0 * math.pi * mid / HILL_WAVELENGTH))
-        safes.append(HILL_SAFE_SPEED)
         s += HILL_STEP
     arcs.append(RACE_LENGTH)
     slopes.append(slopes[-1])
-    safes.append(HILL_SAFE_SPEED)
-    track = TrackProfile(tuple(arcs), tuple(slopes), tuple(safes))
-    return Scenario(
-        name="hill",
-        params=DEFAULT_PARAMS,
-        power=PowerModel(),
-        track=track,
-        wind=WindField.zero(),
-        controller=ControllerConfig(race_length=RACE_LENGTH, race_duration=RACE_DURATION),
-    )
+    track = TrackProfile(tuple(arcs), tuple(slopes), (HILL_SAFE_SPEED,) * len(arcs))
+    return _scenario("hill", track, WindField.zero())
 
 
 def gust() -> Scenario:
@@ -75,14 +70,7 @@ def gust() -> Scenario:
         time=(0.0, GUST_START, GUST_START + GUST_DURATION),
         speed=((0.0, GUST_SPEED, 0.0),),
     )
-    return Scenario(
-        name="gust",
-        params=DEFAULT_PARAMS,
-        power=PowerModel(),
-        track=TrackProfile.flat(RACE_LENGTH, safe_speed=12.0),
-        wind=wind,
-        controller=ControllerConfig(race_length=RACE_LENGTH, race_duration=RACE_DURATION),
-    )
+    return _scenario("gust", TrackProfile.flat(RACE_LENGTH, safe_speed=12.0), wind)
 
 
 FIXTURES = {

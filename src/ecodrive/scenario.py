@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .controller import FLAG_FINISH, ROUTINE_FLAGS
 from .controller import ControllerConfig, RaceResult, min_switch_gap
-from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField, read_csv_rows
+from .dynamics import PowerModel, TrackProfile, VehicleParams, WindField
+from .dynamics import finite_float, read_csv_rows
 from .errors import ScenarioError
 from .optimizer import GridSpec
 
@@ -61,7 +62,7 @@ REQUIRED_PARAM_KEYS = {"a", "c", "g", "f1", "m", "alpha"}
 
 TELEMETRY_HEADER = ("t_s", "x1_m", "x2_mps", "u", "N", "E_J", "Va_mps", "Vb_mps", "flag")
 # the summary reads time, position, switch count, energy and flag
-TELEMETRY_PARSERS = (float, float, str, str, int, float, str, str, str)
+TELEMETRY_PARSERS = (finite_float, finite_float, str, str, int, finite_float, str, str, str)
 TRACE_HEADER = "t_s,x2_mps,Va_mps,Vb_mps,u"
 
 
@@ -81,20 +82,21 @@ class Scenario:
         return replace(self, name=other.name) == other
 
 
-def _read_json(path: Path) -> object:
+def _read_json(path: Path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    return data
 
 
 def _load_json(path: Path, fields: dict, required: set[str]) -> dict:
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
     unknown = data.keys() - fields.keys()
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
@@ -165,9 +167,7 @@ def parse_override(item: str) -> tuple[str, object]:
 
 
 def load_scenario(
-    scenario_dir: str | Path,
-    overrides: tuple[str, ...] | list[str] = (),
-    name: str | None = None,
+    scenario_dir: str | Path, overrides: tuple[str, ...] | list[str] = ()
 ) -> Scenario:
     """Parse and validate a scenario directory, then apply CLI overrides."""
     scenario_dir = Path(scenario_dir)
@@ -191,7 +191,7 @@ def load_scenario(
     params, power = _params_from_mapping(params_map, source)
     controller = _controller_from_mapping(controller_map, track.length, source)
     return Scenario(
-        name=name or scenario_dir.name,
+        name=scenario_dir.name,
         params=params,
         power=power,
         track=track,
@@ -221,16 +221,14 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def default_out_dir(scenario_dir: str | Path | None, explicit: str | None) -> Path:
+def default_out_dir(scenario_dir: str | Path, explicit: str | None) -> Path:
     """Output directory precedence: --out flag, ECODRIVE_OUT, scenario-local."""
     if explicit:
         return Path(explicit)
     env = os.environ.get("ECODRIVE_OUT")
     if env:
         return Path(env)
-    if scenario_dir is not None:
-        return Path(scenario_dir) / "out"
-    return Path("out")
+    return Path(scenario_dir) / "out"
 
 
 def emit_report(result: RaceResult, scenario: Scenario, out_dir: str | Path) -> dict[str, Path]:

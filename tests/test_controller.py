@@ -278,11 +278,6 @@ class TestSwitchLogic:
             assert out is True
         else:
             assert out is engine_on
-        # a safety speed read by a function is read only where the hysteresis
-        # holds the engine on, and gives the same state
-        reads = []
-        assert switch_logic(engine_on, speed, band, lambda: reads.append(v_safe) or v_safe) is out
-        assert len(reads) == (speed < band.upper if engine_on else speed <= band.lower)
 
 
 class TestTelemetrySample:

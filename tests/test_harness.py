@@ -604,6 +604,34 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert main(["report", "--result", str(tmp_path / "missing")]) == 1
 
+    def test_report_refuses_a_summary_that_is_not_an_object(self, short_scenario, tmp_path, capsys):
+        _, scenario_dir = short_scenario
+        out_dir = tmp_path / "cli_out"
+        assert main(["simulate", "--scenario", str(scenario_dir), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        (out_dir / "summary.json").write_text("[1,2]\n")
+        assert main(["report", "--result", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out_dir / 'summary.json'}: expected a JSON object\n"
+
+    @pytest.mark.parametrize("column", [0, 1, 5])
+    def test_report_names_a_non_finite_telemetry_cell(
+        self, short_scenario, tmp_path, capsys, column
+    ):
+        _, scenario_dir = short_scenario
+        out_dir = tmp_path / "cli_out"
+        assert main(["simulate", "--scenario", str(scenario_dir), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        path = out_dir / "telemetry.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[column] = "nan"  # t_s, x1_m or E_J
+        lines[-1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--result", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} line {len(lines)}: non-finite value 'nan'\n"
+
     def test_fixtures_roundtrip_through_cli(self, tmp_path, capsys):
         out = tmp_path / "fx"
         assert main(["fixtures", "--name", "gust", "--out", str(out)]) == 0
