@@ -71,8 +71,11 @@ class ControllerConfig:
         if not 0.0 <= self.race_length < math.inf:
             raise ValueError("race_length must be finite and nonnegative")
         require_positive(self, "race_duration", "safety_margin", "trace_interval")
-        if not 1.0 <= self.hard_stop_factor < math.inf:
-            raise ValueError("hard_stop_factor must be finite and at least 1")
+        # a race that stalls before an infinite hard stop never returns
+        t_hard = self.hard_stop_factor * self.race_duration
+        if not (1.0 <= self.hard_stop_factor and t_hard < math.inf):
+            raise ValueError("hard_stop_factor must be at least 1, and its product with "
+                             "race_duration, the hard stop, finite")
 
 
 @dataclass(frozen=True)
@@ -239,8 +242,8 @@ def run_race(
     replans: list[ReplanRecord] = []
     stalled = False
     band: OscillationBand | None = None
-    replan_at = 0.0       # time of the next replan that is not a period start
     period_due = True     # a switch-on since the last period start
+    s_edge = t_edge = -math.inf  # the edges of the slope and wind cell: none entered yet
 
     def take_sample(flag: str) -> None:
         lower, upper = (band.lower, band.upper) if band is not None else (0.0, 0.0)
@@ -248,6 +251,11 @@ def run_race(
         samples.append(TelemetrySample(t, x1, x2, engine_on, switches, energy, lower, upper, flag))
 
     while x1 < race_len - 1e-9 and t < t_hard - 1e-12:
+        if x1 >= s_edge or t >= t_edge:  # a new cell, read once: the slice changes here
+            slope, wind_speed = track.slope_at(x1), wind.at(x1, t)
+            s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
+            t_edge = wind.next_boundary_t(t)
+            replan_at = t  # time of the next replan that is not a period start
         # the coasting leg landed on the band bottom: the next period starts
         period_start = period_due and not engine_on and x2 == band.lower
         # a band covering the rest on time is what a replan returns on one slice: it is kept
@@ -277,13 +285,11 @@ def run_race(
             else:  # an off-switch below the band top is the safety speed's
                 flag = FLAG_SAFETY
             take_sample(flag)
-        leg = Leg.start(params, track.slope_at(x1), wind.at(x1, t), engine_on, x2)
+        leg = Leg.start(params, slope, wind_speed, engine_on, x2)
         stuck = engine_on and leg.v0 == 0.0 and leg.b <= leg.A * leg.wind_speed**2
         if stuck and not stalled:  # the engine cannot leave rest
             stalled = True
             take_sample(FLAG_STALLED)
-        s_edge = min(track.next_boundary(x1), wind.next_boundary_s(x1))
-        t_edge = wind.next_boundary_t(t)
         t_new, x_new, x2 = _next_event(
             leg, t, x1, x2, band.upper if engine_on else band.lower,
             min(replan_at, t_edge, t_hard), min(s_edge, race_len),
@@ -292,8 +298,6 @@ def run_race(
         legs.append(LegRecord(t, x1, e_power + alpha * switches, leg, engine_on, band, t_new, x2))
         e_power += engine_energy(t_new - t, x_new - x1, engine_on, power, params)
         t, x1 = t_new, x_new
-        if x1 >= s_edge or t >= t_edge:
-            replan_at = t  # the slice changes here
 
     finished = x1 >= race_len - 1e-9
     take_sample(FLAG_FINISH if finished else FLAG_DNF)

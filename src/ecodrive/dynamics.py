@@ -281,14 +281,14 @@ def read_csv_rows(
             )
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(header):
                 raise ScenarioError(
                     f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
+                rows.append(tuple(map(lambda parse, cell: parse(cell), parsers, row)))
             except ValueError as exc:
                 raise ScenarioError(f"{path} line {lineno}: {exc}") from exc
     return rows
@@ -342,18 +342,10 @@ class FrozenDynamics:
     v_low: float
     v_high: float
     v_low_is_root: bool
-    gravity_component: float = field(init=False)
+    gravity_component: float  # g sin(slope)
     # (b, rest speed) per mode, indexed by ``engine_on``: the root its acceleration settles at,
     # v_high, or v_low when a root, else None; ``leg_time_distance`` is inf for a leg ending there
-    modes: tuple[tuple[float, float | None], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        g = self.params.gravity * math.sin(self.slope)
-        rest_off = self.v_low if self.v_low_is_root else None
-        object.__setattr__(self, "gravity_component", g)
-        object.__setattr__(self, "modes", (
-            (mode_b(self.params, g, False), rest_off), (mode_b(self.params, g, True), self.v_high)
-        ))
+    modes: tuple[tuple[float, float | None], ...] = field(repr=False, compare=False)
 
     def accel(self, x2: float, engine_on: bool) -> float:
         return _accel_scalar(x2, engine_on, self.wind_speed, self.gravity_component, self.params)
@@ -447,9 +439,10 @@ class FrozenDynamics:
         acceleration.  Coasting falls back to the sticking point 0 when it has
         no down-crossing on v > 0.
         """
-        gravity_component = params.gravity * math.sin(slope)
-        on_roots = _drag_roots(mode_b(params, gravity_component, True), wind_speed, params)
-        off_roots = _drag_roots(mode_b(params, gravity_component, False), wind_speed, params)
+        g = params.gravity * math.sin(slope)
+        b_off, b_on = mode_b(params, g, False), mode_b(params, g, True)
+        on_roots = _drag_roots(b_on, wind_speed, params)
+        off_roots = _drag_roots(b_off, wind_speed, params)
         if not on_roots:
             raise InfeasibleSliceError(
                 "engine-on acceleration is nonpositive for all speeds: the "
@@ -466,14 +459,15 @@ class FrozenDynamics:
             v_low, is_root = off_roots[-1], True
         else:
             # evaluate the 0+ side of the friction sign
-            f_zero = _accel_scalar(1e-12, False, wind_speed, gravity_component, params)
+            f_zero = _accel_scalar(1e-12, False, wind_speed, g, params)
             v_low, is_root = 0.0, abs(f_zero) <= 1e-12
         if v_low >= v_high - SPEED_ROOT_TOL:
             raise InfeasibleSliceError(
                 f"engine-off rest speed {v_low:.6g} does not lie below the "
                 f"engine-on equilibrium {v_high:.6g}"
             )
-        return cls(params, power, slope, wind_speed, v_low, v_high, is_root)
+        modes = (b_off, v_low if is_root else None), (b_on, v_high)
+        return cls(params, power, slope, wind_speed, v_low, v_high, is_root, g, modes)
 
 
 def _drag_roots(b: float, wind_speed: float, p: VehicleParams) -> list[float]:
@@ -534,10 +528,10 @@ def _branch_time(b: float, A: float, r0: float, r1: float) -> float:
     rate = b - A * r0 * r0
     if rate == 0.0 or r1 == r0 or (r1 > r0) != (rate > 0.0):
         return math.inf
-    k, sigma = math.sqrt(abs(b / A)), _sgn(b * A)
+    k, sigma = math.sqrt(abs(b / A)), b * A  # its sign picks the law, as Leg's sigma does
     if sigma < 0.0:
         return math.atan2(k * (r0 - r1), k * k + r0 * r1) / (A * k)
-    lo, hi = min(r0, r1), max(r0, r1)
+    lo, hi = (r0, r1) if r0 < r1 else (r1, r0)
     if lo <= k <= hi or lo <= -k <= hi:  # k = 0 for b = 0
         return math.inf
     if sigma == 0.0:
@@ -605,8 +599,15 @@ class Leg:
         return _branch_time(self.b, self.A, self.v0 - self.wind_speed, v1 - self.wind_speed)
 
     def speed(self, tau: float) -> float:
-        """Speed ``tau`` seconds into the leg."""
-        return self.speeds(0.0, (tau,))[0]
+        """Speed ``tau`` seconds into the leg: the law of ``speeds``, in its float order."""
+        w, k, sigma, r0 = self.wind_speed, self.k, self.sigma, self.v0 - self.wind_speed
+        if sigma == 0.0:
+            v = w + r0 / (1.0 + self.A * r0 * tau)
+        else:
+            x = self.A * k * tau
+            c, s = (math.cosh(x), math.sinh(x)) if sigma > 0.0 else (math.cos(x), math.sin(x))
+            v = w + k * (r0 * c + sigma * k * s) / (k * c + r0 * s)
+        return 0.0 if v < 0.0 else v
 
     def speeds(self, t0: float, times: Iterable[float]) -> list[float]:
         """Speeds at the race times ``times`` of the leg started at ``t0``, its law read once."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dynamics import (
     ENDPOINT_MATCH_TOL,
+    WHEEL_POWER,
     FrozenDynamics,
     engine_energy,
     increasing_root,
@@ -245,22 +246,25 @@ def _certificate(
     energy: float,
 ):
     """``(miss, residual), (j11, j12, j21, j22)``: the two equations of the band between v_a and
-    v_b of one period's time, distance and energy, and their Jacobian.
+    v_b of one period's time, distance and energy, and their Jacobian, on the model's law.
 
     The miss of the target, and the residual of the certificate: the cost less the chord of
     the tradeoff psi = -h f_off / f1 through the band's ends, read at the target, which is zero
     at an interior optimum.
     """
     p, avg, cost = frozen.params, distance / t, energy / t
-    dh = engine_energy(0.0, 1.0, True, frozen.power, p)  # the draw per metre: m f1 or 0
+    drag, friction, f1, m = p.drag_coeff, p.solid_friction, p.traction, p.mass
+    wheel, watts = frozen.power.kind == WHEEL_POWER, frozen.power.constant_watts
+    dh = m * f1 if wheel else 0.0  # the slope of the draw h, m f1 v under wheel power at v > 0
     ends = []
     for v in (v_a, v_b):
-        h, off, rel = frozen.engine_power_at(v), frozen.accel(v, False), v - frozen.wind_speed
-        on = off + p.traction  # f_on = f_off + f1, as ``accel`` adds it
-        d_off = -2.0 * p.drag_coeff * (abs(rel) if p.signed_drag else rel)
+        h, rel = (v * m * f1 if wheel else watts), v - frozen.wind_speed
+        rel_abs = abs(rel) if p.signed_drag else rel  # the drag law rel rel_abs, of slope 2 rel_abs
+        off = -drag * rel * rel_abs - friction - frozen.gravity_component  # ``accel(v, False)``
+        on = off + f1  # f_on = f_off + f1, as ``accel`` adds it
         # psi and its slope; raising an end v adds g = 1/f_on - 1/f_off to t, v g to the
         # distance and h/f_on to the energy at v_b, and subtracts them at v_a
-        ends.append((-h * off / p.traction, -(dh * off + h * d_off) / p.traction,
+        ends.append((-h * off / f1, -(dh * off + h * (-2.0 * drag * rel_abs)) / f1,
                      1.0 / on - 1.0 / off, h / on))
     (psi_a, dpsi_a, g_a, e_a), (psi_b, dpsi_b, g_b, e_b) = ends
     w, rise = (v_target - v_a) / (v_b - v_a), (psi_b - psi_a) / (v_b - v_a) ** 2

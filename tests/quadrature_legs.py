@@ -8,12 +8,13 @@ speed and with improper-endpoint handling at the mode's rest speed.
 ``GeneralLawSlice``, the base of the test slices whose acceleration is not
 the model's law, and are the independent references for the closed forms of
 the model's own slices; ``general_law`` gives any slice the array form of its
-acceleration and consumption.  ``mode_changes_sign`` is the closed-form sign
-test from the roots of the drag law, the reference for a band's legs, which
-alone decide whether it is feasible.  ``scan_check_assumptions``
-is the grid-scan form of ``check_assumptions``.  ``bisection_upper_limit``
-is the 60-step dichotomy on the period average that the band search used
-before its bracketed root.
+acceleration and consumption, and ``slice_with_rest_speeds`` builds a slice of
+any class on rest speeds of the test's choosing.  ``mode_changes_sign`` is the
+closed-form sign test from the roots of the drag law, the reference for a
+band's legs, which alone decide whether it is feasible.
+``scan_check_assumptions`` is the grid-scan form of ``check_assumptions``.
+``bisection_upper_limit`` is the 60-step dichotomy on the period average that
+the band search used before its bracketed root.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from ecodrive.dynamics import (
     FrozenDynamics,
     _drag_roots,
     engine_energy,
+    mode_b,
 )
 from ecodrive.errors import InfeasibleCandidateError
 from ecodrive.optimizer import UPPER_BRACKET_MARGIN
@@ -243,8 +245,20 @@ def general_law(frozen: FrozenDynamics) -> GeneralLawSlice:
         return frozen
     return GeneralLawSlice(
         frozen.params, frozen.power, frozen.slope, frozen.wind_speed,
-        frozen.v_low, frozen.v_high, frozen.v_low_is_root,
+        frozen.v_low, frozen.v_high, frozen.v_low_is_root, frozen.gravity_component, frozen.modes,
     )
+
+
+def slice_with_rest_speeds(
+    cls, params, power, slope: float, wind_speed: float, v_low: float, v_high: float,
+    v_low_is_root: bool,
+):
+    """A ``cls`` slice with the given rest speeds, and the model's mode terms as
+    ``FrozenDynamics.from_conditions`` computes them."""
+    g = params.gravity * math.sin(slope)
+    rest_off = v_low if v_low_is_root else None
+    modes = (mode_b(params, g, False), rest_off), (mode_b(params, g, True), v_high)
+    return cls(params, power, slope, wind_speed, v_low, v_high, v_low_is_root, g, modes)
 
 
 class SqrtTopSlice(GeneralLawSlice):
@@ -259,7 +273,7 @@ class SqrtTopSlice(GeneralLawSlice):
 
 def sqrt_top_slice(params, power) -> SqrtTopSlice:
     """The square-root slice with v_low = 0 (sticking) and v_high = 10 m/s."""
-    return SqrtTopSlice(params, power, 0.0, 0.0, 0.0, 10.0, False)
+    return slice_with_rest_speeds(SqrtTopSlice, params, power, 0.0, 0.0, 0.0, 10.0, False)
 
 
 def bisection_upper_limit(

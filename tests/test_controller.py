@@ -98,6 +98,13 @@ class TestConfig:
         with refusal:
             ControllerConfig(**{"race_length": 100.0, "race_duration": 100.0, field: value})
 
+    @pytest.mark.parametrize("duration,factor", [(200.0, 1e308), (1.7e308, 1.2)])
+    def test_a_hard_stop_that_overflows_is_rejected(self, duration, factor):
+        # each value is finite, but the hard stop at their product is not, and a race
+        # that stalls before it would never return
+        with pytest.raises(ValueError, match="finite"):
+            ControllerConfig(race_length=100.0, race_duration=duration, hard_stop_factor=factor)
+
 
 class TestReplan:
     def test_initial_target_is_length_over_duration(
@@ -484,6 +491,23 @@ class TestFullRaces:
         result = run_race(*_fixture_race(fixture_lib.flat16500))
         assert len(legs) <= 1.5 * 42
         assert len(result.replans) <= 9
+
+    @pytest.mark.parametrize("make", [fixture_lib.flat16500, fixture_lib.hill])
+    def test_the_benchmark_sees_each_replan_through_its_module_names(self, make, monkeypatch):
+        # perfbench times the reference inside ``controller.replan`` and traces
+        # ``controller.freeze`` and ``optimizer.leg_time_distance``: the race must reach each
+        # through its module attribute, one replan and one freeze per record
+        calls = {"replan": 0, "freeze": 0, "leg_time_distance": 0}
+        for module, name in ((controller, "replan"), (controller, "freeze"),
+                             (optimizer, "leg_time_distance")):
+            def counting(*args, _inner=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        result = run_race(*_fixture_race(make))
+        assert calls["replan"] == calls["freeze"] == len(result.replans) > 0
+        assert calls["leg_time_distance"] > 0
 
     @pytest.mark.parametrize("make", [fixture_lib.flat16500, fixture_lib.gust])
     def test_a_kept_period_start_is_the_band_a_replan_returns(self, make):

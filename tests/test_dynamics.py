@@ -197,7 +197,9 @@ def reference_rest_speeds(params, slope: float, wind_speed: float) -> tuple[floa
 
     Raises InfeasibleSliceError on the same rules as the slice freezer.
     """
-    probe = FrozenDynamics(params, PowerModel(), slope, wind_speed, 0.0, 0.0, False)
+    probe = quadrature_legs.slice_with_rest_speeds(
+        FrozenDynamics, params, PowerModel(), slope, wind_speed, 0.0, 0.0, False
+    )
     eps = 1e-12  # evaluate the 0+ side of the friction sign
 
     def f_on(x: float) -> float:
@@ -412,8 +414,9 @@ class TestCheckAssumptions:
             def engine_power_at(self, x2):
                 return (2.0 + x2) / (6e-4 * x2 * x2 + 0.03)
 
-        slice_ = AffineTradeoffSlice(
-            params, const_power, 0.0, 0.0, flat_slice.v_low, flat_slice.v_high, False
+        slice_ = quadrature_legs.slice_with_rest_speeds(
+            AffineTradeoffSlice, params, const_power, 0.0, 0.0, flat_slice.v_low,
+            flat_slice.v_high, False,
         )
         report = quadrature_legs.scan_check_assumptions(slice_)
         assert report.convexity_verdict == "neither"
@@ -689,6 +692,32 @@ def _leg_conditions():
     )
 
 
+class TestScalarSpeed:
+    """``Leg.speed`` is ``Leg.speeds`` at one time, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_leg_conditions(), st.floats(min_value=0.0, max_value=1.0), st.booleans())
+    @example((False, "constant_electrical", 0.0, 0.0, True, 3.0, 5.0), 0.5, False)  # tanh
+    @example((False, "constant_electrical", 0.0, 0.0, False, 7.94, 5.0), 0.5, False)  # tan, to 0
+    @example((False, "constant_electrical", 0.0, 2.0, True, 5.0, 5.0), 0.5, True)  # rational
+    @example((True, "constant_electrical", 0.0, 6.0, True, 2.0, 5.0), 0.5, False)  # up to v = w
+    @example((True, "constant_electrical", 0.0, 3.0, False, 9.0, 5.0), 0.5, False)  # to v = w
+    @example((True, "constant_electrical", 0.0, 6.0, False, 2.0, 5.0), 0.5, True)  # rational, r < 0
+    @example((False, "constant_electrical", 0.0, 0.0, True, 0.0, 5.0), 0.5, False)  # from rest
+    @example((False, "constant_electrical", 0.0, 0.0, False, 0.0, 5.0), 0.5, False)  # stuck
+    def test_speed_is_speeds_at_one_time(self, conditions, u, rational):
+        signed, _, slope, wind, engine_on, v0, duration = conditions
+        params = VehicleParams(signed_drag=signed)
+        if rational:  # b = 0, on the drag branch of the start
+            a = -params.drag_coeff if signed and v0 < wind else params.drag_coeff
+            leg = Leg(0.0, a, wind, v0)
+        else:
+            leg = Leg.start(params, slope, wind, engine_on, v0)
+        for tau in (0.0, u * duration, duration, leg.end_time):
+            if math.isfinite(tau):
+                assert repr(leg.speed(tau)) == repr(leg.speeds(0.0, [tau])[0])
+
+
 def _chain(params, slope, wind, engine_on, v0, duration):
     """Legs in sequence across the v = w and sticking ends: (speed, distance, moving time)."""
     v, d, t = v0, 0.0, 0.0
@@ -755,7 +784,9 @@ class TestLegAgainstReferences:
         )
 
         if abs(v - v0) > 1e-3:
-            frozen = FrozenDynamics(params, power, slope, wind, 0.0, 1.0, False)
+            frozen = quadrature_legs.slice_with_rest_speeds(
+                FrozenDynamics, params, power, slope, wind, 0.0, 1.0, False
+            )
             t_ref, d_ref = quadrature_legs.leg_time_distance(frozen, engine_on, v0, v)
             assert moving == pytest.approx(t_ref, rel=1e-8)
             assert d == pytest.approx(d_ref, rel=1e-8)

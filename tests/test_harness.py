@@ -156,6 +156,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="line 3"):
             load_scenario(scenario_dir)
 
+    def test_blank_rows_are_skipped_but_counted(self, short_scenario):
+        _, scenario_dir = short_scenario
+        track = scenario_dir / "track.csv"
+        track.write_text("s_m,slope_rad,vsafe_mps\n0.0,0.0,12.0\n\n , ,\t\n2000.0,0.0,12.0\n")
+        assert load_scenario(scenario_dir).track == TrackProfile.flat(2_000.0, 12.0)
+        track.write_text("s_m,slope_rad,vsafe_mps\n0.0,0.0,12.0\n\n , ,\t\n2000.0,0.0\n")
+        with pytest.raises(ScenarioError, match="track.csv line 5: expected 3 fields, got 2"):
+            load_scenario(scenario_dir)
+
     def test_non_monotone_arclength_names_the_invariant(self, short_scenario):
         _, scenario_dir = short_scenario
         (scenario_dir / "track.csv").write_text(
@@ -291,6 +300,8 @@ class TestOverrides:
             "trace_interval_s=NaN",
             "hard_stop_factor=NaN",
             "hard_stop_factor=Infinity",
+            "hard_stop_factor=1e308",  # finite, but not the hard stop at 1e308 * duration
+            "duration_s=1.7e308",
             "a=NaN",
             "c=Infinity",
             "g=NaN",

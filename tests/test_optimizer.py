@@ -869,7 +869,9 @@ class TestAsymptoticExpansion:
                     return 2e-3 * (10.0 - np.asarray(x2)) ** 2
                 return super().accel_grid(x2, engine_on)
 
-        frozen = DoubleRootSlice(params, const_power, 0.0, 0.0, 0.0, 10.0, False)
+        frozen = quadrature_legs.slice_with_rest_speeds(
+            DoubleRootSlice, params, const_power, 0.0, 0.0, 0.0, 10.0, False
+        )
         assert math.isinf(frozen.moment_integrals()[1])
         item = check_assumptions(frozen).item("switching_cost_small")
         assert item.passed is None

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import oracles
 import stepper
 from segments import SpeedSegment, covered_length, elapsed_time, energy_used
-from quadrature_legs import GeneralLawSlice, general_law, sqrt_top_slice
+from quadrature_legs import GeneralLawSlice, general_law, slice_with_rest_speeds, sqrt_top_slice
 from ecodrive import (
     FrozenDynamics,
     InfeasibleSliceError,
@@ -234,8 +234,8 @@ class TestSegments:
                     return base - 0.4 * np.exp(-((x2 - 8.0) ** 2))
                 return base
 
-        slice_ = DippedSlice(
-            params, const_power, 0.0, 0.0, flat_slice.v_low, flat_slice.v_high, False
+        slice_ = slice_with_rest_speeds(
+            DippedSlice, params, const_power, 0.0, 0.0, flat_slice.v_low, flat_slice.v_high, False
         )
         seg = SpeedSegment(slice_, True, 6.0, 10.0)
         with pytest.raises(InvalidSegmentError, match="sign"):
